@@ -1,7 +1,7 @@
 """Command-line interface.
 
     setfuse fuse --scenario s.json --mode p2|consistent --out dir [--seed N]
-    setfuse sweep --scenario s.json --out dir [--seed N] [--jobs K]
+    setfuse sweep --scenario s.json --out dir [--seed N]
     setfuse reproduce ex1|ex2|ex3|ex4 --out dir [--seed N]
 
 Exit codes: 0 success, 2 bad input, 3 solver or fusion failure.
@@ -71,7 +71,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _load(args)
     out = _resolve_out(args, scenario)
-    path = run_sweep(scenario, out, jobs=args.jobs)
+    path = run_sweep(scenario, out)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
     rep = sub.add_parser("reproduce", help="rebuild a built-in experiment")
@@ -131,7 +130,7 @@ def main(argv=None) -> int:
         for record in exc.trace.records:
             print(
                 f"  omega={record.omega:.8f} objective={record.objective:.8f} "
-                f"z={record.z:.8e} z'={record.z_prime:.8e} z''={record.z_double_prime:.8e}",
+                f"slope={record.slope:.8e} curvature={record.curvature:.8e}",
                 file=sys.stderr,
             )
         return EXIT_SOLVER

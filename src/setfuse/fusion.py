@@ -95,6 +95,27 @@ def fused_cardinality_p2(
     return CardinalityPmf(probs), norm
 
 
+def iid_cardinality_p2(
+    p_i: CardinalityPmf, p_j: CardinalityPmf, z: float, omega: float
+) -> tuple[CardinalityPmf, float]:
+    """Jointly fused count pmf of an IID-cluster pair with its normalizer.
+
+    The factorized localisation makes the scale sequence geometric,
+    z_w(n) = z_w^n. It is built in log space as n log z_w, so it does not
+    underflow at large counts.
+    """
+    _check_omega(omega)
+    if z == 0.0:
+        raise ValueError("scale factor z_w underflowed to 0; the joint count rule needs log z_w")
+    if not 0.0 < z <= 1.0 + 1e-12:
+        raise ValueError("scale factor must lie in (0, 1]")
+    a, b = _common_probs(p_i, p_j)
+    if omega in (0.0, 1.0):
+        return CardinalityPmf(a if omega == 0.0 else b), 1.0
+    probs, norm = _normalized_geometric(a, b, omega, log_extra=np.arange(a.size) * math.log(z))
+    return CardinalityPmf(probs), norm
+
+
 def cardinality_emd(
     p_i: CardinalityPmf, p_j: CardinalityPmf, omega: float
 ) -> tuple[CardinalityPmf, float]:
@@ -124,10 +145,8 @@ def localisation_emd(
     if isinstance(loc_i, GaussianDensity) and isinstance(loc_j, GaussianDensity):
         if omega in (0.0, 1.0):
             return (loc_i, 1.0) if omega == 0.0 else (loc_j, 1.0)
-        return (
-            gaussian.emd_params(loc_i, loc_j, omega),
-            gaussian.emd_scale(loc_i, loc_j, omega),
-        )
+        fused = gaussian._pair(loc_i, loc_j)(omega)
+        return GaussianDensity(fused.mean, fused.cov), math.exp(fused.log_z)
     if isinstance(loc_i, GridDensity) and isinstance(loc_j, GridDensity):
         return quadrature.grid_emd(loc_i, loc_j, omega)
     raise TypeError("localisation densities must share a representation")
@@ -169,11 +188,7 @@ def poisson_fuse_p2(
 def iid_fuse_p2(
     f_i: IidClusterRfs, f_j: IidClusterRfs, omega: float, n_max: int
 ) -> tuple[IidClusterRfs, float, float]:
-    """Joint fusion of two IID-cluster sets.
-
-    The factorized localisation makes the scale sequence geometric,
-    z_w(n) = z_w^n, which is fed to the coupled cardinality rule.
-    """
+    """Joint fusion of two IID-cluster sets: fused object, z_w, normalizer."""
     _check_omega(omega)
     if omega == 0.0:
         return f_i, 1.0, 1.0
@@ -182,6 +197,5 @@ def iid_fuse_p2(
     p_i = cardinality_of(f_i, n_max)
     p_j = cardinality_of(f_j, n_max)
     loc, z = localisation_emd(f_i.loc, f_j.loc, omega)
-    z_seq = z ** np.arange(n_max + 1)
-    card, norm = fused_cardinality_p2(p_i, p_j, z_seq, omega)
+    card, norm = iid_cardinality_p2(p_i, p_j, z, omega)
     return IidClusterRfs(card, loc), z, norm

@@ -1,20 +1,21 @@
-"""Grid quadrature and Monte Carlo estimators for the mixture scale factor.
+"""Grid quadrature for the mixture scale factor.
 
-For general (grid-represented) localisation densities the scale factor
-z_w = integral rho_i^(1-w) rho_j^w and its first two derivatives in w are
-evaluated by midpoint-rule sums. A seeded Monte Carlo estimator of the
-second derivative is provided for densities that can only be sampled.
+For grid-represented localisation densities the scale factor
+z_w = integral rho_i^(1-w) rho_j^w is a midpoint-rule sum. The weight
+solvers work on log z_w: its first two w-derivatives are the mean and
+variance of the log ratio log rho_j - log rho_i under the normalized
+geometric mean, which one max-subtracted tilted sum gives for grids and
+count pmfs alike.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from .model import GaussianDensity, GridDensity, LocalisationDensity
-
-MC_REJECT_FRACTION = 0.10
+from .model import GaussianDensity, GridDensity
 
 
 def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
@@ -34,6 +35,43 @@ def _masked_log_fields(rho_i: GridDensity, rho_j: GridDensity):
     return np.log(vi[mask]), np.log(vj[mask])
 
 
+def tilted_log_moments(
+    log_a: np.ndarray, log_b: np.ndarray, log_scale: float = 0.0
+) -> Callable[[float], tuple[float, float, float]]:
+    """w -> (log z_w, d log z_w/dw, d2 log z_w/dw2) for
+    z_w = exp(log_scale) * sum of exp((1-w) log_a + w log_b).
+
+    The derivatives are the mean and variance of log_b - log_a under the
+    terms normalized to unit sum. Terms are shifted by their maximum before
+    exponentiation, so nothing underflows however small z_w is.
+    """
+    if log_a.size == 0:
+        raise ValueError("densities have disjoint support; geometric mean vanishes")
+    log_ratio = log_b - log_a
+
+    def evaluate(omega: float) -> tuple[float, float, float]:
+        logs = log_a + omega * log_ratio
+        peak = logs.max()
+        rel = np.exp(logs - peak)
+        total = rel.sum()
+        mean = rel @ log_ratio / total
+        spread = log_ratio - mean
+        log_z = peak + math.log(total) + log_scale
+        return float(log_z), float(mean), float(rel @ (spread * spread) / total)
+
+    return evaluate
+
+
+def grid_log_moments(
+    rho_i: GridDensity, rho_j: GridDensity
+) -> Callable[[float], tuple[float, float, float]]:
+    """``tilted_log_moments`` of two aligned grids, with the logs taken once
+    over the cells where both densities are positive."""
+    _check_aligned(rho_i, rho_j)
+    log_i, log_j = _masked_log_fields(rho_i, rho_j)
+    return tilted_log_moments(log_i, log_j, math.log(rho_i.cell_volume))
+
+
 def grid_z_omega(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
     """Midpoint-rule value of z_w. Cells where either density vanishes
     contribute nothing for w in (0, 1); endpoints integrate the endpoint
@@ -46,22 +84,6 @@ def grid_z_omega(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
         return math.fsum(rho_j.values.ravel()) * vol
     li, lj = _masked_log_fields(rho_i, rho_j)
     return math.fsum(np.exp((1.0 - omega) * li + omega * lj)) * vol
-
-
-def grid_z_prime(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
-    """First w-derivative: integral of rho_i^(1-w) rho_j^w log(rho_j/rho_i)."""
-    _check_aligned(rho_i, rho_j)
-    li, lj = _masked_log_fields(rho_i, rho_j)
-    terms = np.exp((1.0 - omega) * li + omega * lj) * (lj - li)
-    return math.fsum(terms) * rho_i.cell_volume
-
-
-def grid_z_double_prime(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
-    """Second w-derivative: same integrand with the squared log ratio."""
-    _check_aligned(rho_i, rho_j)
-    li, lj = _masked_log_fields(rho_i, rho_j)
-    terms = np.exp((1.0 - omega) * li + omega * lj) * (lj - li) ** 2
-    return math.fsum(terms) * rho_i.cell_volume
 
 
 def grid_emd(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> tuple[GridDensity, float]:
@@ -80,43 +102,6 @@ def grid_emd(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> tuple[Grid
     if z == 0.0:
         raise ValueError("densities have disjoint support; geometric mean vanishes")
     return GridDensity(rho_i.origin, rho_i.cell_size, vals / z), z
-
-
-def mc_z_double_prime(
-    rho_i: LocalisationDensity,
-    rho_j: LocalisationDensity,
-    rho_omega: LocalisationDensity,
-    z_omega: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo estimate of the second derivative of z_w.
-
-    Draws from the fused density rho_omega and averages the squared log
-    ratio, scaled by z_omega. Draws landing where either input density
-    vanishes are rejected and redrawn; more than 10% rejections aborts.
-    """
-    if samples < 1:
-        raise ValueError("sample count must be >= 1")
-    vals = np.empty(samples)
-    filled = 0
-    rejected = 0
-    while filled < samples:
-        batch = rho_omega.sample(rng, samples - filled)
-        di = rho_i.evaluate(batch)
-        dj = rho_j.evaluate(batch)
-        ok = (di > 0) & (dj > 0)
-        good = int(ok.sum())
-        rejected += batch.shape[0] - good
-        if rejected > MC_REJECT_FRACTION * samples:
-            raise ValueError(
-                f"Monte Carlo rejection rate above {MC_REJECT_FRACTION:.0%}: "
-                "fused density reaches beyond the support of an input"
-            )
-        log_ratio = np.log(dj[ok]) - np.log(di[ok])
-        vals[filled : filled + good] = log_ratio**2
-        filled += good
-    return z_omega * float(vals.mean())
 
 
 def discretize_gaussians(

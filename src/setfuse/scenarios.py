@@ -19,8 +19,7 @@ import csv
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -31,6 +30,7 @@ from . import diagnostics, gaussian
 from .fusion import (
     bernoulli_fuse_p2,
     fused_cardinality_p2,
+    iid_cardinality_p2,
     iid_fuse_p2,
     poisson_fuse_p2,
 )
@@ -311,21 +311,14 @@ def _sweep_cell_values(scenario: Scenario, z: float, omega: float):
     n_max = _iid_n_max(scenario)
     p_i = cardinality_of(f_i, n_max)
     p_j = cardinality_of(f_j, n_max)
-    if omega in (0.0, 1.0):
-        fused_map = (p_i if omega == 0.0 else p_j).map_estimate()
-    else:
-        z_seq = z ** np.arange(n_max + 1)
-        fused_map = fused_cardinality_p2(p_i, p_j, z_seq, omega)[0].map_estimate()
+    fused_map = iid_cardinality_p2(p_i, p_j, z, omega)[0].map_estimate()
     maps = (p_i.map_estimate(), p_j.map_estimate(), fused_map)
     return maps, maps[2] < min(maps[0], maps[1])
 
 
-def run_sweep(scenario: Scenario, out_dir, jobs: int = 1) -> Path:
-    """Evaluate the (kappa, omega) sweep grid and write one CSV row per cell.
-
-    Rows are computed cell by cell (optionally across a thread pool) and
-    written in grid order, so output bytes do not depend on scheduling.
-    """
+def run_sweep(scenario: Scenario, out_dir) -> Path:
+    """Evaluate the (kappa, omega) sweep grid and write one CSV row per cell,
+    in grid order."""
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
     if not isinstance(scenario.f_i.loc, GaussianDensity) or not isinstance(
@@ -345,24 +338,16 @@ def run_sweep(scenario: Scenario, out_dir, jobs: int = 1) -> Path:
     else:
         value_cols = ("map_i", "map_j", "map_omega")
 
-    def one_kappa(kappa: float):
+    log.info("sweeping %d x %d cells", len(kappas), len(omegas))
+    rows = []
+    for kappa in kappas:
         cov_i, cov_j = sweep.covariances(kappa)
-        rho_i = GaussianDensity(mean_i, cov_i)
-        rho_j = GaussianDensity(mean_j, cov_j)
-        block = []
+        pair = gaussian._pair(GaussianDensity(mean_i, cov_i), GaussianDensity(mean_j, cov_j))
         for omega in omegas:
-            z = gaussian.emd_scale(rho_i, rho_j, float(omega))
-            values, inconsistent = _sweep_cell_values(scenario, z, float(omega))
-            block.append((float(kappa), float(omega), z, *values, inconsistent))
-        return block
-
-    log.info("sweeping %d x %d cells with %d worker(s)", len(kappas), len(omegas), jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(one_kappa, kappas))
-    else:
-        blocks = [one_kappa(k) for k in kappas]
-    rows = [row for block in blocks for row in block]
+            omega = float(omega)
+            z = 1.0 if omega in (0.0, 1.0) else math.exp(pair(omega).log_z)
+            values, inconsistent = _sweep_cell_values(scenario, z, omega)
+            rows.append((float(kappa), omega, z, *values, inconsistent))
     header = ("kappa", "omega", "z_omega", *value_cols, "inconsistent")
     return write_csv(Path(out_dir) / "sweep.csv", header, rows)
 
@@ -553,11 +538,10 @@ def _reproduce_ex3(out_dir: Path, seed: int) -> dict:
     rows = []
     solved = {}
     max_iters_seen = 0
-    for idx, kappa in enumerate(kappas):
+    for kappa in kappas:
         cov_i, cov_j = sweep.covariances(float(kappa))
-        config = replace(scenario.solver, seed=scenario.solver.seed + idx)
         omega_star, fused, z_star, trace = newton_localisation(
-            GaussianDensity(m_i, cov_i), GaussianDensity(m_j, cov_j), config
+            GaussianDensity(m_i, cov_i), GaussianDensity(m_j, cov_j), scenario.solver
         )
         rows.append((float(kappa), omega_star, trace.iterations, z_star))
         solved[float(kappa)] = (omega_star, fused, trace)

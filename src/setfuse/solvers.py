@@ -2,10 +2,14 @@
 
 The weight objective is the Chernoff-style quantity -log z_w (or -log of the
 pmf normalizer), which is concave on [0, 1] and vanishes at the endpoints.
-Newton iterations on the stationarity condition z'_w = 0 converge fast; a
-bisection safeguard on the sign of z'_w keeps iterates inside the interval
-even from poor starting points. At the optimum the divergences from the
-fused density to the two inputs balance.
+The solvers work on l = log z_w, whose first two w-derivatives are the mean
+and variance of the log ratio q = log rho_j - log rho_i under the fused
+density: closed form for Gaussian pairs, one tilted sum for grids and count
+pmfs. Nothing is sampled and nothing underflows, so inputs far apart still
+converge. Newton iterations on l' = 0 converge fast; a bisection safeguard
+on the sign of l' keeps iterates inside the interval even from poor
+starting points. At the optimum the divergences from the fused density to
+the two inputs balance.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ DEGENERATE_CARD_FLAG = "degenerate: identical cardinality pmfs"
 class NewtonConfig:
     """Knobs for the weight solvers.
 
-    epsilon is the termination threshold on successive weight iterates;
-    mc_samples sets the Monte Carlo budget for the curvature estimate on the
-    Gaussian path; seed makes that estimate reproducible.
+    epsilon is the termination threshold on successive weight iterates.
+    mc_samples and seed are validated and kept so that existing scenario
+    files and callers still load, but they have no effect: every solver
+    derivative is exact.
     """
 
     omega_init: float = 0.5
@@ -63,11 +68,12 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One iterate: weight, objective -log z_w, and d/dw, d2/dw2 of log z_w."""
+
     omega: float
     objective: float
-    z: float
-    z_prime: float
-    z_double_prime: float
+    slope: float
+    curvature: float
 
 
 @dataclass(frozen=True)
@@ -123,37 +129,38 @@ def _newton_weight(
 ) -> tuple[float, NewtonTrace]:
     """Safeguarded Newton maximisation of -log z over the clamped interval.
 
-    evaluate(w) returns (z, z', z''). z' is nondecreasing in w, so the sign
-    of z' brackets the stationary point; Newton proposals that exit the
-    bracket or fail to shrink |z'| fall back to bisection.
+    evaluate(w) returns (log z, l', l'') with l = log z. l'' is a variance,
+    so l' is nondecreasing in w and its sign brackets the stationary point;
+    Newton proposals that exit the bracket or fail to shrink |l'| fall back
+    to bisection.
     """
     lo = config.omega_clamp
     hi = 1.0 - config.omega_clamp
     w = min(max(config.omega_init, lo), hi)
-    z, zp, zpp = evaluate(w)
-    records = [TraceRecord(w, -math.log(z), z, zp, zpp)]
+    log_z, slope, curvature = evaluate(w)
+    records = [TraceRecord(w, -log_z, slope, curvature)]
     for iteration in range(1, config.max_iters + 1):
-        if zp == 0.0 and zpp == 0.0:
+        if slope == 0.0 and curvature == 0.0:
             trace = NewtonTrace(tuple(records), True, iteration - 1, (degenerate_flag,))
             return w, trace
-        if zp < 0.0:
+        if slope < 0.0:
             lo = max(lo, w)
         else:
             hi = min(hi, w)
-        denom = zpp * z - zp * zp
-        newton_ok = denom > 0.0
+        newton_ok = curvature > 0.0
         if newton_ok:
-            cand = w - zp * z / denom
+            cand = w - slope / curvature
             newton_ok = lo <= cand <= hi
         if not newton_ok:
             cand = 0.5 * (lo + hi)
-        zc, zpc, zppc = evaluate(cand)
-        if newton_ok and abs(zpc) > abs(zp):
+        cand_eval = evaluate(cand)
+        if newton_ok and abs(cand_eval[1]) > abs(slope):
             cand = 0.5 * (lo + hi)
-            zc, zpc, zppc = evaluate(cand)
+            cand_eval = evaluate(cand)
         step = abs(cand - w)
-        w, z, zp, zpp = cand, zc, zpc, zppc
-        records.append(TraceRecord(w, -math.log(z), z, zp, zpp))
+        w = cand
+        log_z, slope, curvature = cand_eval
+        records.append(TraceRecord(w, -log_z, slope, curvature))
         if step <= config.epsilon:
             return w, NewtonTrace(tuple(records), True, iteration)
     raise SolverError(
@@ -175,15 +182,28 @@ def _same_localisation(a: LocalisationDensity, b: LocalisationDensity) -> bool:
     return False
 
 
+def _log_moments(
+    rho_i: LocalisationDensity, rho_j: LocalisationDensity
+) -> Callable[[float], tuple[float, float, float]]:
+    """w -> (log z_w, l', l'') for a localisation pair at interior weights."""
+    if isinstance(rho_i, GaussianDensity) and isinstance(rho_j, GaussianDensity):
+        at = gaussian._pair(rho_i, rho_j)
+        return lambda w: at(w)[:3]  # log z, slope, curvature
+    if isinstance(rho_i, GridDensity) and isinstance(rho_j, GridDensity):
+        return quadrature.grid_log_moments(rho_i, rho_j)
+    raise TypeError("localisation densities must share a representation")
+
+
 def chernoff_objective(
     rho_i: LocalisationDensity, rho_j: LocalisationDensity, omega: float
 ) -> float:
     """-log z_w for the localisation pair; nonnegative, zero at the endpoints."""
-    if isinstance(rho_i, GaussianDensity) and isinstance(rho_j, GaussianDensity):
-        return -gaussian.emd_log_scale(rho_i, rho_j, omega)
-    if isinstance(rho_i, GridDensity) and isinstance(rho_j, GridDensity):
-        return -math.log(quadrature.grid_z_omega(rho_i, rho_j, omega))
-    raise TypeError("localisation densities must share a representation")
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError("omega must lie in [0, 1]")
+    evaluate = _log_moments(rho_i, rho_j)
+    if omega == 0.0 or omega == 1.0:
+        return 0.0
+    return -evaluate(omega)[0]
 
 
 def newton_localisation(
@@ -193,39 +213,15 @@ def newton_localisation(
 ) -> tuple[float, LocalisationDensity, float, NewtonTrace]:
     """Solve for the weight maximising -log z_w between two localisations.
 
-    Gaussian pairs use the closed-form scale, the divergence-balance identity
-    z' = z (D(rho_w||rho_i) - D(rho_w||rho_j)) for the gradient and a seeded
-    Monte Carlo estimate for the curvature. Grid pairs use quadrature for
-    all three quantities.
+    Gaussian pairs use exact closed forms for log z_w and its derivatives;
+    grid pairs use one tilted sum over the cells both densities cover. The
+    result does not depend on config.seed.
     """
     if _same_localisation(rho_i, rho_j):
         trace = NewtonTrace((), True, 0, (DEGENERATE_LOC_FLAG,))
         return 0.5, rho_i, 1.0, trace
 
-    if isinstance(rho_i, GaussianDensity) and isinstance(rho_j, GaussianDensity):
-        rng = np.random.default_rng(config.seed)
-
-        def evaluate(w: float) -> tuple[float, float, float]:
-            z = gaussian.emd_scale(rho_i, rho_j, w)
-            fused = gaussian.emd_params(rho_i, rho_j, w)
-            zp = z * (gaussian.kld(fused, rho_i) - gaussian.kld(fused, rho_j))
-            zpp = quadrature.mc_z_double_prime(
-                rho_i, rho_j, fused, z, config.mc_samples, rng
-            )
-            return z, zp, zpp
-
-    elif isinstance(rho_i, GridDensity) and isinstance(rho_j, GridDensity):
-
-        def evaluate(w: float) -> tuple[float, float, float]:
-            return (
-                quadrature.grid_z_omega(rho_i, rho_j, w),
-                quadrature.grid_z_prime(rho_i, rho_j, w),
-                quadrature.grid_z_double_prime(rho_i, rho_j, w),
-            )
-
-    else:
-        raise TypeError("localisation densities must share a representation")
-
+    evaluate = _log_moments(rho_i, rho_j)
     omega_star, trace = _newton_weight(evaluate, config, DEGENERATE_LOC_FLAG)
     fused, z_star = localisation_emd(rho_i, rho_j, omega_star)
     return omega_star, fused, z_star, trace
@@ -245,14 +241,7 @@ def newton_cardinality(
     joint = (a > 0) & (b > 0)
     if joint.sum() < 2:
         raise ValueError("cardinality solver needs at least two joint support points")
-    log_a = np.log(a[joint])
-    log_ratio = np.log(b[joint]) - log_a
-
-    def evaluate(w: float) -> tuple[float, float, float]:
-        terms = np.exp(log_a + w * log_ratio)
-        norm = float(terms.sum())
-        return norm, float(terms @ log_ratio), float(terms @ log_ratio**2)
-
+    evaluate = quadrature.tilted_log_moments(np.log(a[joint]), np.log(b[joint]))
     omega_star, trace = _newton_weight(evaluate, config, DEGENERATE_CARD_FLAG)
     fused, _ = cardinality_emd(p_i, p_j, omega_star)
     return omega_star, fused, trace

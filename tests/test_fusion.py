@@ -187,6 +187,28 @@ class TestIidFusion:
         assert fused.card.map_estimate() == int(np.argmax(geo))
         assert fused.card.map_estimate() < k
 
+    def test_large_counts_do_not_underflow(self):
+        # z_w = 6.7e-10, so z_w^n underflows to 0 for n = 38..40
+        far = sf.GaussianDensity([13.0, 0.0], np.eye(2))
+        probs_i, probs_j = np.zeros(41), np.zeros(41)
+        probs_i[38:] = [0.2, 0.3, 0.5]
+        probs_j[38:] = [0.5, 0.3, 0.2]
+        f_i = sf.IidClusterRfs(sf.CardinalityPmf(probs_i), UNIT)
+        f_j = sf.IidClusterRfs(sf.CardinalityPmf(probs_j), far)
+        fused, z, _ = fusion.iid_fuse_p2(f_i, f_j, 0.5, 40)
+        assert z == pytest.approx(math.exp(-13.0**2 / 8), rel=1e-9)
+        logs = 0.5 * np.log(probs_i[38:] * probs_j[38:]) + np.arange(38, 41) * math.log(z)
+        expected = np.exp(logs - logs.max())
+        np.testing.assert_allclose(fused.card.probs[38:], expected / expected.sum(), rtol=1e-9)
+        assert fused.card.probs[:38].sum() == 0.0
+
+    def test_flushed_scale_factor_named(self):
+        far = sf.GaussianDensity([100.0, 0.0], np.eye(2))
+        f_i = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), UNIT)
+        f_j = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), far)
+        with pytest.raises(ValueError, match="underflowed"):
+            fusion.iid_fuse_p2(f_i, f_j, 0.5, 1)
+
     def test_propagates_disjoint_support_error(self):
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([1.0, 0.0]), UNIT)
         f_j = sf.IidClusterRfs(sf.CardinalityPmf([0.0, 1.0]), UNIT)

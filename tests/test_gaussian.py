@@ -77,6 +77,29 @@ class TestEmdScale:
             assert second.max() <= 1e-8
 
 
+class TestLogScaleDerivatives:
+    def test_match_central_differences(self, rng):
+        h = 1e-4
+        for _ in range(30):
+            dim = int(rng.integers(1, 4))
+            a = make_gaussian(rng, dim=dim, mean_scale=2.0)
+            b = make_gaussian(rng, dim=dim, mean_scale=2.0)
+            w = rng.uniform(0.1, 0.9)
+            fused = gaussian._pair(a, b)(w)
+            lower, mid, upper = (gaussian.emd_log_scale(a, b, w + s * h) for s in (-1, 0, 1))
+            assert fused.log_z == pytest.approx(mid, rel=1e-12, abs=1e-14)
+            assert fused.slope == pytest.approx((upper - lower) / (2 * h), rel=1e-5, abs=1e-8)
+            assert fused.curvature == pytest.approx(
+                (upper - 2 * mid + lower) / h**2, rel=1e-4, abs=1e-6
+            )
+
+    def test_vanish_for_identical_inputs(self, rng):
+        g = make_gaussian(rng, dim=3)
+        fused = gaussian._pair(g, g)(0.3)
+        assert fused.slope == pytest.approx(0.0, abs=1e-12)
+        assert fused.curvature == pytest.approx(0.0, abs=1e-12)
+
+
 class TestKld:
     def test_self_divergence_is_zero(self, rng):
         g = make_gaussian(rng)

@@ -36,11 +36,25 @@ class TestGridZ:
             quadrature.grid_z_omega(gi, other, 0.5)
 
 
+def grid_derivatives(gi, gj, w):
+    """z_w and its first two w-derivatives from the log-space kernel."""
+    log_z, slope, curvature = quadrature.grid_log_moments(gi, gj)(w)
+    z = math.exp(log_z)
+    return z, z * slope, z * (curvature + slope**2)
+
+
 class TestGridDerivatives:
     def test_vanish_for_identical_inputs(self, gaussian_grids):
         gi, _ = gaussian_grids
-        assert quadrature.grid_z_prime(gi, gi, 0.3) == pytest.approx(0.0, abs=1e-12)
-        assert quadrature.grid_z_double_prime(gi, gi, 0.3) == pytest.approx(0.0, abs=1e-12)
+        _, zp, zpp = grid_derivatives(gi, gi, 0.3)
+        assert zp == pytest.approx(0.0, abs=1e-12)
+        assert zpp == pytest.approx(0.0, abs=1e-12)
+
+    def test_log_scale_matches_fsum_oracle(self, gaussian_grids):
+        gi, gj = gaussian_grids
+        for w in (0.1, 0.5, 0.9):
+            z, _, _ = grid_derivatives(gi, gj, w)
+            assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, w), rel=1e-12)
 
     def test_first_derivative_matches_central_difference(self, gaussian_grids):
         gi, gj = gaussian_grids
@@ -50,7 +64,7 @@ class TestGridDerivatives:
                 quadrature.grid_z_omega(gi, gj, w + h)
                 - quadrature.grid_z_omega(gi, gj, w - h)
             ) / (2 * h)
-            assert quadrature.grid_z_prime(gi, gj, w) == pytest.approx(fd, rel=1e-4)
+            assert grid_derivatives(gi, gj, w)[1] == pytest.approx(fd, rel=1e-4)
 
     def test_second_derivative_matches_central_difference(self, gaussian_grids):
         gi, gj = gaussian_grids
@@ -61,19 +75,25 @@ class TestGridDerivatives:
                 - 2 * quadrature.grid_z_omega(gi, gj, w)
                 + quadrature.grid_z_omega(gi, gj, w - h)
             ) / h**2
-            assert quadrature.grid_z_double_prime(gi, gj, w) == pytest.approx(fd, rel=1e-3)
+            assert grid_derivatives(gi, gj, w)[2] == pytest.approx(fd, rel=1e-3)
 
     def test_exchange_antisymmetry(self, gaussian_grids):
         gi, gj = gaussian_grids
-        forward = quadrature.grid_z_prime(gi, gj, 0.3)
-        backward = quadrature.grid_z_prime(gj, gi, 0.7)
+        forward = grid_derivatives(gi, gj, 0.3)[1]
+        backward = grid_derivatives(gj, gi, 0.7)[1]
         assert forward == pytest.approx(-backward, rel=1e-12)
 
     def test_second_derivative_nonnegative(self, rng):
         for _ in range(5):
             a, b = make_gaussian(rng), make_gaussian(rng)
             ga, gb = quadrature.discretize_gaussians([a, b], points_per_axis=101)
-            assert quadrature.grid_z_double_prime(ga, gb, rng.uniform(0.1, 0.9)) >= 0.0
+            assert grid_derivatives(ga, gb, rng.uniform(0.1, 0.9))[2] >= 0.0
+
+    def test_disjoint_support_rejected(self):
+        gi = sf.GridDensity([0.0], [0.5], [2.0, 0.0])
+        gj = sf.GridDensity([0.0], [0.5], [0.0, 2.0])
+        with pytest.raises(ValueError, match="disjoint support"):
+            quadrature.grid_log_moments(gi, gj)
 
 
 class TestGridEmd:
@@ -87,54 +107,6 @@ class TestGridEmd:
         gi, gj = gaussian_grids
         assert quadrature.grid_emd(gi, gj, 0.0)[0] is gi
         assert quadrature.grid_emd(gi, gj, 1.0) == (gj, 1.0)
-
-
-class TestMonteCarloSecondDerivative:
-    def test_zero_for_identical_inputs(self):
-        out = quadrature.mc_z_double_prime(
-            UNIT, UNIT, UNIT, 1.0, 500, np.random.default_rng(0)
-        )
-        assert out == 0.0
-
-    def test_within_three_standard_errors_of_grid(self, gaussian_grids):
-        gi, gj = gaussian_grids
-        w, L = 0.5, 10**5
-        z = gaussian.emd_scale(UNIT, SHIFTED, w)
-        fused = gaussian.emd_params(UNIT, SHIFTED, w)
-        estimate = quadrature.mc_z_double_prime(
-            UNIT, SHIFTED, fused, z, L, np.random.default_rng(21)
-        )
-        reference = quadrature.grid_z_double_prime(gi, gj, w)
-        # independent error bar from grid moments of the squared log ratio
-        vi, vj = gi.values.ravel(), gj.values.ravel()
-        mask = (vi > 0) & (vj > 0)
-        log_ratio = np.log(vj[mask]) - np.log(vi[mask])
-        weights = np.exp((1 - w) * np.log(vi[mask]) + w * np.log(vj[mask]))
-        weights = weights / weights.sum()
-        m2 = float(weights @ log_ratio**2)
-        m4 = float(weights @ log_ratio**4)
-        se = z * math.sqrt(max(m4 - m2**2, 0.0) / L)
-        assert abs(estimate - reference) < 3 * se
-
-    def test_fixed_seed_reproducible(self):
-        fused = gaussian.emd_params(UNIT, SHIFTED, 0.5)
-        z = gaussian.emd_scale(UNIT, SHIFTED, 0.5)
-        a = quadrature.mc_z_double_prime(UNIT, SHIFTED, fused, z, 2000, np.random.default_rng(5))
-        b = quadrature.mc_z_double_prime(UNIT, SHIFTED, fused, z, 2000, np.random.default_rng(5))
-        assert a == b
-
-    def test_excessive_rejections_abort(self):
-        # proposal covers (0, 1.5) but one input vanishes on (1, 1.5): far
-        # more than 10% of draws land on zero density and must abort
-        cells = 30
-        support_i = np.where(np.arange(cells) < 20, 1.0, 0.0)
-        rho_i = sf.GridDensity([0.0], [0.05], support_i / (support_i.sum() * 0.05))
-        rho_j = sf.GridDensity([0.0], [0.05], np.full(cells, 1 / 1.5))
-        proposal = sf.GridDensity([0.0], [0.05], np.full(cells, 1 / 1.5))
-        with pytest.raises(ValueError, match="rejection rate"):
-            quadrature.mc_z_double_prime(
-                rho_i, rho_j, proposal, 0.9, 1000, np.random.default_rng(2)
-            )
 
 
 class TestDerivativeIdentity:

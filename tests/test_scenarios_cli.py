@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import setfuse as sf
 from setfuse import scenarios
 from setfuse.cli import main
 from conftest import binomial_pmf
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -137,8 +140,8 @@ class TestRunSweep:
         )
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
         blobs = []
-        for idx, jobs in enumerate((1, 1, 4)):
-            path = scenarios.run_sweep(scenario, tmp_path / f"out{idx}", jobs=jobs)
+        for idx in range(3):
+            path = scenarios.run_sweep(scenario, tmp_path / f"out{idx}")
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -286,6 +289,17 @@ class TestCli:
                      "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "solver error" in err and "omega=" in err
+        assert "slope=" in err and "curvature=" in err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+    def test_seed_does_not_change_consistent_output(self, tmp_path, name):
+        blobs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["fuse", "--scenario", str(SCENARIO_DIR / name), "--mode", "consistent",
+                         "--out", str(out), "--seed", seed]) == 0
+            blobs.append((out / "fuse.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_seed_override_accepted(self, tmp_path):
         path = write_scenario(tmp_path, bernoulli_payload(solver={"seed": 1}))
@@ -299,8 +313,7 @@ class TestCli:
             sweep={"kappa": [1.0, 4.0, 3], "omega": [0.0, 1.0, 5]}
         )
         path = write_scenario(tmp_path, payload)
-        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "sw"),
-                     "--jobs", "2"]) == 0
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "sw")]) == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
         assert main(["reproduce", "ex4", "--out", str(tmp_path / "rep")]) == 0
 

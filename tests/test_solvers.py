@@ -5,7 +5,7 @@ import pytest
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from conftest import binomial_pmf, random_pmf
+from conftest import binomial_pmf, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -72,6 +72,31 @@ class TestNewtonLocalisation:
         second = sf.newton_localisation(rho_i, rho_j, cfg)
         assert first[0] == second[0]
         assert first[3].records == second[3].records
+
+    def test_seed_has_no_effect(self):
+        rho_i, rho_j = two_sensor_pair(10.0)
+        first = sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig(seed=0))
+        second = sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig(seed=7))
+        assert first[0] == second[0]
+        assert first[3].records == second[3].records
+
+    def test_exchange_symmetry(self, rng):
+        cfg = sf.NewtonConfig(epsilon=1e-8)
+        # offsets up to 80 against variances down to 0.1 put many pairs so far
+        # apart that their density products underflow
+        for _ in range(20):
+            dim = int(rng.integers(1, 4))
+            a = make_gaussian(rng, dim=dim, mean_scale=40.0, var_lo=0.1, var_hi=2.0)
+            b = make_gaussian(rng, dim=dim, mean_scale=40.0, var_lo=0.1, var_hi=2.0)
+            w_ij = sf.newton_localisation(a, b, cfg)[0]
+            w_ji = sf.newton_localisation(b, a, cfg)[0]
+            assert w_ij == pytest.approx(1.0 - w_ji, abs=1e-6)
+
+    def test_disjoint_grids_rejected(self):
+        gi = sf.GridDensity([0.0], [0.5], [2.0, 0.0])
+        gj = sf.GridDensity([0.0], [0.5], [0.0, 2.0])
+        with pytest.raises(ValueError, match="disjoint support"):
+            sf.newton_localisation(gi, gj, sf.NewtonConfig())
 
     def test_grid_path_matches_gaussian_path(self):
         rho_i, rho_j = two_sensor_pair(10.0)
@@ -159,7 +184,7 @@ class TestNewtonCardinality:
             p_i, p_j = random_pmf(rng, 7, 0.01), random_pmf(rng, 7, 0.01)
             _, _, trace = sf.newton_cardinality(p_i, p_j, sf.NewtonConfig(epsilon=1e-8))
             final = trace.records[-1]
-            assert abs(final.z_prime) < 1e-6 * final.z
+            assert abs(final.slope) < 1e-6
 
 
 class TestClosedForms:
@@ -319,6 +344,19 @@ class TestConsistentFuse:
         assert fwd.omega_card == pytest.approx(1.0 - rev.omega_card, abs=1e-9)
         assert fwd.omega_loc[0] == pytest.approx(1.0 - rev.omega_loc[0], abs=1e-6)
         assert fwd.fused.alpha == pytest.approx(rev.fused.alpha, abs=1e-9)
+
+    @pytest.mark.parametrize("dim,distance", [(2, 100.0), (3, 120.0)])
+    def test_far_apart_inputs_converge(self, dim, distance):
+        # every density product underflows; the log-space solver still
+        # finds the symmetric weight and reports the flushed scale factor
+        mean_j = np.zeros(dim)
+        mean_j[0] = distance
+        f_i = sf.BernoulliRfs(0.6, sf.GaussianDensity(np.zeros(dim), np.eye(dim)))
+        f_j = sf.BernoulliRfs(0.8, sf.GaussianDensity(mean_j, np.eye(dim)))
+        result = sf.consistent_fuse(f_i, f_j, sf.NewtonConfig())
+        assert result.omega_loc[0] == pytest.approx(0.5, abs=1e-6)
+        assert result.z_values[0] == 0.0
+        assert result.fused.alpha >= 0.6
 
     def test_diagnostics_attach_without_mutation(self):
         f = sf.BernoulliRfs(0.8, UNIT)
