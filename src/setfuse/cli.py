@@ -14,7 +14,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from .scenarios import EXAMPLE_IDS, ScenarioError, load_scenario, reproduce, run_fuse, run_sweep
 from .solvers import SolverError
@@ -40,13 +39,6 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
-def _load(args) -> object:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, solver=replace(scenario.solver, seed=args.seed))
-    return scenario
-
-
 def _resolve_out(args, scenario=None) -> str:
     if args.out is not None:
         return args.out
@@ -56,7 +48,7 @@ def _resolve_out(args, scenario=None) -> str:
 
 
 def _cmd_fuse(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     out = _resolve_out(args, scenario)
     result, path = run_fuse(scenario, args.mode, out)
     print(f"wrote {path}")
@@ -69,7 +61,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     out = _resolve_out(args, scenario)
     path = run_sweep(scenario, out)
     print(f"wrote {path}")
@@ -78,7 +70,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     out = args.out if args.out is not None else "out"
-    result = reproduce(args.example, out, seed=args.seed if args.seed is not None else 0)
+    result = reproduce(args.example, out)
     for name, ok, detail in result["checks"]:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     for path in result["files"]:

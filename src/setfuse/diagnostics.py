@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .fusion import cardinality_emd
+from .fusion import _common_probs, cardinality_emd
 from .model import CardinalityPmf
 
 
@@ -40,13 +40,11 @@ def cardinality_inconsistency_bound(
     """
     if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
-    size = max(p_i.n_max, p_j.n_max) + 1
-    a = p_i.padded(size - 1)
-    b = p_j.padded(size - 1)
+    a, b = _common_probs(p_i, p_j)
     z = np.asarray(z_seq, dtype=float)
-    if z.size < size:
+    if z.size < a.size:
         raise ValueError("z_seq must cover every cardinality of the joint support")
-    z = z[:size]
+    z = z[: a.size]
     geo = a ** (1.0 - omega) * b**omega
     others = float(np.sum(np.delete(geo * z, n)))
     denom = geo[n] / min(a[n], b[n]) - geo[n]
@@ -97,11 +95,9 @@ def iid_inconsistency_bound(
         raise ValueError("bound undefined at n = 0")
     if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
-    size = max(p_i.n_max, p_j.n_max) + 1
-    a = p_i.padded(size - 1)
-    b = p_j.padded(size - 1)
+    a, b = _common_probs(p_i, p_j)
     geo = a ** (1.0 - omega) * b**omega
-    norm = float(np.sum(geo * z_omega ** np.arange(size)))
+    norm = float(np.sum(geo * z_omega ** np.arange(a.size)))
     ratio = min(a[n], b[n]) / geo[n]
     return (norm * ratio) ** (1.0 / n)
 
@@ -111,17 +107,19 @@ def iid_inconsistency_threshold(
 ) -> float:
     """Count threshold eta: every supported n > eta is inconsistent.
 
-    Finite only for z_omega strictly inside (0, 1); the guarantee follows
-    from the per-count bound approaching 1 as n grows.
+    Finite only for z_omega in [0, 1); the guarantee follows from the
+    per-count bound approaching 1 as n grows. At z_omega = 0 (a scale
+    factor that flushed to zero) it is the limit as z_omega -> 0, the
+    smallest count of the joint support.
     """
-    if not 0.0 < z_omega < 1.0:
-        raise ValueError("threshold requires z_omega in (0, 1)")
-    size = max(p_i.n_max, p_j.n_max) + 1
-    a = p_i.padded(size - 1)
-    b = p_j.padded(size - 1)
+    if not 0.0 <= z_omega < 1.0:
+        raise ValueError("threshold requires z_omega = 0 or z_omega in (0, 1)")
+    a, b = _common_probs(p_i, p_j)
     joint = (a > 0) & (b > 0)
     if not np.any(joint):
         raise ValueError("incompatible cardinality supports")
+    if z_omega == 0.0:
+        return float(np.argmax(joint))
     geo = a[joint] ** (1.0 - omega) * b[joint] ** omega
     gamma = float(np.min(np.minimum(a[joint], b[joint]) / geo))
     ns = np.flatnonzero(joint)

@@ -36,6 +36,9 @@ class _Fused(NamedTuple):
     mean: np.ndarray
     cov: np.ndarray
 
+    def density(self) -> GaussianDensity:
+        return GaussianDensity(self.mean, self.cov)
+
 
 def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[[float], _Fused]:
     """Information-form computation for a pair, inverting both covariances
@@ -88,8 +91,7 @@ def emd_params(rho_i: GaussianDensity, rho_j: GaussianDensity, omega: float) -> 
         return rho_i
     if omega == 1.0:
         return rho_j
-    fused = _pair(rho_i, rho_j)(omega)
-    return GaussianDensity(fused.mean, fused.cov)
+    return _pair(rho_i, rho_j)(omega).density()
 
 
 def emd_log_scale(rho_i: GaussianDensity, rho_j: GaussianDensity, omega: float) -> float:
@@ -137,7 +139,3 @@ def make_rotated_covariance(kappa: float, det_sigma: float, phi: float) -> np.nd
     rot = np.array([[c, -s], [s, c]])
     return rot @ np.diag([var1, var2]) @ rot.T
 
-
-def sample(rho: GaussianDensity, count: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. draws from rho, shape (count, d)."""
-    return rho.sample(rng, count)

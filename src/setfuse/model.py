@@ -39,6 +39,8 @@ class CardinalityPmf:
         if np.any(p < 0):
             raise ValueError("cardinality probabilities must be nonnegative")
         total = float(p.sum())
+        if not math.isfinite(total):
+            raise ValueError("cardinality probabilities must be finite")
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"cardinality pmf must sum to 1 (got {total!r})")
         p = p.copy()
@@ -104,6 +106,8 @@ class GaussianDensity:
         if m.ndim != 1 or c.shape != (m.size, m.size):
             raise ValueError("mean must be a d-vector and covariance d x d")
         scale = np.abs(c).max()
+        if not (np.isfinite(m).all() and math.isfinite(scale)):
+            raise ValueError("mean and covariance must be finite")
         if scale > 0 and np.abs(c - c.T).max() > 1e-12 * scale:
             raise ValueError("covariance must be symmetric")
         eig = np.linalg.eigvalsh(c)
@@ -172,7 +176,7 @@ class GridDensity:
         if np.any(vals < 0):
             raise ValueError("grid density values must be nonnegative")
         mass = float(vals.sum()) * float(np.prod(cell))
-        if abs(mass - 1.0) > GRID_MASS_TOL:
+        if not abs(mass - 1.0) <= GRID_MASS_TOL:  # also rejects NaN and inf
             raise ValueError(f"grid mass {mass!r} too far from 1 to renormalize")
         vals = vals / mass
         origin.flags.writeable = False
@@ -238,6 +242,8 @@ class PoissonRfs:
     loc: LocalisationDensity
 
     def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError("expected count must be finite")
         if self.rate < 0:
             raise ValueError("expected count must be nonnegative")
 

@@ -1,17 +1,19 @@
-"""Grid quadrature for the mixture scale factor.
+"""The normalized geometric mean of two arrays, and grid quadrature.
 
-For grid-represented localisation densities the scale factor
-z_w = integral rho_i^(1-w) rho_j^w is a midpoint-rule sum. The weight
-solvers work on log z_w: its first two w-derivatives are the mean and
-variance of the log ratio log rho_j - log rho_i under the normalized
-geometric mean, which one max-subtracted tilted sum gives for grids and
-count pmfs alike.
+``tilted_log_moments`` is the one kernel that forms
+a^(1-w) b^w / z_w for arrays: grid densities here, count pmfs in
+``fusion`` and ``solvers``. It sums terms shifted by their maximum and
+gives log z_w, the mean and variance of the log ratio log b - log a under
+the fused terms (the first two w-derivatives of log z_w) and the fused
+terms themselves. For grids z_w = integral rho_i^(1-w) rho_j^w is a
+midpoint-rule sum; ``grid_log_moments`` is the grid pair evaluator, the
+counterpart of ``gaussian._pair``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,28 +30,31 @@ def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
         raise ValueError("misaligned grids: origin, cell size and extent must match")
 
 
-def _masked_log_fields(rho_i: GridDensity, rho_j: GridDensity):
-    vi = rho_i.values.ravel()
-    vj = rho_j.values.ravel()
-    mask = (vi > 0) & (vj > 0)
-    return np.log(vi[mask]), np.log(vj[mask])
+class _Tilted(NamedTuple):
+    log_z: float
+    slope: float
+    curvature: float
+    weights: np.ndarray
 
 
 def tilted_log_moments(
     log_a: np.ndarray, log_b: np.ndarray, log_scale: float = 0.0
-) -> Callable[[float], tuple[float, float, float]]:
-    """w -> (log z_w, d log z_w/dw, d2 log z_w/dw2) for
+) -> Callable[[float], _Tilted]:
+    """w -> (log z_w, d log z_w/dw, d2 log z_w/dw2, weights) for
     z_w = exp(log_scale) * sum of exp((1-w) log_a + w log_b).
 
-    The derivatives are the mean and variance of log_b - log_a under the
-    terms normalized to unit sum. Terms are shifted by their maximum before
-    exponentiation, so nothing underflows however small z_w is.
+    ``weights`` are the terms normalized to unit sum, i.e. the normalized
+    geometric mean over the joint support; the derivatives are the mean and
+    variance of log_b - log_a under them. Terms are shifted by their maximum
+    before exponentiation, so nothing underflows however small z_w is.
+    An extra log term shared by every pair of terms goes into both log_a and
+    log_b, since (1-w)(a+e) + w(b+e) = (1-w)a + wb + e.
     """
     if log_a.size == 0:
         raise ValueError("densities have disjoint support; geometric mean vanishes")
     log_ratio = log_b - log_a
 
-    def evaluate(omega: float) -> tuple[float, float, float]:
+    def evaluate(omega: float) -> _Tilted:
         logs = log_a + omega * log_ratio
         peak = logs.max()
         rel = np.exp(logs - peak)
@@ -57,51 +62,66 @@ def tilted_log_moments(
         mean = rel @ log_ratio / total
         spread = log_ratio - mean
         log_z = peak + math.log(total) + log_scale
-        return float(log_z), float(mean), float(rel @ (spread * spread) / total)
+        curvature = rel @ (spread * spread) / total
+        return _Tilted(float(log_z), float(mean), float(curvature), rel / total)
 
     return evaluate
 
 
-def grid_log_moments(
-    rho_i: GridDensity, rho_j: GridDensity
-) -> Callable[[float], tuple[float, float, float]]:
-    """``tilted_log_moments`` of two aligned grids, with the logs taken once
-    over the cells where both densities are positive."""
+class _Fused(NamedTuple):
+    """A grid pair at one interior weight: the kernel terms plus what it
+    takes to lay them back onto the lattice."""
+
+    log_z: float
+    slope: float
+    curvature: float
+    weights: np.ndarray
+    mask: np.ndarray
+    like: GridDensity
+
+    def density(self) -> GridDensity:
+        values = np.zeros(self.like.values.shape)
+        values[self.mask] = self.weights / self.like.cell_volume
+        return GridDensity(self.like.origin, self.like.cell_size, values)
+
+
+def grid_log_moments(rho_i: GridDensity, rho_j: GridDensity) -> Callable[[float], _Fused]:
+    """Grid counterpart of ``gaussian._pair``: the logs are taken once over
+    the cells where both densities are positive; returns a function of an
+    interior weight giving log z_w, its two w-derivatives and the fused
+    grid."""
     _check_aligned(rho_i, rho_j)
-    log_i, log_j = _masked_log_fields(rho_i, rho_j)
-    return tilted_log_moments(log_i, log_j, math.log(rho_i.cell_volume))
+    mask = (rho_i.values > 0) & (rho_j.values > 0)
+    moments = tilted_log_moments(
+        np.log(rho_i.values[mask]), np.log(rho_j.values[mask]), math.log(rho_i.cell_volume)
+    )
+    return lambda omega: _Fused(*moments(omega), mask, rho_i)
 
 
 def grid_z_omega(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
-    """Midpoint-rule value of z_w. Cells where either density vanishes
-    contribute nothing for w in (0, 1); endpoints integrate the endpoint
-    density alone."""
+    """Midpoint-rule value of z_w, summed exactly with ``math.fsum``; an
+    oracle for the kernel. Cells where either density vanishes contribute
+    nothing for w in (0, 1); endpoints integrate the endpoint density
+    alone."""
     _check_aligned(rho_i, rho_j)
     vol = rho_i.cell_volume
     if omega == 0.0:
         return math.fsum(rho_i.values.ravel()) * vol
     if omega == 1.0:
         return math.fsum(rho_j.values.ravel()) * vol
-    li, lj = _masked_log_fields(rho_i, rho_j)
-    return math.fsum(np.exp((1.0 - omega) * li + omega * lj)) * vol
+    vi = rho_i.values
+    vj = rho_j.values
+    mask = (vi > 0) & (vj > 0)
+    return math.fsum(np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))) * vol
 
 
 def grid_emd(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> tuple[GridDensity, float]:
     """Normalized geometric mean of two aligned grids and its scale factor."""
-    _check_aligned(rho_i, rho_j)
-    if omega == 0.0:
-        return rho_i, 1.0
-    if omega == 1.0:
-        return rho_j, 1.0
-    vi = rho_i.values
-    vj = rho_j.values
-    mask = (vi > 0) & (vj > 0)
-    vals = np.zeros_like(vi)
-    vals[mask] = np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))
-    z = math.fsum(vals.ravel()) * rho_i.cell_volume
-    if z == 0.0:
-        raise ValueError("densities have disjoint support; geometric mean vanishes")
-    return GridDensity(rho_i.origin, rho_i.cell_size, vals / z), z
+    if omega in (0.0, 1.0):
+        _check_aligned(rho_i, rho_j)
+        return (rho_i if omega == 0.0 else rho_j), 1.0
+    fused = grid_log_moments(rho_i, rho_j)(omega)
+    return fused.density(), math.exp(fused.log_z)
 
 
 def discretize_gaussians(

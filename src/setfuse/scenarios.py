@@ -20,6 +20,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -28,6 +29,8 @@ from scipy.special import gammaln
 
 from . import diagnostics, gaussian
 from .fusion import (
+    _bernoulli_alpha,
+    _poisson_rate,
     bernoulli_fuse_p2,
     fused_cardinality_p2,
     iid_cardinality_p2,
@@ -174,10 +177,21 @@ def _parse_sweep(spec: dict) -> SweepSpec:
     )
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite number {token} in scenario")
+    return value
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_float=_finite_float,
+            parse_constant=_finite_float,
+        )
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -296,58 +310,46 @@ def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path
     return result, path
 
 
-def _sweep_cell_values(scenario: Scenario, z: float, omega: float):
-    f_i, f_j = scenario.f_i, scenario.f_j
-    if scenario.family == "bernoulli":
-        a_i, a_j = f_i.alpha, f_j.alpha
-        present = a_i ** (1.0 - omega) * a_j**omega * z
-        absent = (1.0 - a_i) ** (1.0 - omega) * (1.0 - a_j) ** omega
-        fused = present / (absent + present) if present > 0 else 0.0
-        return (a_i, a_j, fused), fused < min(a_i, a_j)
-    if scenario.family == "poisson":
-        l_i, l_j = f_i.rate, f_j.rate
-        fused = l_i ** (1.0 - omega) * l_j**omega * z
-        return (l_i, l_j, fused), fused < min(l_i, l_j)
-    n_max = _iid_n_max(scenario)
-    p_i = cardinality_of(f_i, n_max)
-    p_j = cardinality_of(f_j, n_max)
-    fused_map = iid_cardinality_p2(p_i, p_j, z, omega)[0].map_estimate()
-    maps = (p_i.map_estimate(), p_j.map_estimate(), fused_map)
-    return maps, maps[2] < min(maps[0], maps[1])
-
-
 def run_sweep(scenario: Scenario, out_dir) -> Path:
     """Evaluate the (kappa, omega) sweep grid and write one CSV row per cell,
     in grid order."""
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
-    if not isinstance(scenario.f_i.loc, GaussianDensity) or not isinstance(
-        scenario.f_j.loc, GaussianDensity
-    ):
+    f_i, f_j = scenario.f_i, scenario.f_j
+    if not isinstance(f_i.loc, GaussianDensity) or not isinstance(f_j.loc, GaussianDensity):
         raise ScenarioError("sweep requires Gaussian localisation inputs")
     sweep = scenario.sweep
-    kappas = sweep.kappa_grid()
-    omegas = sweep.omega_grid()
-    mean_i = scenario.f_i.loc.mean
-    mean_j = scenario.f_j.loc.mean
 
+    # fused(w, log z_w) -> the family's fused count summary at one cell
     if scenario.family == "bernoulli":
         value_cols = ("alpha_i", "alpha_j", "alpha_omega")
+        inputs = (f_i.alpha, f_j.alpha)
+        fused = partial(_bernoulli_alpha, *inputs)
     elif scenario.family == "poisson":
         value_cols = ("lambda_i", "lambda_j", "lambda_omega")
+        inputs = (f_i.rate, f_j.rate)
+        fused = partial(_poisson_rate, *inputs)
     else:
         value_cols = ("map_i", "map_j", "map_omega")
+        n_max = _iid_n_max(scenario)
+        p_i, p_j = cardinality_of(f_i, n_max), cardinality_of(f_j, n_max)
+        inputs = (p_i.map_estimate(), p_j.map_estimate())
 
+        def fused(omega: float, log_z: float) -> int:
+            return iid_cardinality_p2(p_i, p_j, log_z, omega)[0].map_estimate()
+
+    kappas = sweep.kappa_grid()
+    omegas = sweep.omega_grid()
     log.info("sweeping %d x %d cells", len(kappas), len(omegas))
     rows = []
     for kappa in kappas:
         cov_i, cov_j = sweep.covariances(kappa)
-        pair = gaussian._pair(GaussianDensity(mean_i, cov_i), GaussianDensity(mean_j, cov_j))
+        pair = gaussian._pair(GaussianDensity(f_i.loc.mean, cov_i), GaussianDensity(f_j.loc.mean, cov_j))
         for omega in omegas:
             omega = float(omega)
-            z = 1.0 if omega in (0.0, 1.0) else math.exp(pair(omega).log_z)
-            values, inconsistent = _sweep_cell_values(scenario, z, omega)
-            rows.append((float(kappa), omega, z, *values, inconsistent))
+            log_z = 0.0 if omega in (0.0, 1.0) else pair(omega).log_z
+            value = fused(omega, log_z)
+            rows.append((float(kappa), omega, math.exp(log_z), *inputs, value, value < min(inputs)))
     header = ("kappa", "omega", "z_omega", *value_cols, "inconsistent")
     return write_csv(Path(out_dir) / "sweep.csv", header, rows)
 
@@ -372,7 +374,7 @@ def _binomial_pmf(k: int, p: float) -> CardinalityPmf:
     return CardinalityPmf(probs / probs.sum())
 
 
-def two_sensor_scenario(seed: int = 0) -> Scenario:
+def two_sensor_scenario() -> Scenario:
     """Gauss-Bernoulli diversity sweep: equal 0.8 existence beliefs, crossed
     uncertainty ellipses whose condition number rises from 1 to 40."""
     m_i, m_j = TWO_SENSOR_MEANS
@@ -382,19 +384,8 @@ def two_sensor_scenario(seed: int = 0) -> Scenario:
         family="bernoulli",
         f_i=BernoulliRfs(0.8, GaussianDensity(m_i, cov_i)),
         f_j=BernoulliRfs(0.8, GaussianDensity(m_j, cov_j)),
-        solver=NewtonConfig(seed=seed),
+        solver=NewtonConfig(),
         sweep=sweep,
-    )
-
-
-def binomial_scenario(pair: str, seed: int = 0) -> Scenario:
-    k, p_i, p_j = BINOMIAL_PAIRS[pair]
-    loc = GaussianDensity(np.zeros(2), np.eye(2))
-    return Scenario(
-        family="iid",
-        f_i=IidClusterRfs(_binomial_pmf(k, p_i), loc),
-        f_j=IidClusterRfs(_binomial_pmf(k, p_j), loc),
-        solver=NewtonConfig(seed=seed),
     )
 
 
@@ -408,8 +399,8 @@ def _summary(checks: list[tuple[str, bool, str]], out_dir: Path) -> Path:
     return path
 
 
-def _reproduce_ex1(out_dir: Path, seed: int) -> dict:
-    scenario = two_sensor_scenario(seed)
+def _reproduce_ex1(out_dir: Path) -> dict:
+    scenario = two_sensor_scenario()
     sweep_path = run_sweep(scenario, out_dir)
     rows = np.genfromtxt(sweep_path, delimiter=",", names=True, encoding="utf-8")
     n_k = scenario.sweep.kappa[2]
@@ -453,7 +444,7 @@ def _reproduce_ex1(out_dir: Path, seed: int) -> dict:
     return {"files": [sweep_path, kl_path], "checks": checks}
 
 
-def _reproduce_ex2(out_dir: Path, seed: int) -> dict:
+def _reproduce_ex2(out_dir: Path) -> dict:
     z_grid = np.linspace(0.1, 0.9, 9)
     omega_grid = np.linspace(0.0, 1.0, 11)
     pmf_rows, map_rows, bound_rows, eta_rows = [], [], [], []
@@ -528,10 +519,10 @@ def _reproduce_ex2(out_dir: Path, seed: int) -> dict:
     return {"files": files, "checks": checks}
 
 
-def _reproduce_ex3(out_dir: Path, seed: int) -> dict:
+def _reproduce_ex3(out_dir: Path) -> dict:
     from .solvers import newton_localisation
 
-    scenario = two_sensor_scenario(seed)
+    scenario = two_sensor_scenario()
     sweep = scenario.sweep
     kappas = sweep.kappa_grid()
     m_i, m_j = TWO_SENSOR_MEANS
@@ -599,10 +590,10 @@ def _reproduce_ex3(out_dir: Path, seed: int) -> dict:
     return {"files": files, "checks": checks}
 
 
-def _reproduce_ex4(out_dir: Path, seed: int) -> dict:
+def _reproduce_ex4(out_dir: Path) -> dict:
     from .solvers import kld_balance_residual, newton_cardinality
 
-    config = NewtonConfig(omega_init=0.5, epsilon=1e-4, seed=seed)
+    config = NewtonConfig(omega_init=0.5, epsilon=1e-4)
     weight_rows, pmf_rows, checks = [], [], []
     for pair in ("low", "high"):
         k, prob_i, prob_j = BINOMIAL_PAIRS[pair]
@@ -653,7 +644,9 @@ def _reproduce_ex4(out_dir: Path, seed: int) -> dict:
 
 
 def reproduce(example_id: str, out_dir, seed: int = 0) -> dict:
-    """Run one built-in experiment; returns files written and check verdicts."""
+    """Run one built-in experiment; returns files written and check verdicts.
+
+    ``seed`` is accepted for compatibility and has no effect."""
     if example_id not in EXAMPLE_IDS:
         raise ScenarioError(f"unknown example {example_id!r}; expected one of {EXAMPLE_IDS}")
     out_dir = Path(out_dir) / example_id
@@ -664,6 +657,6 @@ def reproduce(example_id: str, out_dir, seed: int = 0) -> dict:
         "ex4": _reproduce_ex4,
     }[example_id]
     log.info("reproducing %s into %s", example_id, out_dir)
-    result = runner(out_dir, seed)
+    result = runner(out_dir)
     result["summary"] = _summary(result["checks"], out_dir)
     return result

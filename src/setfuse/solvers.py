@@ -5,8 +5,9 @@ pmf normalizer), which is concave on [0, 1] and vanishes at the endpoints.
 The solvers work on l = log z_w, whose first two w-derivatives are the mean
 and variance of the log ratio q = log rho_j - log rho_i under the fused
 density: closed form for Gaussian pairs, one tilted sum for grids and count
-pmfs. Nothing is sampled and nothing underflows, so inputs far apart still
-converge. Newton iterations on l' = 0 converge fast; a bisection safeguard
+pmfs. The solvers evaluate the same pair evaluators the fusion rules use,
+and the evaluation at the solved weight carries the fused density. Nothing
+is sampled and nothing underflows, so inputs far apart still converge. Newton iterations on l' = 0 converge fast; a bisection safeguard
 on the sign of l' keeps iterates inside the interval even from poor
 starting points. At the optimum the divergences from the fused density to
 the two inputs balance.
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import gaussian, quadrature
-from .fusion import cardinality_emd, localisation_emd
+from .fusion import _check_omega, _common_probs, _localisation_pair
 from .model import (
     BernoulliRfs,
     CardinalityPmf,
@@ -122,27 +123,26 @@ class PoissonWeight(NamedTuple):
     rate: float
 
 
-def _newton_weight(
-    evaluate: Callable[[float], tuple[float, float, float]],
-    config: NewtonConfig,
-    degenerate_flag: str = "degenerate: flat objective",
-) -> tuple[float, NewtonTrace]:
+def _newton_weight(evaluate: Callable, config: NewtonConfig, degenerate_flag: str):
     """Safeguarded Newton maximisation of -log z over the clamped interval.
 
-    evaluate(w) returns (log z, l', l'') with l = log z. l'' is a variance,
-    so l' is nondecreasing in w and its sign brackets the stationary point;
-    Newton proposals that exit the bracket or fail to shrink |l'| fall back
-    to bisection.
+    evaluate(w) gives log z, l' and l'' as ``log_z``, ``slope`` and
+    ``curvature``, with l = log z. l'' is a variance, so l' is
+    nondecreasing in w and its sign brackets the stationary point; Newton
+    proposals that exit the bracket or fail to shrink |l'| fall back to
+    bisection. Returns the weight, the evaluation there (which carries the
+    fused density) and the trace.
     """
     lo = config.omega_clamp
     hi = 1.0 - config.omega_clamp
     w = min(max(config.omega_init, lo), hi)
-    log_z, slope, curvature = evaluate(w)
-    records = [TraceRecord(w, -log_z, slope, curvature)]
+    at_w = evaluate(w)
+    records = [TraceRecord(w, -at_w.log_z, at_w.slope, at_w.curvature)]
     for iteration in range(1, config.max_iters + 1):
+        slope, curvature = at_w.slope, at_w.curvature
         if slope == 0.0 and curvature == 0.0:
             trace = NewtonTrace(tuple(records), True, iteration - 1, (degenerate_flag,))
-            return w, trace
+            return w, at_w, trace
         if slope < 0.0:
             lo = max(lo, w)
         else:
@@ -153,16 +153,15 @@ def _newton_weight(
             newton_ok = lo <= cand <= hi
         if not newton_ok:
             cand = 0.5 * (lo + hi)
-        cand_eval = evaluate(cand)
-        if newton_ok and abs(cand_eval[1]) > abs(slope):
+        at_cand = evaluate(cand)
+        if newton_ok and abs(at_cand.slope) > abs(slope):
             cand = 0.5 * (lo + hi)
-            cand_eval = evaluate(cand)
+            at_cand = evaluate(cand)
         step = abs(cand - w)
-        w = cand
-        log_z, slope, curvature = cand_eval
-        records.append(TraceRecord(w, -log_z, slope, curvature))
+        w, at_w = cand, at_cand
+        records.append(TraceRecord(w, -at_w.log_z, at_w.slope, at_w.curvature))
         if step <= config.epsilon:
-            return w, NewtonTrace(tuple(records), True, iteration)
+            return w, at_w, NewtonTrace(tuple(records), True, iteration)
     raise SolverError(
         f"weight solver did not converge in {config.max_iters} iterations",
         NewtonTrace(tuple(records), False, config.max_iters),
@@ -182,28 +181,15 @@ def _same_localisation(a: LocalisationDensity, b: LocalisationDensity) -> bool:
     return False
 
 
-def _log_moments(
-    rho_i: LocalisationDensity, rho_j: LocalisationDensity
-) -> Callable[[float], tuple[float, float, float]]:
-    """w -> (log z_w, l', l'') for a localisation pair at interior weights."""
-    if isinstance(rho_i, GaussianDensity) and isinstance(rho_j, GaussianDensity):
-        at = gaussian._pair(rho_i, rho_j)
-        return lambda w: at(w)[:3]  # log z, slope, curvature
-    if isinstance(rho_i, GridDensity) and isinstance(rho_j, GridDensity):
-        return quadrature.grid_log_moments(rho_i, rho_j)
-    raise TypeError("localisation densities must share a representation")
-
-
 def chernoff_objective(
     rho_i: LocalisationDensity, rho_j: LocalisationDensity, omega: float
 ) -> float:
     """-log z_w for the localisation pair; nonnegative, zero at the endpoints."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    evaluate = _log_moments(rho_i, rho_j)
+    _check_omega(omega)
+    evaluate = _localisation_pair(rho_i, rho_j)
     if omega == 0.0 or omega == 1.0:
         return 0.0
-    return -evaluate(omega)[0]
+    return -evaluate(omega).log_z
 
 
 def newton_localisation(
@@ -221,10 +207,9 @@ def newton_localisation(
         trace = NewtonTrace((), True, 0, (DEGENERATE_LOC_FLAG,))
         return 0.5, rho_i, 1.0, trace
 
-    evaluate = _log_moments(rho_i, rho_j)
-    omega_star, trace = _newton_weight(evaluate, config, DEGENERATE_LOC_FLAG)
-    fused, z_star = localisation_emd(rho_i, rho_j, omega_star)
-    return omega_star, fused, z_star, trace
+    evaluate = _localisation_pair(rho_i, rho_j)
+    omega_star, fused, trace = _newton_weight(evaluate, config, DEGENERATE_LOC_FLAG)
+    return omega_star, fused.density(), math.exp(fused.log_z), trace
 
 
 def newton_cardinality(
@@ -232,9 +217,7 @@ def newton_cardinality(
 ) -> tuple[float, CardinalityPmf, NewtonTrace]:
     """Solve for the weight maximising -log of the pmf geometric-mean
     normalizer; all sums are exact over the finite joint support."""
-    size = max(p_i.n_max, p_j.n_max)
-    a = p_i.padded(size)
-    b = p_j.padded(size)
+    a, b = _common_probs(p_i, p_j)
     if np.array_equal(a, b):
         trace = NewtonTrace((), True, 0, (DEGENERATE_CARD_FLAG,))
         return 0.5, p_i, trace
@@ -242,9 +225,10 @@ def newton_cardinality(
     if joint.sum() < 2:
         raise ValueError("cardinality solver needs at least two joint support points")
     evaluate = quadrature.tilted_log_moments(np.log(a[joint]), np.log(b[joint]))
-    omega_star, trace = _newton_weight(evaluate, config, DEGENERATE_CARD_FLAG)
-    fused, _ = cardinality_emd(p_i, p_j, omega_star)
-    return omega_star, fused, trace
+    omega_star, fused, trace = _newton_weight(evaluate, config, DEGENERATE_CARD_FLAG)
+    probs = np.zeros_like(a)
+    probs[joint] = fused.weights
+    return omega_star, CardinalityPmf(probs), trace
 
 
 def bernoulli_closed_form(alpha_i: float, alpha_j: float) -> BernoulliWeight:

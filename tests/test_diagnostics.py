@@ -204,6 +204,10 @@ class TestIidThreshold:
         with pytest.raises(ValueError, match="\\(0, 1\\)"):
             diagnostics.iid_inconsistency_threshold(TWO_POINT, TWO_POINT, 0.5, 1.0)
 
+    def test_flushed_scale_gives_smallest_joint_count(self):
+        p_i, p_j = binomial_pmf(20, 0.7), binomial_pmf(20, 0.9)
+        assert diagnostics.iid_inconsistency_threshold(p_i, p_j, 0.5, 0.0) == 0.0
+
     def test_threshold_diverges_as_scale_approaches_one(self):
         p_i, p_j = binomial_pmf(5, 0.95), binomial_pmf(5, 0.92)
         moderate = diagnostics.iid_inconsistency_threshold(p_i, p_j, 0.5, 0.5)

@@ -95,6 +95,18 @@ class TestCardinalityEmd:
         assert np.all(fused.probs >= np.minimum(p_i.probs, p_j.probs) - 1e-12)
         assert norm <= 1.0 + 1e-12
 
+    def test_joint_rules_at_unit_scale_match(self, rng):
+        # all three count rules share one kernel; at z_w = 1 they coincide
+        for _ in range(10):
+            p_i, p_j = random_pmf(rng, 7, 0.01), random_pmf(rng, 7, 0.01)
+            w = rng.uniform(0.05, 0.95)
+            emd, emd_norm = fusion.cardinality_emd(p_i, p_j, w)
+            seq, seq_norm = fusion.fused_cardinality_p2(p_i, p_j, np.ones(7), w)
+            iid, iid_norm = fusion.iid_cardinality_p2(p_i, p_j, 0.0, w)
+            np.testing.assert_array_equal(seq.probs, emd.probs)
+            np.testing.assert_array_equal(iid.probs, emd.probs)
+            assert seq_norm == emd_norm == iid_norm
+
     def test_normalizer_strictly_below_one_for_distinct_inputs(self, rng):
         for _ in range(30):
             p_i, p_j = random_pmf(rng, 6, 0.01), random_pmf(rng, 6, 0.01)
@@ -202,12 +214,15 @@ class TestIidFusion:
         np.testing.assert_allclose(fused.card.probs[38:], expected / expected.sum(), rtol=1e-9)
         assert fused.card.probs[:38].sum() == 0.0
 
-    def test_flushed_scale_factor_named(self):
+    def test_flushed_scale_factor_fuses(self):
+        # log z_w = -1250, so z_w flushes to 0; the count rule reads log z_w
         far = sf.GaussianDensity([100.0, 0.0], np.eye(2))
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), UNIT)
         f_j = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), far)
-        with pytest.raises(ValueError, match="underflowed"):
-            fusion.iid_fuse_p2(f_i, f_j, 0.5, 1)
+        fused, z, norm = fusion.iid_fuse_p2(f_i, f_j, 0.5, 1)
+        np.testing.assert_array_equal(fused.card.probs, [1.0, 0.0])
+        assert z == 0.0
+        assert norm == pytest.approx(0.5, rel=1e-12)
 
     def test_propagates_disjoint_support_error(self):
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([1.0, 0.0]), UNIT)

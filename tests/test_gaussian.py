@@ -151,7 +151,3 @@ class TestRotatedCovariance:
         with pytest.raises(ValueError):
             gaussian.make_rotated_covariance(2.0, -1.0, 0.0)
 
-
-def test_sample_wrapper_matches_method():
-    draws = gaussian.sample(UNIT, 5, np.random.default_rng(4))
-    np.testing.assert_array_equal(draws, UNIT.sample(np.random.default_rng(4), 5))

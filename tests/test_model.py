@@ -18,6 +18,12 @@ class TestCardinalityPmf:
         with pytest.raises(ValueError, match="sum to 1"):
             sf.CardinalityPmf([0.5, 0.4])
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            sf.CardinalityPmf([math.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            sf.CardinalityPmf([math.inf, 1.0])
+
     def test_basic_accessors(self):
         pmf = sf.CardinalityPmf([0.2, 0.0, 0.8])
         assert pmf.n_max == 2
@@ -54,6 +60,12 @@ class TestGaussianDensity:
         with pytest.raises(ValueError, match="positive definite"):
             sf.GaussianDensity([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_rejects_non_finite_parameters(self):
+        with pytest.raises(ValueError, match="finite"):
+            sf.GaussianDensity([math.nan, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            sf.GaussianDensity([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]])
+
     def test_rejects_extreme_condition_number(self):
         with pytest.raises(ValueError, match="condition"):
             sf.GaussianDensity([0.0, 0.0], np.diag([1e14, 1.0]))
@@ -83,6 +95,13 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="renormalize"):
             sf.GridDensity([0.0], [0.1], np.full((10,), 1.2))
 
+    def test_rejects_non_finite_values(self):
+        for bad in (math.nan, math.inf):
+            vals = np.full(10, 1.0)
+            vals[3] = bad
+            with pytest.raises(ValueError, match="grid mass"):
+                sf.GridDensity([0.0], [0.1], vals)
+
     def test_evaluate_inside_and_outside(self):
         grid = sf.GridDensity([0.0, 0.0], [0.5, 0.5], np.full((2, 2), 1.0))
         assert grid.evaluate([[0.25, 0.25]])[0] == pytest.approx(1.0)
@@ -104,6 +123,12 @@ class TestCardinalityOf:
     def test_bernoulli_pmf(self):
         pmf = sf.cardinality_of(sf.BernoulliRfs(0.8, UNIT), 1)
         np.testing.assert_allclose(pmf.probs, [0.2, 0.8])
+
+    def test_non_finite_poisson_rate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            sf.PoissonRfs(math.inf, sf.GaussianDensity([0.0], [[1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            sf.PoissonRfs(math.nan, sf.GaussianDensity([0.0], [[1.0]]))
 
     def test_zero_rate_poisson_is_empty_certainty(self):
         pmf = sf.cardinality_of(sf.PoissonRfs(0.0, UNIT), 10)

@@ -38,7 +38,7 @@ class TestGridZ:
 
 def grid_derivatives(gi, gj, w):
     """z_w and its first two w-derivatives from the log-space kernel."""
-    log_z, slope, curvature = quadrature.grid_log_moments(gi, gj)(w)
+    log_z, slope, curvature = quadrature.grid_log_moments(gi, gj)(w)[:3]
     z = math.exp(log_z)
     return z, z * slope, z * (curvature + slope**2)
 
@@ -102,6 +102,14 @@ class TestGridEmd:
         fused, z = quadrature.grid_emd(gi, gj, 0.5)
         assert z == pytest.approx(gaussian.emd_scale(UNIT, SHIFTED, 0.5), rel=1e-3)
         assert fused.values.sum() * fused.cell_volume == pytest.approx(1.0, abs=1e-9)
+
+    def test_wide_dynamic_range_matches_fsum_oracle(self):
+        # at 12 sigma the grid values span hundreds of binary exponents
+        gi, gj = quadrature.discretize_gaussians([UNIT, SHIFTED], extent_sigmas=12.0)
+        for w in (0.1, 0.5, 0.9):
+            fused, z = quadrature.grid_emd(gi, gj, w)
+            assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, w), rel=1e-12)
+            assert abs(fused.values.sum() * fused.cell_volume - 1.0) <= 1e-12
 
     def test_endpoints_return_inputs(self, gaussian_grids):
         gi, gj = gaussian_grids

@@ -272,6 +272,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "incompatible cardinality supports" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):
+        payload = {
+            "version": 1,
+            "family": "poisson",
+            "inputs": [
+                {"lambda": 2.0, "loc": {"mean": [0.0], "cov": [[1.0]]}},
+                {"lambda": "RATE", "loc": {"mean": [1.0], "cov": [[1.0]]}},
+            ],
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload).replace('"RATE"', literal), encoding="utf-8")
+        for mode in ("p2", "consistent"):
+            assert main(["fuse", "--scenario", str(path), "--mode", mode,
+                         "--out", str(tmp_path / mode)]) == 2
+            assert "non-finite number" in capsys.readouterr().err
+            assert not (tmp_path / mode / "fuse.csv").exists()
+
     def test_solver_failure_dumps_trace(self, tmp_path, capsys):
         payload = {
             "version": 1,
