@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from . import quadrature
 from .fusion import _common_probs, cardinality_emd
 from .model import CardinalityPmf
 
@@ -78,6 +79,22 @@ def poisson_inconsistency(
     return bound, z_omega < bound
 
 
+def _log_iid_normalizer(a: np.ndarray, b: np.ndarray, omega: float, z_omega: float) -> float:
+    """log of sum_n a(n)^(1-w) b(n)^w z^n over the joint support, or -inf
+    when no term survives. n log z goes into both log arrays of the shared
+    kernel, so z^n never underflows; at z = 0 only n = 0 survives."""
+    joint = (a > 0) & (b > 0)
+    if z_omega == 0.0:
+        joint[1:] = False
+    ns = np.flatnonzero(joint)
+    if ns.size == 0:
+        return -math.inf
+    scale = ns * math.log(z_omega) if z_omega > 0.0 else 0.0
+    log_a = np.log(a[joint]) + scale
+    log_b = np.log(b[joint]) + scale
+    return quadrature.tilted_log_moments(log_a, log_b)(omega).log_z
+
+
 def iid_inconsistency_bound(
     p_i: CardinalityPmf,
     p_j: CardinalityPmf,
@@ -95,11 +112,11 @@ def iid_inconsistency_bound(
         raise ValueError("bound undefined at n = 0")
     if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
+    if not z_omega >= 0.0:
+        raise ValueError("scale factor must be nonnegative")
     a, b = _common_probs(p_i, p_j)
-    geo = a ** (1.0 - omega) * b**omega
-    norm = float(np.sum(geo * z_omega ** np.arange(a.size)))
-    ratio = min(a[n], b[n]) / geo[n]
-    return (norm * ratio) ** (1.0 / n)
+    ratio = min(a[n], b[n]) / (a[n] ** (1.0 - omega) * b[n] ** omega)
+    return math.exp((_log_iid_normalizer(a, b, omega, z_omega) + math.log(ratio)) / n)
 
 
 def iid_inconsistency_threshold(
@@ -122,9 +139,8 @@ def iid_inconsistency_threshold(
         return float(np.argmax(joint))
     geo = a[joint] ** (1.0 - omega) * b[joint] ** omega
     gamma = float(np.min(np.minimum(a[joint], b[joint]) / geo))
-    ns = np.flatnonzero(joint)
-    norm = float(np.sum(geo * z_omega ** ns.astype(float)))
-    return math.log(norm * gamma) / math.log(z_omega)
+    log_norm = _log_iid_normalizer(a, b, omega, z_omega)
+    return (log_norm + math.log(gamma)) / math.log(z_omega)
 
 
 def pointwise_ratio(

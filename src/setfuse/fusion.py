@@ -149,14 +149,14 @@ def localisation_emd(
 
 
 def _bernoulli_alpha(alpha_i: float, alpha_j: float, omega: float, log_z: float) -> float:
-    """Jointly fused existence probability at an interior weight and scale z_w."""
+    """Jointly fused existence probability at weight w and scale z_w."""
     present = alpha_i ** (1.0 - omega) * alpha_j**omega * math.exp(log_z)
     absent = (1.0 - alpha_i) ** (1.0 - omega) * (1.0 - alpha_j) ** omega
     return present / (absent + present) if present > 0.0 else 0.0
 
 
 def _poisson_rate(rate_i: float, rate_j: float, omega: float, log_z: float) -> float:
-    """Jointly fused Poisson rate at an interior weight and scale z_w."""
+    """Jointly fused Poisson rate at weight w and scale z_w."""
     return rate_i ** (1.0 - omega) * rate_j**omega * math.exp(log_z)
 
 

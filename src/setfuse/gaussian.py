@@ -82,35 +82,6 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[[float], _
     return at
 
 
-def emd_params(rho_i: GaussianDensity, rho_j: GaussianDensity, omega: float) -> GaussianDensity:
-    """Mean and covariance of the normalized geometric mean rho_i^(1-w) rho_j^w."""
-    _check_pair(rho_i, rho_j)
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    if omega == 0.0:
-        return rho_i
-    if omega == 1.0:
-        return rho_j
-    return _pair(rho_i, rho_j)(omega).density()
-
-
-def emd_log_scale(rho_i: GaussianDensity, rho_j: GaussianDensity, omega: float) -> float:
-    """log of the scale factor z_w = integral of rho_i^(1-w) rho_j^w.
-
-    Always <= 0; zero exactly when the inputs coincide or w is an endpoint.
-    """
-    _check_pair(rho_i, rho_j)
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    if omega == 0.0 or omega == 1.0:
-        return 0.0
-    return _pair(rho_i, rho_j)(omega).log_z
-
-
-def emd_scale(rho_i: GaussianDensity, rho_j: GaussianDensity, omega: float) -> float:
-    return math.exp(emd_log_scale(rho_i, rho_j, omega))
-
-
 def kld(p: GaussianDensity, q: GaussianDensity) -> float:
     """D(p||q) between Gaussians, in nats."""
     _check_pair(p, q)

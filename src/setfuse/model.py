@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson as _poisson
 
 PMF_SUM_TOL = 1e-10
 POISSON_TAIL_TOL = 1e-9
@@ -293,8 +291,14 @@ def default_poisson_n_max(rate: float) -> int:
     return max(30, int(math.ceil(rate + 10.0 * math.sqrt(rate))))
 
 
-def _poisson_log_pmf(n: np.ndarray, rate: float) -> np.ndarray:
-    return -rate + n * math.log(rate) - gammaln(n + 1.0)
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log n! for n = 0..n_max."""
+    return np.array([math.lgamma(n + 1.0) for n in range(n_max + 1)])
+
+
+def _poisson_log_pmf(n_max: int, rate: float) -> np.ndarray:
+    """Poisson log-pmf on 0..n_max for a positive rate."""
+    return -rate + np.arange(n_max + 1) * math.log(rate) - _log_factorials(n_max)
 
 
 def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
@@ -315,12 +319,19 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
             probs = np.zeros(n_max + 1)
             probs[0] = 1.0
             return CardinalityPmf(probs)
-        tail = float(_poisson.sf(n_max, f.rate))
+        # Past the mean the tail is summed term by term out to 20 standard
+        # deviations, so a tail near the tolerance is decided exactly, where
+        # 1 - head sum would lose it to roundoff. Below the mean the tail
+        # exceeds 1/4 and 1 - head sum is accurate.
+        above_mean = n_max >= f.rate
+        upper = n_max + int(20.0 * math.sqrt(f.rate)) + 40 if above_mean else n_max
+        terms = np.exp(_poisson_log_pmf(upper, f.rate))
+        tail = float(terms[n_max + 1:].sum()) if above_mean else 1.0 - float(terms.sum())
         if tail > POISSON_TAIL_TOL:
             raise ValueError(
                 f"truncation too aggressive: tail mass {tail:.3e} beyond n_max={n_max}"
             )
-        probs = np.exp(_poisson_log_pmf(np.arange(n_max + 1), f.rate))
+        probs = terms[: n_max + 1]
         return CardinalityPmf(probs / probs.sum())
     if isinstance(f, IidClusterRfs):
         return CardinalityPmf(f.card.padded(n_max))
@@ -376,7 +387,7 @@ def validate_normalization(f: FiniteSetDistribution, n_max: int) -> float:
     if isinstance(f, PoissonRfs):
         if f.rate == 0.0:
             return 1.0
-        return float(np.exp(_poisson_log_pmf(np.arange(n_max + 1), f.rate)).sum())
+        return float(np.exp(_poisson_log_pmf(n_max, f.rate)).sum())
     if isinstance(f, IidClusterRfs):
         return float(f.card.probs[: n_max + 1].sum())
     raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")

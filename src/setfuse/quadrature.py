@@ -2,13 +2,15 @@
 
 ``tilted_log_moments`` is the one kernel that forms
 a^(1-w) b^w / z_w for arrays: grid densities here, count pmfs in
-``fusion`` and ``solvers``. It sums terms shifted by their maximum and
-gives log z_w, the mean and variance of the log ratio log b - log a under
-the fused terms (the first two w-derivatives of log z_w) and the fused
-terms themselves. For grids z_w = integral rho_i^(1-w) rho_j^w is a
-midpoint-rule sum; ``grid_log_moments`` is the grid pair evaluator, the
-counterpart of ``gaussian._pair``.
-"""
+``fusion``, ``solvers`` and ``diagnostics``. It sums terms shifted by their
+maximum and gives log z_w, the mean and variance of the log ratio
+log b - log a under the fused terms (the first two w-derivatives of
+log z_w) and the fused terms themselves. For grids z_w = integral
+rho_i^(1-w) rho_j^w is a midpoint-rule sum; ``grid_log_moments`` is the
+grid pair evaluator, the counterpart of ``gaussian._pair``, and
+``fusion.localisation_emd`` reads either to give the fused density and z_w.
+``grid_z_omega`` sums z_w exactly with ``math.fsum``, as an oracle for the
+kernel."""
 
 from __future__ import annotations
 
@@ -113,15 +115,6 @@ def grid_z_omega(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
     vj = rho_j.values
     mask = (vi > 0) & (vj > 0)
     return math.fsum(np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))) * vol
-
-
-def grid_emd(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> tuple[GridDensity, float]:
-    """Normalized geometric mean of two aligned grids and its scale factor."""
-    if omega in (0.0, 1.0):
-        _check_aligned(rho_i, rho_j)
-        return (rho_i if omega == 0.0 else rho_j), 1.0
-    fused = grid_log_moments(rho_i, rho_j)(omega)
-    return fused.density(), math.exp(fused.log_z)
 
 
 def discretize_gaussians(

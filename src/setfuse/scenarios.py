@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import diagnostics, gaussian
 from .fusion import (
@@ -45,6 +44,7 @@ from .model import (
     GridDensity,
     IidClusterRfs,
     PoissonRfs,
+    _log_factorials,
     cardinality_of,
 )
 from .solvers import FusionResult, NewtonConfig, consistent_fuse, with_diagnostics
@@ -369,7 +369,8 @@ EXPECTED_OMEGA_LOC = {1.0: 0.500, 10.0: 0.397, 20.0: 0.387}
 
 def _binomial_pmf(k: int, p: float) -> CardinalityPmf:
     n = np.arange(k + 1)
-    log_coef = gammaln(k + 1.0) - gammaln(n + 1.0) - gammaln(k - n + 1.0)
+    log_fact = _log_factorials(k)
+    log_coef = log_fact[k] - log_fact - log_fact[::-1]
     probs = np.exp(log_coef + n * math.log(p) + (k - n) * math.log(1.0 - p))
     return CardinalityPmf(probs / probs.sum())
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import gaussian, quadrature
-from .fusion import _check_omega, _common_probs, _localisation_pair
+from .fusion import _bernoulli_alpha, _check_omega, _common_probs, _localisation_pair, _poisson_rate
 from .model import (
     BernoulliRfs,
     CardinalityPmf,
@@ -249,9 +249,7 @@ def bernoulli_closed_form(alpha_i: float, alpha_j: float) -> BernoulliWeight:
     ) / (log_absent + log_present)
     clamped = not 0.0 <= omega <= 1.0
     omega = min(max(omega, 0.0), 1.0)
-    present = alpha_i ** (1.0 - omega) * alpha_j**omega
-    absent = (1.0 - alpha_i) ** (1.0 - omega) * (1.0 - alpha_j) ** omega
-    return BernoulliWeight(omega, present / (present + absent), clamped)
+    return BernoulliWeight(omega, _bernoulli_alpha(alpha_i, alpha_j, omega, 0.0), clamped)
 
 
 def poisson_closed_form(lambda_i: float, lambda_j: float) -> PoissonWeight:
@@ -264,7 +262,7 @@ def poisson_closed_form(lambda_i: float, lambda_j: float) -> PoissonWeight:
     log_ratio = math.log(ratio)
     # (ratio - 1) and log(ratio) share sign, so the inner ratio is positive
     omega = math.log((ratio - 1.0) / log_ratio) / log_ratio
-    return PoissonWeight(omega, lambda_i ** (1.0 - omega) * lambda_j**omega)
+    return PoissonWeight(omega, _poisson_rate(lambda_i, lambda_j, omega, 0.0))
 
 
 def kld_balance_residual(fused, f_i, f_j) -> float:

@@ -160,11 +160,10 @@ def test_criterion_06_derivative_oracles():
     for _ in range(20):
         a, b = make_gaussian(rng), make_gaussian(rng)
         w = rng.uniform(0.1, 0.9)
-        z = gaussian.emd_scale(a, b, w)
-        fused = gaussian.emd_params(a, b, w)
+        fused, z = fusion.localisation_emd(a, b, w)
         identity = z * (gaussian.kld(fused, a) - gaussian.kld(fused, b))
-        fd = (gaussian.emd_scale(a, b, w + fd_step)
-              - gaussian.emd_scale(a, b, w - fd_step)) / (2 * fd_step)
+        fd = (fusion.localisation_emd(a, b, w + fd_step)[1]
+              - fusion.localisation_emd(a, b, w - fd_step)[1]) / (2 * fd_step)
         assert identity == pytest.approx(fd, rel=1e-3, abs=1e-9)
     _verdict(6, "derivative oracles")
 
@@ -334,7 +333,7 @@ def test_criterion_10_variational_optimality():
     g_j = sf.GaussianDensity([1.5], [[0.6]])
     gi, gj = quadrature.discretize_gaussians([g_i, g_j], points_per_axis=101)
     w = 0.4
-    fused, _ = quadrature.grid_emd(gi, gj, w)
+    fused, _ = fusion.localisation_emd(gi, gj, w)
 
     def grid_objective(g):
         return (1 - w) * quadrature.grid_kld(g, gi) + w * quadrature.grid_kld(g, gj)

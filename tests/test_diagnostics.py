@@ -165,6 +165,11 @@ class TestIidBound:
         with pytest.raises(ValueError, match="n = 0"):
             diagnostics.iid_inconsistency_bound(TWO_POINT, TWO_POINT, 0.5, 0, 0.5)
 
+    def test_negative_or_nan_scale_rejected(self):
+        for z in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                diagnostics.iid_inconsistency_bound(TWO_POINT, TWO_POINT, 0.5, 1, z)
+
     def test_bound_rises_with_count_for_binomial_pair(self):
         p_i, p_j = binomial_pmf(5, 0.95), binomial_pmf(5, 0.92)
         bounds = [
@@ -180,6 +185,21 @@ class TestIidBound:
         large = diagnostics.iid_inconsistency_bound(p, p, 0.5, 50, 0.5)
         assert large > small
         assert abs(large - 1.0) < 0.1
+
+
+    def test_tiny_scale_stays_positive(self):
+        # z^n underflows to 0 at z = 1e-200, n = 2, 3; the bound reads n log z
+        p_i, p_j = sf.CardinalityPmf([0, 0, 0.5, 0.5]), sf.CardinalityPmf([0, 0, 0.3, 0.7])
+        assert diagnostics.iid_inconsistency_bound(p_i, p_j, 0.5, 3, 1e-200) > 0.0
+
+    def test_flushed_scale_gives_limit(self):
+        # at z = 0 only the n = 0 term of the normalizer survives
+        p_i, p_j = sf.CardinalityPmf([0.2, 0.3, 0.5]), sf.CardinalityPmf([0.4, 0.4, 0.2])
+        geo = np.sqrt(p_i.probs * p_j.probs)
+        expected = math.sqrt(geo[0] * 0.2 / geo[2])
+        assert diagnostics.iid_inconsistency_bound(p_i, p_j, 0.5, 2, 0.0) == pytest.approx(expected, rel=1e-12)
+        p_i, p_j = sf.CardinalityPmf([0, 0, 0.5, 0.5]), sf.CardinalityPmf([0, 0, 0.3, 0.7])
+        assert diagnostics.iid_inconsistency_bound(p_i, p_j, 0.5, 3, 0.0) == 0.0
 
 
 class TestIidThreshold:
@@ -207,6 +227,11 @@ class TestIidThreshold:
     def test_flushed_scale_gives_smallest_joint_count(self):
         p_i, p_j = binomial_pmf(20, 0.7), binomial_pmf(20, 0.9)
         assert diagnostics.iid_inconsistency_threshold(p_i, p_j, 0.5, 0.0) == 0.0
+
+    def test_tiny_scale_on_support_above_zero(self):
+        p_i, p_j = sf.CardinalityPmf([0, 0, 0.5, 0.5]), sf.CardinalityPmf([0, 0, 0.3, 0.7])
+        eta = diagnostics.iid_inconsistency_threshold(p_i, p_j, 0.5, 1e-200)
+        assert eta == pytest.approx(2.003, abs=5e-4)
 
     def test_threshold_diverges_as_scale_approaches_one(self):
         p_i, p_j = binomial_pmf(5, 0.95), binomial_pmf(5, 0.92)

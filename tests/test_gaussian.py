@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import setfuse as sf
-from setfuse import gaussian, quadrature
+from setfuse import fusion, gaussian, quadrature, solvers
 from conftest import make_gaussian
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
@@ -13,16 +13,16 @@ SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
 
 class TestEmdParams:
     def test_identical_inputs_fixed_point(self):
-        out = gaussian.emd_params(UNIT, UNIT, 0.3)
+        out = fusion.localisation_emd(UNIT, UNIT, 0.3)[0]
         np.testing.assert_allclose(out.mean, UNIT.mean, atol=1e-14)
         np.testing.assert_allclose(out.cov, UNIT.cov, atol=1e-14)
 
     def test_endpoint_returns_input_exactly(self):
-        assert gaussian.emd_params(UNIT, SHIFTED, 0.0) is UNIT
-        assert gaussian.emd_params(UNIT, SHIFTED, 1.0) is SHIFTED
+        assert fusion.localisation_emd(UNIT, SHIFTED, 0.0)[0] is UNIT
+        assert fusion.localisation_emd(UNIT, SHIFTED, 1.0)[0] is SHIFTED
 
     def test_equal_covariance_midpoint(self):
-        out = gaussian.emd_params(UNIT, SHIFTED, 0.5)
+        out = fusion.localisation_emd(UNIT, SHIFTED, 0.5)[0]
         np.testing.assert_allclose(out.mean, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out.cov, np.eye(2), atol=1e-12)
 
@@ -30,24 +30,24 @@ class TestEmdParams:
         for _ in range(20):
             a, b = make_gaussian(rng), make_gaussian(rng)
             w = rng.uniform(0, 1)
-            lhs = gaussian.emd_params(a, b, w)
-            rhs = gaussian.emd_params(b, a, 1.0 - w)
+            lhs = fusion.localisation_emd(a, b, w)[0]
+            rhs = fusion.localisation_emd(b, a, 1.0 - w)[0]
             np.testing.assert_allclose(lhs.mean, rhs.mean, atol=1e-12)
             np.testing.assert_allclose(lhs.cov, rhs.cov, atol=1e-12)
 
 
 class TestEmdScale:
     def test_identical_inputs_give_unity(self):
-        assert gaussian.emd_scale(UNIT, UNIT, 0.7) == pytest.approx(1.0, abs=1e-12)
+        assert fusion.localisation_emd(UNIT, UNIT, 0.7)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_endpoints_give_unity(self):
-        assert gaussian.emd_scale(UNIT, SHIFTED, 0.0) == 1.0
-        assert gaussian.emd_scale(UNIT, SHIFTED, 1.0) == 1.0
+        assert fusion.localisation_emd(UNIT, SHIFTED, 0.0)[1] == 1.0
+        assert fusion.localisation_emd(UNIT, SHIFTED, 1.0)[1] == 1.0
 
     def test_canonical_pair_value(self):
         # grid quadrature oracle for the half-weight scale of unit Gaussians
         # two apart: exp(-1/2)
-        z = gaussian.emd_scale(UNIT, SHIFTED, 0.5)
+        z = fusion.localisation_emd(UNIT, SHIFTED, 0.5)[1]
         assert z == pytest.approx(0.60653, abs=1e-5)
         gi, gj = quadrature.discretize_gaussians([UNIT, SHIFTED])
         assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, 0.5), rel=1e-3)
@@ -56,7 +56,7 @@ class TestEmdScale:
         for _ in range(25):
             a, b = make_gaussian(rng), make_gaussian(rng)
             for w in np.linspace(0, 1, 21):
-                assert gaussian.emd_scale(a, b, w) <= 1.0
+                assert fusion.localisation_emd(a, b, w)[1] <= 1.0
 
     def test_matches_grid_quadrature_on_random_pairs(self, rng):
         for _ in range(100):
@@ -64,7 +64,7 @@ class TestEmdScale:
                 , make_gaussian(rng, mean_scale=0.8, var_lo=0.4, var_hi=1.2)
             w = rng.uniform(0.05, 0.95)
             gi, gj = quadrature.discretize_gaussians([a, b])
-            assert gaussian.emd_scale(a, b, w) == pytest.approx(
+            assert fusion.localisation_emd(a, b, w)[1] == pytest.approx(
                 quadrature.grid_z_omega(gi, gj, w), rel=1e-3
             )
 
@@ -72,7 +72,7 @@ class TestEmdScale:
         grid = np.linspace(0.0, 1.0, 101)
         for _ in range(5):
             a, b = make_gaussian(rng), make_gaussian(rng)
-            obj = np.array([-gaussian.emd_log_scale(a, b, w) for w in grid])
+            obj = np.array([solvers.chernoff_objective(a, b, w) for w in grid])
             second = np.diff(obj, 2)
             assert second.max() <= 1e-8
 
@@ -86,7 +86,7 @@ class TestLogScaleDerivatives:
             b = make_gaussian(rng, dim=dim, mean_scale=2.0)
             w = rng.uniform(0.1, 0.9)
             fused = gaussian._pair(a, b)(w)
-            lower, mid, upper = (gaussian.emd_log_scale(a, b, w + s * h) for s in (-1, 0, 1))
+            lower, mid, upper = (-solvers.chernoff_objective(a, b, w + s * h) for s in (-1, 0, 1))
             assert fused.log_z == pytest.approx(mid, rel=1e-12, abs=1e-14)
             assert fused.slope == pytest.approx((upper - lower) / (2 * h), rel=1e-5, abs=1e-8)
             assert fused.curvature == pytest.approx(

@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -147,6 +152,27 @@ class TestCardinalityOf:
         pmf = sf.cardinality_of(sf.PoissonRfs(rate, UNIT), sf.default_poisson_n_max(rate))
         assert pmf.mean() == pytest.approx(rate, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "rate, n_max",
+        [(0.5, 12), (0.5, 13), (3.0, 19), (3.0, 20), (50.0, 30), (50.0, 100), (1e6, 30),
+         (1e3, 1180), (1e3, 1200), (1e4, 10605), (1e4, 10606)],
+    )
+    def test_poisson_tail_matches_survival_function(self, rate, n_max):
+        # (1e4, 10605) has tail 1.0048e-9, within roundoff of 1 - head sum
+        from scipy.stats import poisson
+
+        tail = poisson.sf(n_max, rate)
+        f = sf.PoissonRfs(rate, UNIT)
+        if tail > 1e-9:
+            with pytest.raises(ValueError, match="truncation too aggressive") as err:
+                sf.cardinality_of(f, n_max)
+            reported = float(re.search(r"tail mass (\S+)", str(err.value)).group(1))
+            assert reported == pytest.approx(tail, rel=5e-3)
+        else:
+            pmf = sf.cardinality_of(f, n_max)
+            expected = poisson.pmf(np.arange(n_max + 1), rate)
+            np.testing.assert_allclose(pmf.probs, expected / expected.sum(), rtol=1e-9, atol=1e-300)
+
     def test_iid_returns_stored_pmf(self):
         card = sf.CardinalityPmf([0.3, 0.7])
         pmf = sf.cardinality_of(sf.IidClusterRfs(card, UNIT), 4)
@@ -194,3 +220,23 @@ class TestNormalization:
         raw = rng.uniform(0.1, 1.0, 6)
         f = sf.IidClusterRfs(sf.CardinalityPmf(raw / raw.sum()), UNIT)
         assert abs(sf.validate_normalization(f, 5) - 1.0) < 1e-10
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import setfuse as sf
+        from setfuse.scenarios import reproduce
+
+        for example in ("ex2", "ex4"):
+            reproduce(example, {str(tmp_path)!r})
+        sf.cardinality_of(sf.PoissonRfs(4.0, sf.GaussianDensity([0.0], [[1.0]])), 40)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

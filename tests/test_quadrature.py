@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import setfuse as sf
-from setfuse import gaussian, quadrature
+from setfuse import fusion, gaussian, quadrature
 from conftest import make_gaussian
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
@@ -99,22 +99,22 @@ class TestGridDerivatives:
 class TestGridEmd:
     def test_matches_gaussian_closed_form(self, gaussian_grids):
         gi, gj = gaussian_grids
-        fused, z = quadrature.grid_emd(gi, gj, 0.5)
-        assert z == pytest.approx(gaussian.emd_scale(UNIT, SHIFTED, 0.5), rel=1e-3)
+        fused, z = fusion.localisation_emd(gi, gj, 0.5)
+        assert z == pytest.approx(fusion.localisation_emd(UNIT, SHIFTED, 0.5)[1], rel=1e-3)
         assert fused.values.sum() * fused.cell_volume == pytest.approx(1.0, abs=1e-9)
 
     def test_wide_dynamic_range_matches_fsum_oracle(self):
         # at 12 sigma the grid values span hundreds of binary exponents
         gi, gj = quadrature.discretize_gaussians([UNIT, SHIFTED], extent_sigmas=12.0)
         for w in (0.1, 0.5, 0.9):
-            fused, z = quadrature.grid_emd(gi, gj, w)
+            fused, z = fusion.localisation_emd(gi, gj, w)
             assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, w), rel=1e-12)
             assert abs(fused.values.sum() * fused.cell_volume - 1.0) <= 1e-12
 
     def test_endpoints_return_inputs(self, gaussian_grids):
         gi, gj = gaussian_grids
-        assert quadrature.grid_emd(gi, gj, 0.0)[0] is gi
-        assert quadrature.grid_emd(gi, gj, 1.0) == (gj, 1.0)
+        assert fusion.localisation_emd(gi, gj, 0.0)[0] is gi
+        assert fusion.localisation_emd(gi, gj, 1.0) == (gj, 1.0)
 
 
 class TestDerivativeIdentity:
@@ -125,10 +125,10 @@ class TestDerivativeIdentity:
         for _ in range(10):
             a, b = make_gaussian(rng), make_gaussian(rng)
             w = rng.uniform(0.1, 0.9)
-            fused = gaussian.emd_params(a, b, w)
-            z = gaussian.emd_scale(a, b, w)
+            fused, z = fusion.localisation_emd(a, b, w)
             identity = z * (gaussian.kld(fused, a) - gaussian.kld(fused, b))
-            fd = (gaussian.emd_scale(a, b, w + h) - gaussian.emd_scale(a, b, w - h)) / (2 * h)
+            fd = (fusion.localisation_emd(a, b, w + h)[1]
+                  - fusion.localisation_emd(a, b, w - h)[1]) / (2 * h)
             assert identity == pytest.approx(fd, rel=1e-3, abs=1e-9)
 
 

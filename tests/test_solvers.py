@@ -269,7 +269,7 @@ class TestKldBalanceResidual:
 
     def test_grid_dispatch(self):
         gi, gj = quadrature.discretize_gaussians([UNIT, SHIFTED])
-        fused, _ = quadrature.grid_emd(gi, gj, 0.5)
+        fused, _ = fusion.localisation_emd(gi, gj, 0.5)
         residual = sf.kld_balance_residual(fused, gi, gj)
         assert residual == pytest.approx(0.0, abs=1e-6)
 
