@@ -81,8 +81,8 @@ def poisson_inconsistency(
 
 def _log_iid_normalizer(a: np.ndarray, b: np.ndarray, omega: float, z_omega: float) -> float:
     """log of sum_n a(n)^(1-w) b(n)^w z^n over the joint support, or -inf
-    when no term survives. n log z goes into both log arrays of the shared
-    kernel, so z^n never underflows; at z = 0 only n = 0 survives."""
+    when no term survives. n log z joins the logs summed by the kernel's
+    shifted sum, so z^n never underflows; at z = 0 only n = 0 survives."""
     joint = (a > 0) & (b > 0)
     if z_omega == 0.0:
         joint[1:] = False
@@ -92,7 +92,7 @@ def _log_iid_normalizer(a: np.ndarray, b: np.ndarray, omega: float, z_omega: flo
     scale = ns * math.log(z_omega) if z_omega > 0.0 else 0.0
     log_a = np.log(a[joint]) + scale
     log_b = np.log(b[joint]) + scale
-    return quadrature.tilted_log_moments(log_a, log_b)(omega).log_z
+    return quadrature._shifted_sum(log_a + omega * (log_b - log_a))[0]
 
 
 def iid_inconsistency_bound(

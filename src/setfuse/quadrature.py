@@ -57,17 +57,21 @@ def tilted_log_moments(
     log_ratio = log_b - log_a
 
     def evaluate(omega: float) -> _Tilted:
-        logs = log_a + omega * log_ratio
-        peak = logs.max()
-        rel = np.exp(logs - peak)
-        total = rel.sum()
+        log_sum, rel, total = _shifted_sum(log_a + omega * log_ratio)
         mean = rel @ log_ratio / total
         spread = log_ratio - mean
-        log_z = peak + math.log(total) + log_scale
         curvature = rel @ (spread * spread) / total
-        return _Tilted(float(log_z), float(mean), float(curvature), rel / total)
+        return _Tilted(float(log_sum + log_scale), float(mean), float(curvature), rel / total)
 
     return evaluate
+
+
+def _shifted_sum(logs: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """log sum(exp(logs)), exp(logs - max) and its sum (>= 1: no underflow)."""
+    peak = logs.max()
+    rel = np.exp(logs - peak)
+    total = rel.sum()
+    return peak + math.log(total), rel, total
 
 
 class _Fused(NamedTuple):

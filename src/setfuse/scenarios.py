@@ -228,6 +228,8 @@ def load_scenario(path) -> Scenario:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -310,9 +312,9 @@ def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path
     return result, path
 
 
-def run_sweep(scenario: Scenario, out_dir) -> Path:
-    """Evaluate the (kappa, omega) sweep grid and write one CSV row per cell,
-    in grid order."""
+def _sweep_table(scenario: Scenario) -> tuple[tuple[str, ...], list[tuple]]:
+    """Header and rows of the (kappa, omega) sweep in grid order: one pair
+    evaluation per kappa covers its omega row; the count rule runs per cell."""
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
     f_i, f_j = scenario.f_i, scenario.f_j
@@ -338,20 +340,23 @@ def run_sweep(scenario: Scenario, out_dir) -> Path:
         def fused(omega: float, log_z: float) -> int:
             return iid_cardinality_p2(p_i, p_j, log_z, omega)[0].map_estimate()
 
-    kappas = sweep.kappa_grid()
+    kappas = sweep.kappa_grid().tolist()
     omegas = sweep.omega_grid()
     log.info("sweeping %d x %d cells", len(kappas), len(omegas))
     rows = []
     for kappa in kappas:
         cov_i, cov_j = sweep.covariances(kappa)
         pair = gaussian._pair(GaussianDensity(f_i.loc.mean, cov_i), GaussianDensity(f_j.loc.mean, cov_j))
-        for omega in omegas:
-            omega = float(omega)
-            log_z = 0.0 if omega in (0.0, 1.0) else pair(omega).log_z
+        for omega, log_z in zip(omegas.tolist(), pair(omegas).log_z.tolist()):
             value = fused(omega, log_z)
-            rows.append((float(kappa), omega, math.exp(log_z), *inputs, value, value < min(inputs)))
-    header = ("kappa", "omega", "z_omega", *value_cols, "inconsistent")
-    return write_csv(Path(out_dir) / "sweep.csv", header, rows)
+            rows.append((kappa, omega, math.exp(log_z), *inputs, value, value < min(inputs)))
+    return ("kappa", "omega", "z_omega", *value_cols, "inconsistent"), rows
+
+
+def run_sweep(scenario: Scenario, out_dir) -> Path:
+    """Evaluate the (kappa, omega) sweep grid and write one CSV row per cell,
+    in grid order."""
+    return write_csv(Path(out_dir) / "sweep.csv", *_sweep_table(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +407,9 @@ def _summary(checks: list[tuple[str, bool, str]], out_dir: Path) -> Path:
 
 def _reproduce_ex1(out_dir: Path) -> dict:
     scenario = two_sensor_scenario()
-    sweep_path = run_sweep(scenario, out_dir)
-    rows = np.genfromtxt(sweep_path, delimiter=",", names=True, encoding="utf-8")
-    n_k = scenario.sweep.kappa[2]
-    n_w = scenario.sweep.omega[2]
-    z = rows["z_omega"].reshape(n_k, n_w)
-    alpha = rows["alpha_omega"].reshape(n_k, n_w)
+    header, rows = _sweep_table(scenario)
+    sweep_path = write_csv(out_dir / "sweep.csv", header, rows)
+    z, alpha = np.array([(row[2], row[5]) for row in rows]).T.reshape(2, scenario.sweep.kappa[2], -1)
     interior = slice(1, -1)
     checks = [
         (
@@ -433,10 +435,8 @@ def _reproduce_ex1(out_dir: Path) -> dict:
     ]
     # divergence-averaging cross-section at omega = 0.5 versus the
     # cardinality-consistent fused existence (constant 0.8)
-    mid = n_w // 2
-    kl_rows = [
-        (k, a, 0.8) for k, a in zip(scenario.sweep.kappa_grid(), alpha[:, mid])
-    ]
+    mid = alpha.shape[1] // 2
+    kl_rows = [(k, a, 0.8) for k, a in zip(scenario.sweep.kappa_grid(), alpha[:, mid])]
     kl_path = write_csv(
         out_dir / "existence_vs_diversity.csv",
         ("kappa", "alpha_kl_averaging", "alpha_consistent"),

@@ -100,6 +100,91 @@ class TestLogScaleDerivatives:
         assert fused.curvature == pytest.approx(0.0, abs=1e-12)
 
 
+def ill_conditioned_pair(rng, cond):
+    """Random 1-D to 4-D pair, each covariance with condition number up to
+    cond and its own overall scale, means up to 100 sigma_i apart."""
+    dim = int(rng.integers(1, 5))
+    covs = []
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        eig = np.exp(rng.uniform(0.0, math.log(cond), dim)) * math.exp(rng.uniform(-3, 3))
+        cov = q @ np.diag(eig) @ q.T
+        covs.append(0.5 * (cov + cov.T))
+    direction = rng.standard_normal(dim)
+    offset = np.linalg.cholesky(covs[0]) @ direction * rng.uniform(0, 100) / np.linalg.norm(direction)
+    mean = rng.uniform(-1, 1, dim)
+    return sf.GaussianDensity(mean, covs[0]), sf.GaussianDensity(mean + offset, covs[1])
+
+
+def covariance_form_log_z(a, b, w):
+    """log z_w = 1/2 (w log|C_i| + (1-w) log|C_j| - log|S|) - w(1-w)/2 d'S^-1 d
+    with S = (1-w) C_j + w C_i and d = m_j - m_i."""
+    s = (1 - w) * b.cov + w * a.cov
+    d = b.mean - a.mean
+    det_i, det_j, det_s = (np.linalg.slogdet(c)[1] for c in (a.cov, b.cov, s))
+    return 0.5 * (w * det_i + (1 - w) * det_j - det_s) - 0.5 * w * (1 - w) * d @ np.linalg.solve(s, d)
+
+
+class TestPairEvaluator:
+    def test_weight_array_matches_scalar_calls(self, rng):
+        ws = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 30)])
+        for _ in range(20):
+            at = gaussian._pair(*ill_conditioned_pair(rng, 1e6))
+            row = at(ws)
+            cells = [at(float(w)) for w in ws]
+            for field in ("log_z", "slope", "curvature", "offset", "variance"):
+                want = [getattr(cell, field) for cell in cells]
+                np.testing.assert_allclose(getattr(row, field), want, rtol=1e-14, err_msg=field)
+
+    def test_scalar_weight_gives_floats(self, rng):
+        fused = gaussian._pair(make_gaussian(rng), make_gaussian(rng))(0.4)
+        assert all(type(v) is float for v in fused[:3])
+
+    def test_endpoints_give_unit_scale(self, rng):
+        for _ in range(10):
+            row = gaussian._pair(*ill_conditioned_pair(rng, 1e10))(np.array([0.0, 1.0]))
+            np.testing.assert_array_equal(row.log_z, [0.0, 0.0])
+
+    @pytest.mark.parametrize("cond, tol", [(1e2, 1e-12), (1e6, 1e-9), (1e10, 1e-5)])
+    def test_log_z_matches_covariance_form(self, rng, cond, tol):
+        for _ in range(60):
+            a, b = ill_conditioned_pair(rng, cond)
+            ws = rng.uniform(0.02, 0.98, 5)
+            got = gaussian._pair(a, b)(ws).log_z
+            want = np.array([covariance_form_log_z(a, b, w) for w in ws])
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+    def test_derivatives_match_central_differences(self, rng, cond):
+        # Richardson-extrapolated central differences of the evaluator's own
+        # log z, so the truncation error is O(h^4)
+        h = 1e-3
+        for _ in range(60):
+            at = gaussian._pair(*ill_conditioned_pair(rng, cond))
+            w = rng.uniform(0.05, 0.95)
+            far_lo, lo, mid, hi, far_hi = at(w + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])).log_z
+            slope = (4 * (hi - lo) / h - (far_hi - far_lo) / (2 * h)) / 3
+            curvature = (16 * (hi - 2 * mid + lo) / h**2 - (far_hi - 2 * mid + far_lo) / h**2) / 3
+            fused = at(w)
+            scale = max(1.0, abs(mid))
+            assert fused.slope == pytest.approx(slope, rel=1e-6, abs=1e-10 * scale)
+            assert fused.curvature == pytest.approx(curvature, rel=1e-4, abs=1e-7 * scale)
+
+    def test_density_matches_information_form(self, rng):
+        for _ in range(30):
+            a, b = ill_conditioned_pair(rng, 1e4)
+            w = rng.uniform(0.05, 0.95)
+            info = (1 - w) * np.linalg.inv(a.cov) + w * np.linalg.inv(b.cov)
+            cov = np.linalg.inv(info)
+            mean = cov @ ((1 - w) * np.linalg.solve(a.cov, a.mean) + w * np.linalg.solve(b.cov, b.mean))
+            fused = gaussian._pair(a, b)(w).density()
+            scale = np.abs(cov).max()
+            np.testing.assert_allclose(fused.cov, cov, rtol=1e-6, atol=1e-9 * scale)
+            np.testing.assert_allclose(
+                fused.mean, mean, rtol=1e-6, atol=1e-6 * math.sqrt(scale) * (1 + np.abs(mean).max())
+            )
+
+
 class TestKld:
     def test_self_divergence_is_zero(self, rng):
         g = make_gaussian(rng)

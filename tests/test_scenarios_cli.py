@@ -228,6 +228,80 @@ class TestRunSweep:
             assert (row["inconsistent"] == "true") == (fused < 2.0)
 
 
+SWEEP_PAYLOADS = {
+    "bernoulli": [{"alpha": 0.8}, {"alpha": 0.6}],
+    "poisson": [{"lambda": 2.0}, {"lambda": 8.0}],
+    "iid": [{"pmf": [0.05, 0.15, 0.8]}, {"pmf": [0.1, 0.2, 0.6, 0.1]}],
+}
+
+
+def per_cell_rule(scenario, kappa, omega):
+    """(z_w, fused count summary) of one sweep cell from the scalar joint rule."""
+    cov_i, cov_j = scenario.sweep.covariances(kappa)
+    loc_i = sf.GaussianDensity(scenario.f_i.loc.mean, cov_i)
+    loc_j = sf.GaussianDensity(scenario.f_j.loc.mean, cov_j)
+    f_i, f_j = scenario.f_i, scenario.f_j
+    if scenario.family == "bernoulli":
+        _, z, alpha = sf.bernoulli_fuse_p2(sf.BernoulliRfs(f_i.alpha, loc_i), sf.BernoulliRfs(f_j.alpha, loc_j), omega)
+        return z, alpha
+    if scenario.family == "poisson":
+        _, z, rate = sf.poisson_fuse_p2(sf.PoissonRfs(f_i.rate, loc_i), sf.PoissonRfs(f_j.rate, loc_j), omega)
+        return z, rate
+    fused, z, _ = sf.iid_fuse_p2(
+        sf.IidClusterRfs(f_i.card, loc_i), sf.IidClusterRfs(f_j.card, loc_j), omega, scenarios._iid_n_max(scenario)
+    )
+    return z, fused.card.map_estimate()
+
+
+class TestFormatCell:
+    def test_float_fast_path_keeps_bytes(self):
+        for value in (0.1, 1.0, -0.0, 1e-300, 2.0 / 3.0, 12345678.9):
+            assert scenarios._format_cell(value) == format(value, ".17g")
+            assert scenarios._format_cell(np.float64(value)) == format(value, ".17g")
+        assert [scenarios._format_cell(v) for v in (True, np.bool_(False), 3, np.int64(4), "x")] == [
+            "true",
+            "false",
+            "3",
+            "4",
+            "x",
+        ]
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("family", sorted(SWEEP_PAYLOADS))
+    def test_rows_match_per_cell_scalar_rule(self, tmp_path, family):
+        means = ([0.25, 0.25], [-0.75, -0.25])
+        inputs = [
+            {**spec, "loc": {"mean": mean, "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+            for spec, mean in zip(SWEEP_PAYLOADS[family], means)
+        ]
+        payload = {
+            "version": 1,
+            "family": family,
+            "inputs": inputs,
+            "sweep": {"kappa": [1.0, 40.0, 7], "omega": [0.0, 1.0, 11]},
+        }
+        scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
+        path = scenarios.run_sweep(scenario, tmp_path / "out")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 77
+        value_col = {"bernoulli": "alpha_omega", "poisson": "lambda_omega", "iid": "map_omega"}[family]
+        for row in rows:
+            z, value = per_cell_rule(scenario, float(row["kappa"]), float(row["omega"]))
+            assert float(row["z_omega"]) == pytest.approx(z, rel=1e-12)
+            assert float(row[value_col]) == pytest.approx(value, rel=1e-12)
+
+    def test_pair_built_once_per_kappa(self, tmp_path, monkeypatch):
+        from setfuse import gaussian
+
+        built = []
+        pair = gaussian._pair
+        monkeypatch.setattr(gaussian, "_pair", lambda rho_i, rho_j: built.append(1) or pair(rho_i, rho_j))
+        scenarios.run_sweep(scenarios.two_sensor_scenario(), tmp_path / "out")
+        assert len(built) == 79
+
+
 class TestReproduce:
     @pytest.mark.parametrize("example", scenarios.EXAMPLE_IDS)
     def test_every_builtin_experiment_passes_its_checks(self, tmp_path, example):
