@@ -21,21 +21,23 @@ def _check_pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> None:
 
 
 class _Fused(NamedTuple):
-    """A pair at one weight or an array of weights: log z_w, its two
-    w-derivatives, and the fused mean minus m_i and variances in the frame."""
+    """A pair at one weight or an array of weights: log z_w and its two
+    w-derivatives, plus the weight and the pair's frame for ``density()``."""
 
     log_z: float | np.ndarray
     slope: float | np.ndarray
     curvature: float | np.ndarray
-    offset: np.ndarray
-    variance: np.ndarray
-    frame: np.ndarray
-    origin: np.ndarray
+    omega: float | np.ndarray
+    pair: tuple
 
     def density(self) -> GaussianDensity:
-        """The fused Gaussian at a scalar weight."""
-        cov = (self.frame * self.variance) @ self.frame.T
-        return GaussianDensity(self.origin + self.frame @ self.offset, cov)
+        """The fused Gaussian at a scalar weight: frame variances
+        c_i c_j/s and mean m_i + T (w c_i d/s)."""
+        var_i, var_j, delta, frame, origin = self.pair
+        w = self.omega
+        s = (1.0 - w) * var_j + w * var_i
+        cov = (frame * (var_i * var_j / s)) @ frame.T
+        return GaussianDensity._trusted(origin + frame @ (w * var_i * delta / s), 0.5 * (cov + cov.T))
 
 
 def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fused]:
@@ -45,37 +47,49 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     L L' = C_i/tr C_i + C_j/tr C_j (the scaling keeps both frame variances
     accurate however the covariances differ) and the eigenvectors U of
     L^-1 C_i L^-T give the frame T = L U, with T^-1 C_k T^-T = diag(c_k).
-    With d = T^-1 (m_j - m_i) and s = (1-w) c_j + w c_i, log z_w and its
-    w-derivatives, the mean and variance of q = log rho_j - log rho_i under
-    the fused Gaussian, are sums over the frame:
-    log z_w = 1/2 sum(w log c_i + (1-w) log c_j - log s - w(1-w) d^2/s),
-    E[q] = 1/2 sum(log(c_i/c_j) - (c_i - c_j + ((1-w)^2 c_j - w^2 c_i) d^2/s)/s),
-    Var[q] = sum((1/2 (c_i - c_j)^2 + c_i c_j d^2/s)/s^2). The fused
-    Gaussian has frame variances c_i c_j/s and mean m_i + T (w c_i d/s).
+    With d = T^-1 (m_j - m_i), s = (1-w) c_j + w c_i and r = 1/s, log z_w
+    and its w-derivatives, the mean and variance of q = log rho_j - log rho_i
+    under the fused Gaussian, are sums over the frame:
+    log z_w = 1/2 (w sum(log c_i) + (1-w) sum(log c_j) - sum(log s) - w(1-w) sum(d^2 r)),
+    E[q] = 1/2 (sum(log c_i) - sum(log c_j) - sum((c_i - c_j) r)
+    - (1-w)^2 sum(c_j d^2 r^2) + w^2 sum(c_i d^2 r^2)),
+    Var[q] = sum(1/2 (c_i - c_j)^2 r^2 + c_i c_j d^2 r^3). The five sums
+    other than sum(log s) are one product of [r, r^2, r^3] with fixed
+    coefficients.
     """
     _check_pair(rho_i, rho_j)
     balanced = rho_i.cov / np.trace(rho_i.cov) + rho_j.cov / np.trace(rho_j.cov)
-    whiten = np.linalg.inv(np.linalg.cholesky(balanced))
-    to_frame = np.linalg.eigh(whiten @ rho_i.cov @ whiten.T)[1].T @ whiten
-    var_i, var_j = np.einsum("ak,nkl,al->na", to_frame, np.stack([rho_i.cov, rho_j.cov]), to_frame)
+    chol = np.linalg.cholesky(balanced)
+    whiten = np.linalg.inv(chol)
+    eigvecs = np.linalg.eigh(whiten @ rho_i.cov @ whiten.T)[1]
+    to_frame = eigvecs.T @ whiten
+    var_i = ((to_frame @ rho_i.cov) * to_frame).sum(1)
+    var_j = ((to_frame @ rho_j.cov) * to_frame).sum(1)
     delta = to_frame @ (rho_j.mean - rho_i.mean)
-    frame = np.linalg.inv(to_frame)
-    log_i, log_j = np.log(var_i), np.log(var_j)
+    pair = (var_i, var_j, delta, chol @ eigvecs, rho_i.mean)
+    sum_log_i, sum_log_j = np.log(var_i).sum(), np.log(var_j).sum()
     gap = var_i - var_j
     sq = delta * delta
+    coef = np.zeros((3, sq.size, 5))
+    coef[0, :, 0], coef[0, :, 1] = sq, gap
+    coef[1, :, 2], coef[1, :, 3], coef[1, :, 4] = var_j * sq, var_i * sq, 0.5 * gap * gap
+    coef[2, :, 4] = var_i * var_j * sq
+    coef = coef.reshape(-1, 5)
 
     def at(omega):
-        w = np.asarray(omega, dtype=float)[..., None]
+        w = np.asarray(omega, dtype=float)
         v = 1.0 - w
-        s = v * var_j + w * var_i
-        q = sq / s
+        s = v[..., None] * var_j + w[..., None] * var_i
+        r = 1.0 / s
+        r2 = r * r
+        sums = np.concatenate([r, r2, r2 * r], -1) @ coef
         # Hoelder guarantees z <= 1; clip roundoff that lands above
-        log_z = np.minimum(0.5 * np.sum(w * log_i + v * log_j - np.log(s) - w * v * q, -1), 0.0)
-        slope = 0.5 * np.sum(log_i - log_j - (gap + (v * v * var_j - w * w * var_i) * q) / s, -1)
-        curvature = np.sum((0.5 * gap * gap + var_i * var_j * q) / (s * s), -1)
+        log_z = np.minimum(0.5 * (w * sum_log_i + v * sum_log_j - np.log(s).sum(-1) - w * v * sums[..., 0]), 0.0)
+        slope = 0.5 * (sum_log_i - sum_log_j - sums[..., 1] - v * v * sums[..., 2] + w * w * sums[..., 3])
+        curvature = sums[..., 4]
         if np.ndim(omega) == 0:
             log_z, slope, curvature = float(log_z), float(slope), float(curvature)
-        return _Fused(log_z, slope, curvature, w * var_i * delta / s, var_i * var_j / s, frame, rho_i.mean)
+        return _Fused(log_z, slope, curvature, omega, pair)
 
     return at
 

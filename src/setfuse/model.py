@@ -24,6 +24,13 @@ GRID_MASS_TOL = 1e-2
 COV_CONDITION_LIMIT = 1e12
 
 
+def _set_frozen(obj, **arrays: np.ndarray) -> None:
+    """Store arrays, made read-only, on a frozen dataclass instance."""
+    for name, value in arrays.items():
+        value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class CardinalityPmf:
     """Finite-support pmf over object counts n = 0..n_max."""
@@ -41,9 +48,7 @@ class CardinalityPmf:
             raise ValueError("cardinality probabilities must be finite")
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"cardinality pmf must sum to 1 (got {total!r})")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        _set_frozen(self, probs=p.copy())
 
     @property
     def n_max(self) -> int:
@@ -113,12 +118,16 @@ class GaussianDensity:
             raise ValueError("covariance must be positive definite")
         if eig[-1] / eig[0] > COV_CONDITION_LIMIT:
             raise ValueError("covariance condition number exceeds 1e12")
-        m = m.copy()
-        c = 0.5 * (c + c.T)
-        m.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", c)
+        _set_frozen(self, mean=m.copy(), cov=0.5 * (c + c.T))
+
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":
+        """Freeze arrays that already pass every check (a fused output): a
+        finite mean and a symmetric positive definite covariance within the
+        condition limit. The arrays are taken over, not copied."""
+        self = object.__new__(cls)
+        _set_frozen(self, mean=mean, cov=cov)
+        return self
 
     @property
     def dim(self) -> int:
@@ -176,13 +185,16 @@ class GridDensity:
         mass = float(vals.sum()) * float(np.prod(cell))
         if not abs(mass - 1.0) <= GRID_MASS_TOL:  # also rejects NaN and inf
             raise ValueError(f"grid mass {mass!r} too far from 1 to renormalize")
-        vals = vals / mass
-        origin.flags.writeable = False
-        cell.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "cell_size", cell)
-        object.__setattr__(self, "values", vals)
+        _set_frozen(self, origin=origin, cell_size=cell, values=vals / mass)
+
+    @classmethod
+    def _trusted(cls, like: "GridDensity", values: np.ndarray) -> "GridDensity":
+        """Freeze nonnegative values of unit mass (a fused output) on the
+        lattice of ``like``. The array is taken over, not copied or
+        renormalized."""
+        self = object.__new__(cls)
+        _set_frozen(self, origin=like.origin, cell_size=like.cell_size, values=values)
+        return self
 
     @property
     def dim(self) -> int:
@@ -273,9 +285,7 @@ class FiniteSet:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
         if pts.ndim != 2:
             raise ValueError("points must form an (n, d) array")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        _set_frozen(self, points=pts.copy())
 
     @classmethod
     def empty(cls, dim: int) -> "FiniteSet":

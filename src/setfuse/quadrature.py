@@ -5,7 +5,8 @@ a^(1-w) b^w / z_w for arrays: grid densities here, count pmfs in
 ``fusion``, ``solvers`` and ``diagnostics``. It sums terms shifted by their
 maximum and gives log z_w, the mean and variance of the log ratio
 log b - log a under the fused terms (the first two w-derivatives of
-log z_w) and the fused terms themselves. For grids z_w = integral
+log z_w) and the shifted terms with their sum, which normalize to the fused
+terms only when a caller asks for them. For grids z_w = integral
 rho_i^(1-w) rho_j^w is a midpoint-rule sum; ``grid_log_moments`` is the
 grid pair evaluator, the counterpart of ``gaussian._pair``, and
 ``fusion.localisation_emd`` reads either to give the fused density and z_w.
@@ -25,30 +26,39 @@ from .model import GaussianDensity, GridDensity
 def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
     same = (
         rho_i.values.shape == rho_j.values.shape
-        and np.allclose(rho_i.origin, rho_j.origin, rtol=0.0, atol=1e-12)
-        and np.allclose(rho_i.cell_size, rho_j.cell_size, rtol=1e-12, atol=0.0)
+        and (abs(rho_i.origin - rho_j.origin) <= 1e-12).all()
+        and (abs(rho_i.cell_size - rho_j.cell_size) <= 1e-12 * rho_j.cell_size).all()
     )
     if not same:
         raise ValueError("misaligned grids: origin, cell size and extent must match")
 
 
 class _Tilted(NamedTuple):
+    """log z_w, its two w-derivatives, and the shifted terms with their sum."""
+
     log_z: float
     slope: float
     curvature: float
-    weights: np.ndarray
+    rel: np.ndarray
+    total: float
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The terms normalized to unit sum."""
+        return self.rel / self.total
 
 
 def tilted_log_moments(
     log_a: np.ndarray, log_b: np.ndarray, log_scale: float = 0.0
 ) -> Callable[[float], _Tilted]:
-    """w -> (log z_w, d log z_w/dw, d2 log z_w/dw2, weights) for
+    """w -> (log z_w, d log z_w/dw, d2 log z_w/dw2, rel, total) for
     z_w = exp(log_scale) * sum of exp((1-w) log_a + w log_b).
 
-    ``weights`` are the terms normalized to unit sum, i.e. the normalized
-    geometric mean over the joint support; the derivatives are the mean and
-    variance of log_b - log_a under them. Terms are shifted by their maximum
-    before exponentiation, so nothing underflows however small z_w is.
+    ``rel / total`` (the ``weights`` property) are the terms normalized to
+    unit sum, i.e. the normalized geometric mean over the joint support; the
+    derivatives are the mean and variance of log_b - log_a under them. Terms
+    are shifted by their maximum before exponentiation, so nothing underflows
+    however small z_w is.
     An extra log term shared by every pair of terms goes into both log_a and
     log_b, since (1-w)(a+e) + w(b+e) = (1-w)a + wb + e.
     """
@@ -57,19 +67,24 @@ def tilted_log_moments(
     log_ratio = log_b - log_a
 
     def evaluate(omega: float) -> _Tilted:
-        log_sum, rel, total = _shifted_sum(log_a + omega * log_ratio)
+        logs = log_ratio * omega
+        logs += log_a
+        log_sum, rel, total = _shifted_sum(logs)
         mean = rel @ log_ratio / total
         spread = log_ratio - mean
-        curvature = rel @ (spread * spread) / total
-        return _Tilted(float(log_sum + log_scale), float(mean), float(curvature), rel / total)
+        spread *= spread
+        curvature = rel @ spread / total
+        return _Tilted(float(log_sum + log_scale), float(mean), float(curvature), rel, total)
 
     return evaluate
 
 
 def _shifted_sum(logs: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """log sum(exp(logs)), exp(logs - max) and its sum (>= 1: no underflow)."""
+    """log sum(exp(logs)), exp(logs - max) and its sum (>= 1: no underflow).
+    Overwrites ``logs`` with exp(logs - max)."""
     peak = logs.max()
-    rel = np.exp(logs - peak)
+    logs -= peak
+    rel = np.exp(logs, out=logs)
     total = rel.sum()
     return peak + math.log(total), rel, total
 
@@ -81,21 +96,22 @@ class _Fused(NamedTuple):
     log_z: float
     slope: float
     curvature: float
-    weights: np.ndarray
+    rel: np.ndarray
+    total: float
     mask: np.ndarray
     like: GridDensity
 
     def density(self) -> GridDensity:
         values = np.zeros(self.like.values.shape)
-        values[self.mask] = self.weights / self.like.cell_volume
-        return GridDensity(self.like.origin, self.like.cell_size, values)
+        values[self.mask] = self.rel / (self.total * self.like.cell_volume)
+        return GridDensity._trusted(self.like, values)
 
 
 def grid_log_moments(rho_i: GridDensity, rho_j: GridDensity) -> Callable[[float], _Fused]:
     """Grid counterpart of ``gaussian._pair``: the logs are taken once over
     the cells where both densities are positive; returns a function of an
-    interior weight giving log z_w, its two w-derivatives and the fused
-    grid."""
+    interior weight giving log z_w, its two w-derivatives and, through
+    ``density()``, the fused grid."""
     _check_aligned(rho_i, rho_j)
     mask = (rho_i.values > 0) & (rho_j.values > 0)
     moments = tilted_log_moments(

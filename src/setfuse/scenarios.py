@@ -15,7 +15,6 @@ curves; the determinant convention is kept as an override.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import diagnostics, gaussian
+from . import diagnostics, gaussian, quadrature
 from .fusion import (
     _bernoulli_alpha,
     _poisson_rate,
@@ -211,6 +210,12 @@ def load_scenario(path) -> Scenario:
     base = path.parent
     f_i = _parse_input(family, inputs[0], base, "inputs[0]")
     f_j = _parse_input(family, inputs[1], base, "inputs[1]")
+    if type(f_i.loc) is not type(f_j.loc):
+        raise ScenarioError("inputs must share a localisation representation (Gaussian or grid)")
+    try:
+        (quadrature._check_aligned if isinstance(f_i.loc, GridDensity) else gaussian._check_pair)(f_i.loc, f_j.loc)
+    except ValueError as exc:
+        raise ScenarioError(f"inputs do not form a localisation pair: {exc}") from exc
     omega = float(raw.get("omega", 0.5))
     if not 0.0 <= omega <= 1.0:
         raise ScenarioError("omega must lie in [0, 1]")
@@ -240,13 +245,24 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
+    """Write a header line and one line per row, each row through one
+    %-format taken from the first row: booleans and strings as
+    ``_format_cell`` gives them, every other cell as a number in 17
+    significant digits. Strings must hold no comma, quote or line break."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    lines = [",".join(header) + "\n"]
+    if rows:
+        text = [k for k, v in enumerate(rows[0]) if isinstance(v, (bool, np.bool_, str))]
+        line = ",".join("%s" if k in text else "%.17g" for k in range(len(rows[0]))) + "\n"
         for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+            if text:
+                row = list(row)
+                for k in text:
+                    row[k] = _format_cell(row[k])
+            lines.append(line % tuple(row))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
     return path
 
 

@@ -5,8 +5,9 @@ pmf normalizer), which is concave on [0, 1] and vanishes at the endpoints.
 The solvers work on l = log z_w, whose first two w-derivatives are the mean
 and variance of the log ratio q = log rho_j - log rho_i under the fused
 density: closed form for Gaussian pairs, one tilted sum for grids and count
-pmfs. The solvers evaluate the same pair evaluators the fusion rules use,
-and the evaluation at the solved weight carries the fused density. Nothing
+pmfs. The solvers evaluate the same pair evaluators the fusion rules use;
+an evaluation gives only those three numbers, and the fused density is
+built once, by the evaluation at the solved weight. Nothing
 is sampled and nothing underflows, so inputs far apart still converge. Newton iterations on l' = 0 converge fast; a bisection safeguard
 on the sign of l' keeps iterates inside the interval even from poor
 starting points. At the optimum the divergences from the fused density to
@@ -130,8 +131,8 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig, degenerate_flag: st
     ``curvature``, with l = log z. l'' is a variance, so l' is
     nondecreasing in w and its sign brackets the stationary point; Newton
     proposals that exit the bracket or fail to shrink |l'| fall back to
-    bisection. Returns the weight, the evaluation there (which carries the
-    fused density) and the trace.
+    bisection. Returns the weight, the evaluation there (whose ``density()``
+    builds the fused density) and the trace.
     """
     lo = config.omega_clamp
     hi = 1.0 - config.omega_clamp

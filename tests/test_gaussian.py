@@ -129,12 +129,21 @@ class TestPairEvaluator:
     def test_weight_array_matches_scalar_calls(self, rng):
         ws = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 30)])
         for _ in range(20):
-            at = gaussian._pair(*ill_conditioned_pair(rng, 1e6))
+            a, b = ill_conditioned_pair(rng, 1e6)
+            at = gaussian._pair(a, b)
             row = at(ws)
             cells = [at(float(w)) for w in ws]
-            for field in ("log_z", "slope", "curvature", "offset", "variance"):
+            for field in ("log_z", "slope", "curvature"):
                 want = [getattr(cell, field) for cell in cells]
                 np.testing.assert_allclose(getattr(row, field), want, rtol=1e-14, err_msg=field)
+            # the scalar weights 0 and 1 give back the inputs
+            for cell, rho in zip(cells[:2], (a, b)):
+                fused = cell.density()
+                scale = np.abs(rho.cov).max()
+                np.testing.assert_allclose(fused.cov, rho.cov, rtol=0, atol=1e-11 * scale)
+                np.testing.assert_allclose(
+                    fused.mean, rho.mean, rtol=0, atol=1e-12 * math.sqrt(scale) * (1 + np.abs(b.mean - a.mean).max())
+                )
 
     def test_scalar_weight_gives_floats(self, rng):
         fused = gaussian._pair(make_gaussian(rng), make_gaussian(rng))(0.4)
@@ -169,6 +178,15 @@ class TestPairEvaluator:
             scale = max(1.0, abs(mid))
             assert fused.slope == pytest.approx(slope, rel=1e-6, abs=1e-10 * scale)
             assert fused.curvature == pytest.approx(curvature, rel=1e-4, abs=1e-7 * scale)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+    def test_trusted_density_equals_public_constructor(self, rng, cond):
+        for _ in range(30):
+            fused = gaussian._pair(*ill_conditioned_pair(rng, cond))(rng.uniform(0.02, 0.98)).density()
+            public = sf.GaussianDensity(fused.mean, fused.cov)
+            np.testing.assert_array_equal(fused.mean, public.mean)
+            np.testing.assert_array_equal(fused.cov, public.cov)
+            assert not (fused.mean.flags.writeable or fused.cov.flags.writeable)
 
     def test_density_matches_information_form(self, rng):
         for _ in range(30):

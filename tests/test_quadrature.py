@@ -35,6 +35,17 @@ class TestGridZ:
         with pytest.raises(ValueError, match="misaligned"):
             quadrature.grid_z_omega(gi, other, 0.5)
 
+    def test_alignment_tolerance(self, gaussian_grids):
+        gi, _ = gaussian_grids
+        for shift, aligned in ((5e-13, True), (2e-12, False)):
+            for origin, cell in ((gi.origin + shift, gi.cell_size), (gi.origin, gi.cell_size * (1 + shift))):
+                other = sf.GridDensity(origin, cell, gi.values)
+                if aligned:
+                    quadrature.grid_log_moments(gi, other)
+                else:
+                    with pytest.raises(ValueError, match="misaligned"):
+                        quadrature.grid_log_moments(gi, other)
+
 
 def grid_derivatives(gi, gj, w):
     """z_w and its first two w-derivatives from the log-space kernel."""
@@ -110,6 +121,23 @@ class TestGridEmd:
             fused, z = fusion.localisation_emd(gi, gj, w)
             assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, w), rel=1e-12)
             assert abs(fused.values.sum() * fused.cell_volume - 1.0) <= 1e-12
+
+    def test_trusted_density_equals_public_constructor(self, rng):
+        for dim in (1, 2, 3, 4):
+            for _ in range(5):
+                shape = tuple(rng.integers(2, 9, dim))
+                cell = rng.uniform(0.1, 2.0, dim)
+                pair = []
+                for _ in range(2):
+                    # values spanning about 80 binary exponents, some cells empty
+                    values = np.exp(rng.normal(0.0, 10.0, shape)) * (rng.uniform(size=shape) > 0.2)
+                    values.flat[0] = 1.0
+                    pair.append(sf.GridDensity(np.zeros(dim), cell, values / (values.sum() * np.prod(cell))))
+                fused = quadrature.grid_log_moments(*pair)(rng.uniform(0.02, 0.98)).density()
+                public = sf.GridDensity(fused.origin, fused.cell_size, fused.values)
+                assert abs(fused.values.sum() * fused.cell_volume - 1.0) <= 1e-12
+                np.testing.assert_allclose(fused.values, public.values, rtol=1e-12, atol=0)
+                assert not fused.values.flags.writeable
 
     def test_endpoints_return_inputs(self, gaussian_grids):
         gi, gj = gaussian_grids

@@ -266,6 +266,20 @@ class TestFormatCell:
             "x",
         ]
 
+    def test_row_format_matches_cell_by_cell_writer(self, tmp_path):
+        rows = [
+            ("low", 0.1, 3, True, np.float64(2.0 / 3.0), np.int64(4), -0.0),
+            ("high", 1e-300, 0, np.bool_(False), np.float64(12345678.9), np.int64(0), float("inf")),
+            ("low", 7.0, 35, False, np.float64(1.0), np.int64(-2), 5e-324),
+        ]
+        header = ("pair", "a", "n", "flag", "b", "m", "c")
+        path = scenarios.write_csv(tmp_path / "t.csv", header, rows)
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([scenarios._format_cell(v) for v in row] for row in rows)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestSweepRows:
     @pytest.mark.parametrize("family", sorted(SWEEP_PAYLOADS))
@@ -362,6 +376,30 @@ class TestCli:
             assert main(["fuse", "--scenario", str(path), "--mode", mode,
                          "--out", str(tmp_path / mode)]) == 2
             assert "non-finite number" in capsys.readouterr().err
+            assert not (tmp_path / mode / "fuse.csv").exists()
+
+    @pytest.mark.parametrize("case", ["representation", "dimension", "misaligned"])
+    def test_unpaired_localisations_exit_2(self, tmp_path, capsys, case):
+        for name, origin in (("a.npz", [0.0, 0.0]), ("b.npz", [0.05, 0.0])):
+            np.savez(tmp_path / name, origin=np.array(origin), cell_size=np.array([0.1, 0.1]),
+                     values=np.ones((10, 10)))
+        gauss_2d = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        locs = {
+            "representation": (gauss_2d, {"grid": "a.npz"}),
+            "dimension": (gauss_2d, {"mean": [0.0, 0.0, 0.0], "cov": np.eye(3).tolist()}),
+            "misaligned": ({"grid": "a.npz"}, {"grid": "b.npz"}),
+        }[case]
+        payload = {
+            "version": 1,
+            "family": "bernoulli",
+            "inputs": [{"alpha": 0.8, "loc": locs[0]}, {"alpha": 0.7, "loc": locs[1]}],
+        }
+        path = write_scenario(tmp_path, payload)
+        for mode in ("p2", "consistent"):
+            assert main(["fuse", "--scenario", str(path), "--mode", mode,
+                         "--out", str(tmp_path / mode)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
             assert not (tmp_path / mode / "fuse.csv").exists()
 
     def test_solver_failure_dumps_trace(self, tmp_path, capsys):

@@ -358,6 +358,33 @@ class TestConsistentFuse:
         assert result.z_values[0] == 0.0
         assert result.fused.alpha >= 0.6
 
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "iid"])
+    def test_fused_density_built_once_without_validation(self, monkeypatch, family, grid):
+        rho_i, rho_j = two_sensor_pair(10.0)
+        if grid:
+            rho_i, rho_j = quadrature.discretize_gaussians([rho_i, rho_j], points_per_axis=41)
+        if family == "bernoulli":
+            f_i, f_j = sf.BernoulliRfs(0.9, rho_i), sf.BernoulliRfs(0.6, rho_j)
+        elif family == "poisson":
+            f_i, f_j = sf.PoissonRfs(2.0, rho_i), sf.PoissonRfs(5.0, rho_j)
+        else:
+            f_i, f_j = sf.IidClusterRfs(binomial_pmf(5, 0.95), rho_i), sf.IidClusterRfs(binomial_pmf(5, 0.92), rho_j)
+        calls = []
+
+        def counted(owner, name):
+            method = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or method(*args))
+
+        counted(sf.GaussianDensity, "__post_init__")
+        counted(sf.GridDensity, "__post_init__")
+        counted(gaussian._Fused, "density")
+        counted(quadrature._Fused, "density")
+        sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig())
+        assert calls == ["density"]
+        sf.consistent_fuse(f_i, f_j, sf.NewtonConfig())
+        assert calls == ["density", "density"]
+
     def test_diagnostics_attach_without_mutation(self):
         f = sf.BernoulliRfs(0.8, UNIT)
         result = sf.consistent_fuse(f, f, sf.NewtonConfig())
