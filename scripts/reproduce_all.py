@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run every built-in experiment and collect the figure-data CSVs.
 
-Usage: python scripts/reproduce_all.py [--out OUT] [--seed N]
+Usage: python scripts/reproduce_all.py [--out OUT]
+
+Exits 1 if any check fails.
 """
 
 import argparse
@@ -13,12 +15,11 @@ from setfuse.scenarios import EXAMPLE_IDS, reproduce
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     failures = 0
     for example in EXAMPLE_IDS:
-        result = reproduce(example, args.out, seed=args.seed)
+        result = reproduce(example, args.out)
         print(f"== {example}")
         for name, ok, detail in result["checks"]:
             failures += not ok

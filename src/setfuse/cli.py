@@ -1,11 +1,12 @@
 """Command-line interface.
 
-    setfuse fuse --scenario s.json --mode p2|consistent --out dir [--seed N]
-    setfuse sweep --scenario s.json --out dir [--seed N]
-    setfuse reproduce ex1|ex2|ex3|ex4 --out dir [--seed N]
+    setfuse fuse --scenario s.json --mode p2|consistent --out dir
+    setfuse sweep --scenario s.json --out dir
+    setfuse reproduce ex1|ex2|ex3|ex4 --out dir
 
 Exit codes: 0 success, 2 bad input, 3 solver or fusion failure.
-Set SETFUSE_LOG=error|warn|info|debug to control logging.
+Set SETFUSE_LOG=error|warn|info|debug to control logging. A ``--seed N``
+left in older command lines is accepted with a warning and has no effect.
 """
 
 from __future__ import annotations
@@ -85,24 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fusion of finite-set distributions with cardinality-consistency tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
-    fuse = sub.add_parser("fuse", help="fuse a scenario pair once")
+    fuse = sub.add_parser("fuse", parents=[common], help="fuse a scenario pair once")
     fuse.add_argument("--scenario", required=True, help="scenario JSON path")
     fuse.add_argument("--mode", required=True, choices=("p2", "consistent"))
-    fuse.add_argument("--out", default=None, help="output directory")
-    fuse.add_argument("--seed", type=int, default=None)
     fuse.set_defaults(func=_cmd_fuse)
 
-    sweep = sub.add_parser("sweep", help="run the scenario's (kappa, omega) sweep")
-    sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep = sub.add_parser("sweep", parents=[common], help="run the scenario's (kappa, omega) sweep")
+    sweep.add_argument("--scenario", required=True, help="scenario JSON path")
     sweep.set_defaults(func=_cmd_sweep)
 
-    rep = sub.add_parser("reproduce", help="rebuild a built-in experiment")
+    rep = sub.add_parser("reproduce", parents=[common], help="rebuild a built-in experiment")
     rep.add_argument("example", choices=EXAMPLE_IDS)
-    rep.add_argument("--out", default=None)
-    rep.add_argument("--seed", type=int, default=None)
     rep.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -112,6 +110,8 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None:
+        log.warning("ignoring --seed: it has no effect")
     try:
         return args.func(args)
     except ScenarioError as exc:

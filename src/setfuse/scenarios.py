@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -46,7 +47,8 @@ from .model import (
     _log_factorials,
     cardinality_of,
 )
-from .solvers import FusionResult, NewtonConfig, consistent_fuse, with_diagnostics
+from .solvers import FusionResult, NewtonConfig, consistent_fuse, kld_balance_residual
+from .solvers import newton_cardinality, newton_localisation, with_diagnostics
 
 log = logging.getLogger("setfuse")
 
@@ -94,7 +96,9 @@ class Scenario:
     out_dir: Optional[str] = None
 
 
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _check_keys(mapping, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be an object")
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ScenarioError(f"unknown fields {unknown} in {where}")
@@ -103,64 +107,83 @@ def _check_keys(mapping: dict, allowed: set[str], required: set[str], where: str
         raise ScenarioError(f"missing fields {missing} in {where}")
 
 
-def _parse_loc(spec: dict, base: Path, where: str):
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{where} must be an object")
-    if "grid" in spec:
+def _number(value, where: str, count: bool = False, positive: bool = False):
+    """A scenario scalar: a JSON number (a bool is not one), as a float, or
+    as an int where ``count`` asks for an integral value. Every number in a
+    scenario is read here, so NaN, Infinity and overflowing literals stop
+    here too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"non-finite number {value!r} at {where}")
+    if count and value != int(value):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    if positive and not value > 0:
+        raise ScenarioError(f"{where} must be > 0, got {value!r}")
+    return int(value) if count else float(value)
+
+
+def _array(value, where: str) -> np.ndarray:
+    """A (nested) list of scenario numbers as a float array."""
+    cells = np.asarray(value, dtype=object)
+    return np.array([_number(cell, where) for cell in cells.ravel()]).reshape(cells.shape)
+
+
+def _parse_loc(spec, base: Path, where: str):
+    if isinstance(spec, dict) and "grid" in spec:
         _check_keys(spec, {"grid"}, {"grid"}, where)
-        path = base / spec["grid"]
         try:
-            data = np.load(path)
+            data = np.load(base / spec["grid"])
             return GridDensity(data["origin"], data["cell_size"], data["values"])
-        except (OSError, KeyError, ValueError) as exc:
-            raise ScenarioError(f"cannot load grid density from {path}: {exc}") from exc
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"cannot load grid density {spec['grid']!r}: {exc}") from exc
     _check_keys(spec, {"mean", "cov"}, {"mean", "cov"}, where)
     try:
-        return GaussianDensity(np.asarray(spec["mean"]), np.asarray(spec["cov"]))
+        return GaussianDensity(_array(spec["mean"], f"{where}.mean"), _array(spec["cov"], f"{where}.cov"))
     except ValueError as exc:
         raise ScenarioError(f"invalid Gaussian in {where}: {exc}") from exc
 
 
-def _parse_input(family: str, spec: dict, base: Path, where: str) -> FiniteSetDistribution:
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{where} must be an object")
+_COUNT_FIELD = {"bernoulli": "alpha", "poisson": "lambda", "iid": "pmf"}
+
+
+def _parse_input(family: str, spec, base: Path, where: str) -> FiniteSetDistribution:
+    field = _COUNT_FIELD[family]
+    _check_keys(spec, {field, "loc"}, {field, "loc"}, where)
+    loc = _parse_loc(spec["loc"], base, f"{where}.loc")
     try:
-        if family == "bernoulli":
-            _check_keys(spec, {"alpha", "loc"}, {"alpha", "loc"}, where)
-            return BernoulliRfs(float(spec["alpha"]), _parse_loc(spec["loc"], base, where))
-        if family == "poisson":
-            _check_keys(spec, {"lambda", "loc"}, {"lambda", "loc"}, where)
-            return PoissonRfs(float(spec["lambda"]), _parse_loc(spec["loc"], base, where))
+        counts = (_array if family == "iid" else _number)(spec[field], f"{where}.{field}")
         if family == "iid":
-            _check_keys(spec, {"pmf", "loc"}, {"pmf", "loc"}, where)
-            return IidClusterRfs(
-                CardinalityPmf(np.asarray(spec["pmf"], dtype=float)),
-                _parse_loc(spec["loc"], base, where),
-            )
+            return IidClusterRfs(CardinalityPmf(counts), loc)
+        return (BernoulliRfs if family == "bernoulli" else PoissonRfs)(counts, loc)
     except ValueError as exc:
         raise ScenarioError(f"invalid input in {where}: {exc}") from exc
-    raise ScenarioError(f"unknown family {family!r}")
 
 
-def _parse_solver(spec: dict) -> NewtonConfig:
-    allowed = {"omega_init", "epsilon", "max_iters", "omega_clamp", "mc_samples", "seed"}
-    _check_keys(spec, allowed, set(), "solver")
+def _parse_solver(spec) -> NewtonConfig:
+    # mc_samples and seed set the sampled curvature of an earlier solver;
+    # older files still carry them, so they are read and then dropped
+    counts = {"max_iters", "mc_samples", "seed"}
+    _check_keys(spec, {"omega_init", "epsilon", "omega_clamp", *counts}, set(), "solver")
+    values = {key: _number(value, f"solver.{key}", key in counts) for key, value in spec.items()}
+    dead = [key for key in ("mc_samples", "seed") if values.pop(key, None) is not None]
+    if dead:
+        log.warning("ignoring solver fields %s: they have no effect", ", ".join(dead))
     try:
-        return NewtonConfig(**spec)
-    except (TypeError, ValueError) as exc:
+        return NewtonConfig(**values)
+    except ValueError as exc:
         raise ScenarioError(f"invalid solver block: {exc}") from exc
 
 
-def _parse_sweep(spec: dict) -> SweepSpec:
-    _check_keys(
-        spec, {"kappa", "omega", "sigma1_sq", "det_sigma"}, {"kappa", "omega"}, "sweep"
-    )
+def _parse_sweep(spec) -> SweepSpec:
+    scales = ("sigma1_sq", "det_sigma")
+    _check_keys(spec, {"kappa", "omega", *scales}, {"kappa", "omega"}, "sweep")
 
     def _range(name: str) -> tuple[float, float, int]:
-        raw = spec[name]
-        if not (isinstance(raw, list) and len(raw) == 3 and int(raw[2]) >= 1):
-            raise ScenarioError(f"sweep.{name} must be [min, max, steps>=1]")
-        return float(raw[0]), float(raw[1]), int(raw[2])
+        raw, where = spec[name], f"sweep.{name}"
+        if not (isinstance(raw, list) and len(raw) == 3):
+            raise ScenarioError(f"{where} must be [min, max, steps>=1]")
+        return _number(raw[0], where), _number(raw[1], where), _number(raw[2], where, count=True, positive=True)
 
     kappa = _range("kappa")
     omega = _range("omega")
@@ -168,41 +191,24 @@ def _parse_sweep(spec: dict) -> SweepSpec:
         raise ScenarioError("sweep.kappa values must be >= 1")
     if not (0.0 <= omega[0] <= omega[1] <= 1.0):
         raise ScenarioError("sweep.omega values must lie in [0, 1]")
-    return SweepSpec(
-        kappa,
-        omega,
-        sigma1_sq=float(spec.get("sigma1_sq", 1.0)),
-        det_sigma=(None if spec.get("det_sigma") is None else float(spec["det_sigma"])),
-    )
-
-
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ScenarioError(f"non-finite number {token} in scenario")
-    return value
+    given = {key: spec[key] for key in scales if spec.get(key) is not None}
+    return SweepSpec(kappa, omega, **{key: _number(v, f"sweep.{key}", positive=True) for key, v in given.items()})
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        raw = json.loads(
-            path.read_text(encoding="utf-8"),
-            parse_float=_finite_float,
-            parse_constant=_finite_float,
-        )
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
     allowed = {"version", "family", "inputs", "omega", "n_max", "sweep", "solver", "outputs"}
     _check_keys(raw, allowed, {"version", "family", "inputs"}, "scenario")
-    if raw["version"] != SCENARIO_VERSION:
+    if raw["version"] != SCENARIO_VERSION or isinstance(raw["version"], bool):
         raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
     family = raw["family"]
-    if family not in ("bernoulli", "poisson", "iid"):
+    if family not in _COUNT_FIELD:
         raise ScenarioError(f"unknown family {family!r}")
     inputs = raw["inputs"]
     if not (isinstance(inputs, list) and len(inputs) == 2):
@@ -216,19 +222,22 @@ def load_scenario(path) -> Scenario:
         (quadrature._check_aligned if isinstance(f_i.loc, GridDensity) else gaussian._check_pair)(f_i.loc, f_j.loc)
     except ValueError as exc:
         raise ScenarioError(f"inputs do not form a localisation pair: {exc}") from exc
-    omega = float(raw.get("omega", 0.5))
+    omega = _number(raw.get("omega", 0.5), "omega")
     if not 0.0 <= omega <= 1.0:
         raise ScenarioError("omega must lie in [0, 1]")
-    n_max = raw.get("n_max")
+    n_max = None if raw.get("n_max") is None else _number(raw["n_max"], "n_max", count=True, positive=True)
+    out_dir = raw.get("outputs")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ScenarioError("outputs must be a string")
     return Scenario(
         family=family,
         f_i=f_i,
         f_j=f_j,
         solver=_parse_solver(raw.get("solver", {})),
         omega=omega,
-        n_max=None if n_max is None else int(n_max),
+        n_max=n_max,
         sweep=None if raw.get("sweep") is None else _parse_sweep(raw["sweep"]),
-        out_dir=raw.get("outputs"),
+        out_dir=out_dir,
     )
 
 
@@ -272,6 +281,17 @@ def _iid_n_max(scenario: Scenario) -> int:
     return max(scenario.f_i.card.n_max, scenario.f_j.card.n_max)
 
 
+# column prefix of the count summary each family reports
+_SUMMARY_NAME = {"bernoulli": "alpha", "poisson": "lambda", "iid": "map"}
+
+
+def _count_summary(f: FiniteSetDistribution):
+    """The count summary a report shows: existence probability, rate or MAP count."""
+    if isinstance(f, BernoulliRfs):
+        return f.alpha
+    return f.rate if isinstance(f, PoissonRfs) else f.card.map_estimate()
+
+
 def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path]:
     """Fuse the scenario pair and write a one-row CSV report.
 
@@ -296,24 +316,11 @@ def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path
             fused, z, _ = iid_fuse_p2(f_i, f_j, w, _iid_n_max(scenario))
         result = FusionResult(fused=fused, omega_card=w, omega_loc=(w,), z_values=(z,))
 
-    if scenario.family == "bernoulli":
-        value_cols = ("alpha_i", "alpha_j", "alpha_fused")
-        values = (f_i.alpha, f_j.alpha, result.fused.alpha)
-        inconsistent = values[2] < min(values[0], values[1])
-    elif scenario.family == "poisson":
-        value_cols = ("lambda_i", "lambda_j", "lambda_fused")
-        values = (f_i.rate, f_j.rate, result.fused.rate)
-        inconsistent = values[2] < min(values[0], values[1])
-    else:
-        value_cols = ("map_i", "map_j", "map_fused")
-        values = (
-            f_i.card.map_estimate(),
-            f_j.card.map_estimate(),
-            result.fused.card.map_estimate(),
-        )
-        inconsistent = values[2] < min(values[0], values[1])
-
+    name = _SUMMARY_NAME[scenario.family]
+    values = tuple(_count_summary(f) for f in (f_i, f_j, result.fused))
+    inconsistent = values[2] < min(values[0], values[1])
     result = with_diagnostics(result, {"inconsistent": bool(inconsistent)})
+    value_cols = (f"{name}_i", f"{name}_j", f"{name}_fused")
     header = ("family", "mode", "omega_card", "omega_loc", "z_omega", *value_cols, "inconsistent")
     row = (
         scenario.family,
@@ -339,19 +346,14 @@ def _sweep_table(scenario: Scenario) -> tuple[tuple[str, ...], list[tuple]]:
     sweep = scenario.sweep
 
     # fused(w, log z_w) -> the family's fused count summary at one cell
+    inputs = (_count_summary(f_i), _count_summary(f_j))
     if scenario.family == "bernoulli":
-        value_cols = ("alpha_i", "alpha_j", "alpha_omega")
-        inputs = (f_i.alpha, f_j.alpha)
         fused = partial(_bernoulli_alpha, *inputs)
     elif scenario.family == "poisson":
-        value_cols = ("lambda_i", "lambda_j", "lambda_omega")
-        inputs = (f_i.rate, f_j.rate)
         fused = partial(_poisson_rate, *inputs)
     else:
-        value_cols = ("map_i", "map_j", "map_omega")
         n_max = _iid_n_max(scenario)
         p_i, p_j = cardinality_of(f_i, n_max), cardinality_of(f_j, n_max)
-        inputs = (p_i.map_estimate(), p_j.map_estimate())
 
         def fused(omega: float, log_z: float) -> int:
             return iid_cardinality_p2(p_i, p_j, log_z, omega)[0].map_estimate()
@@ -366,7 +368,8 @@ def _sweep_table(scenario: Scenario) -> tuple[tuple[str, ...], list[tuple]]:
         for omega, log_z in zip(omegas.tolist(), pair(omegas).log_z.tolist()):
             value = fused(omega, log_z)
             rows.append((kappa, omega, math.exp(log_z), *inputs, value, value < min(inputs)))
-    return ("kappa", "omega", "z_omega", *value_cols, "inconsistent"), rows
+    name = _SUMMARY_NAME[scenario.family]
+    return ("kappa", "omega", "z_omega", f"{name}_i", f"{name}_j", f"{name}_omega", "inconsistent"), rows
 
 
 def run_sweep(scenario: Scenario, out_dir) -> Path:
@@ -537,8 +540,6 @@ def _reproduce_ex2(out_dir: Path) -> dict:
 
 
 def _reproduce_ex3(out_dir: Path) -> dict:
-    from .solvers import newton_localisation
-
     scenario = two_sensor_scenario()
     sweep = scenario.sweep
     kappas = sweep.kappa_grid()
@@ -608,51 +609,27 @@ def _reproduce_ex3(out_dir: Path) -> dict:
 
 
 def _reproduce_ex4(out_dir: Path) -> dict:
-    from .solvers import kld_balance_residual, newton_cardinality
-
-    config = NewtonConfig(omega_init=0.5, epsilon=1e-4)
     weight_rows, pmf_rows, checks = [], [], []
     for pair in ("low", "high"):
         k, prob_i, prob_j = BINOMIAL_PAIRS[pair]
         p_i = _binomial_pmf(k, prob_i)
         p_j = _binomial_pmf(k, prob_j)
-        omega_star, fused, trace = newton_cardinality(p_i, p_j, config)
+        omega_star, fused, trace = newton_cardinality(p_i, p_j, NewtonConfig())
         residual = kld_balance_residual(fused, p_i, p_j)
         weight_rows.append((pair, omega_star, trace.iterations, residual))
         for n in range(k + 1):
             pmf_rows.append((pair, n, p_i.probs[n], p_j.probs[n], fused.probs[n]))
         expected = EXPECTED_OMEGA_CARD[pair]
-        checks.append(
-            (
-                f"{pair} pair optimal weight matches reference",
-                abs(omega_star - expected) <= 1e-3,
-                f"omega* = {omega_star:.6f} vs {expected}",
-            )
-        )
-        checks.append(
-            (
-                f"{pair} pair converges quickly",
-                trace.iterations <= 5,
-                f"{trace.iterations} iterations",
-            )
-        )
-        checks.append(
-            (
-                f"{pair} pair count estimate agrees with inputs",
-                fused.map_estimate() == p_i.map_estimate() == p_j.map_estimate(),
-                f"fused MAP = {fused.map_estimate()}",
-            )
-        )
-        dominated = bool(
-            np.all(fused.probs >= np.minimum(p_i.probs, p_j.probs) - 1e-15)
-        )
-        checks.append(
-            (
-                f"{pair} pair fused counts dominate input minima",
-                dominated,
-                "consistency holds at every count",
-            )
-        )
+        fused_map = fused.map_estimate()
+        dominated = bool(np.all(fused.probs >= np.minimum(p_i.probs, p_j.probs) - 1e-15))
+        checks += [
+            (f"{pair} pair optimal weight matches reference",
+             abs(omega_star - expected) <= 1e-3, f"omega* = {omega_star:.6f} vs {expected}"),
+            (f"{pair} pair converges quickly", trace.iterations <= 5, f"{trace.iterations} iterations"),
+            (f"{pair} pair count estimate agrees with inputs",
+             fused_map == p_i.map_estimate() == p_j.map_estimate(), f"fused MAP = {fused_map}"),
+            (f"{pair} pair fused counts dominate input minima", dominated, "consistency holds at every count"),
+        ]
     files = [
         write_csv(out_dir / "optimal_weights.csv", ("pair", "omega_star", "iterations", "kld_residual"), weight_rows),
         write_csv(out_dir / "fused_count_pmfs.csv", ("pair", "n", "p_i", "p_j", "p_fused"), pmf_rows),
@@ -660,10 +637,8 @@ def _reproduce_ex4(out_dir: Path) -> dict:
     return {"files": files, "checks": checks}
 
 
-def reproduce(example_id: str, out_dir, seed: int = 0) -> dict:
-    """Run one built-in experiment; returns files written and check verdicts.
-
-    ``seed`` is accepted for compatibility and has no effect."""
+def reproduce(example_id: str, out_dir) -> dict:
+    """Run one built-in experiment; returns files written and check verdicts."""
     if example_id not in EXAMPLE_IDS:
         raise ScenarioError(f"unknown example {example_id!r}; expected one of {EXAMPLE_IDS}")
     out_dir = Path(out_dir) / example_id

@@ -7,17 +7,18 @@ and variance of the log ratio q = log rho_j - log rho_i under the fused
 density: closed form for Gaussian pairs, one tilted sum for grids and count
 pmfs. The solvers evaluate the same pair evaluators the fusion rules use;
 an evaluation gives only those three numbers, and the fused density is
-built once, by the evaluation at the solved weight. Nothing
-is sampled and nothing underflows, so inputs far apart still converge. Newton iterations on l' = 0 converge fast; a bisection safeguard
-on the sign of l' keeps iterates inside the interval even from poor
-starting points. At the optimum the divergences from the fused density to
-the two inputs balance.
+built once, by the evaluation at the solved weight. Nothing is sampled and
+nothing underflows, so inputs far apart still converge. Newton iterations
+on l' = 0 converge fast; a bisection safeguard on the sign of l' keeps
+iterates inside the interval even from poor starting points. At the
+optimum the divergences from the fused density to the two inputs balance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -45,27 +46,26 @@ class NewtonConfig:
     """Knobs for the weight solvers.
 
     epsilon is the termination threshold on successive weight iterates.
-    mc_samples and seed are validated and kept so that existing scenario
-    files and callers still load, but they have no effect: every solver
-    derivative is exact.
+    A ``seed`` keyword is accepted and discarded, for callers written when
+    the curvature was sampled; every solver derivative is now exact.
     """
 
     omega_init: float = 0.5
     epsilon: float = 1e-4
     max_iters: int = 50
     omega_clamp: float = 1e-6
-    mc_samples: int = 1000
-    seed: int = 0
+    seed: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
         if not 0.0 <= self.omega_init <= 1.0:
             raise ValueError("omega_init must lie in [0, 1]")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.omega_clamp < 0.5:
             raise ValueError("omega_clamp must lie in (0, 0.5)")
-        if self.max_iters < 1 or self.mc_samples < 1:
-            raise ValueError("max_iters and mc_samples must be >= 1")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class PoissonWeight(NamedTuple):
     rate: float
 
 
-def _newton_weight(evaluate: Callable, config: NewtonConfig, degenerate_flag: str):
+def _newton_weight(evaluate: Callable, config: NewtonConfig):
     """Safeguarded Newton maximisation of -log z over the clamped interval.
 
     evaluate(w) gives log z, l' and l'' as ``log_z``, ``slope`` and
@@ -141,9 +141,8 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig, degenerate_flag: st
     records = [TraceRecord(w, -at_w.log_z, at_w.slope, at_w.curvature)]
     for iteration in range(1, config.max_iters + 1):
         slope, curvature = at_w.slope, at_w.curvature
-        if slope == 0.0 and curvature == 0.0:
-            trace = NewtonTrace(tuple(records), True, iteration - 1, (degenerate_flag,))
-            return w, at_w, trace
+        if slope == 0.0 and curvature == 0.0:  # flat: every weight fuses alike
+            return w, at_w, NewtonTrace(tuple(records), True, iteration - 1)
         if slope < 0.0:
             lo = max(lo, w)
         else:
@@ -201,15 +200,14 @@ def newton_localisation(
     """Solve for the weight maximising -log z_w between two localisations.
 
     Gaussian pairs use exact closed forms for log z_w and its derivatives;
-    grid pairs use one tilted sum over the cells both densities cover. The
-    result does not depend on config.seed.
+    grid pairs use one tilted sum over the cells both densities cover.
     """
     if _same_localisation(rho_i, rho_j):
         trace = NewtonTrace((), True, 0, (DEGENERATE_LOC_FLAG,))
         return 0.5, rho_i, 1.0, trace
 
     evaluate = _localisation_pair(rho_i, rho_j)
-    omega_star, fused, trace = _newton_weight(evaluate, config, DEGENERATE_LOC_FLAG)
+    omega_star, fused, trace = _newton_weight(evaluate, config)
     return omega_star, fused.density(), math.exp(fused.log_z), trace
 
 
@@ -226,43 +224,71 @@ def newton_cardinality(
     if joint.sum() < 2:
         raise ValueError("cardinality solver needs at least two joint support points")
     evaluate = quadrature.tilted_log_moments(np.log(a[joint]), np.log(b[joint]))
-    omega_star, fused, trace = _newton_weight(evaluate, config, DEGENERATE_CARD_FLAG)
+    omega_star, fused, trace = _newton_weight(evaluate, config)
     probs = np.zeros_like(a)
     probs[joint] = fused.weights
     return omega_star, CardinalityPmf(probs), trace
+
+
+# h(x) = log(log1p(x) / x) = sum over k >= 1 of _H_SERIES[k - 1] x^k
+_H_SERIES = (-1 / 2, 5 / 24, -1 / 8, 251 / 2880, -19 / 288, 19087 / 362880, -751 / 17280, 1070017 / 29030400)
+
+
+def _log_ratio_terms(num: float, den: float, diff: float) -> tuple[float, float]:
+    """log1p(x) = log(num / den) and h(x) for x = diff / den in (-1, 0),
+    where diff = num - den is passed in exactly. Near x = 0, log1p and the
+    series of h avoid cancellation; near x = -1, where diff / den loses
+    1 + x, the log is taken as a difference of logs."""
+    x = diff / den
+    if x > -0.025:
+        return math.log1p(x), sum(coef * x**k for k, coef in enumerate(_H_SERIES, 1))
+    log1p_x = math.log1p(x) if x > -0.5 else math.log(num) - math.log(den)
+    return log1p_x, math.log(log1p_x / x)
 
 
 def bernoulli_closed_form(alpha_i: float, alpha_j: float) -> BernoulliWeight:
     """Closed-form optimal weight and fused existence probability for
     two-point existence pmfs.
 
-    The raw weight formula can in principle exit [0, 1]; the result is then
-    clamped and flagged so callers can fall back to the iterative solver.
+    The weight from the larger probability hi towards the smaller lo is
+    (A + h(u) - h(v)) / (A + P), with u = (lo - hi) / (1 - lo),
+    v = (lo - hi) / hi, A = log1p(u) and P = log1p(v). A + h(u), -h(v)
+    and A + P are all negative, so no sum cancels as the inputs near each
+    other; swapping the inputs maps the weight w to 1 - w. ``clamped``
+    reports a weight rounded outside [0, 1] and pulled back.
     """
     if not (0.0 < alpha_i < 1.0 and 0.0 < alpha_j < 1.0):
         raise ValueError("existence probabilities must lie strictly inside (0, 1)")
-    if abs(alpha_i - alpha_j) < 1e-12:
+    if alpha_i == alpha_j:
         return BernoulliWeight(0.5, alpha_i, False)
-    log_absent = math.log((1.0 - alpha_i) / (1.0 - alpha_j))
-    log_present = math.log(alpha_j / alpha_i)
-    omega = (
-        math.log(log_absent / log_present) - math.log(alpha_i / (1.0 - alpha_i))
-    ) / (log_absent + log_present)
+    hi, lo = max(alpha_i, alpha_j), min(alpha_i, alpha_j)
+    log_absent, h_absent = _log_ratio_terms(1.0 - hi, 1.0 - lo, lo - hi)
+    log_present, h_present = _log_ratio_terms(lo, hi, lo - hi)
+    omega = (log_absent + h_absent - h_present) / (log_absent + log_present)
+    if alpha_i < alpha_j:
+        omega = 1.0 - omega
     clamped = not 0.0 <= omega <= 1.0
     omega = min(max(omega, 0.0), 1.0)
     return BernoulliWeight(omega, _bernoulli_alpha(alpha_i, alpha_j, omega, 0.0), clamped)
 
 
 def poisson_closed_form(lambda_i: float, lambda_j: float) -> PoissonWeight:
-    """Closed-form optimal weight and fused rate for Poisson count pmfs."""
+    """Closed-form optimal weight and fused rate for Poisson count pmfs.
+
+    With x = log(lambda_j / lambda_i) the weight is log(expm1(x) / x) / x,
+    which is -h(r) / log1p(r) for r = lambda_j / lambda_i - 1. It is taken
+    from the larger rate towards the smaller, where r lies in (-1, 0) and
+    nothing overflows or cancels, and mirrored to 1 - w for the other order.
+    """
     if lambda_i <= 0.0 or lambda_j <= 0.0:
         raise ValueError("rates must be positive")
-    if abs(lambda_i - lambda_j) < 1e-12 * max(lambda_i, lambda_j):
+    if lambda_i == lambda_j:
         return PoissonWeight(0.5, lambda_i)
-    ratio = lambda_j / lambda_i
-    log_ratio = math.log(ratio)
-    # (ratio - 1) and log(ratio) share sign, so the inner ratio is positive
-    omega = math.log((ratio - 1.0) / log_ratio) / log_ratio
+    hi, lo = max(lambda_i, lambda_j), min(lambda_i, lambda_j)
+    log_ratio, h = _log_ratio_terms(lo, hi, lo - hi)
+    omega = -h / log_ratio
+    if lambda_i < lambda_j:
+        omega = 1.0 - omega
     return PoissonWeight(omega, _poisson_rate(lambda_i, lambda_j, omega, 0.0))
 
 
@@ -302,29 +328,15 @@ def consistent_fuse(
     card_trace: Optional[NewtonTrace] = None
 
     if isinstance(f_i, BernoulliRfs):
-        if abs(f_i.alpha - f_j.alpha) < 1e-12:
-            omega_card, alpha_star = 0.5, f_i.alpha
+        omega_card, alpha_star, _ = bernoulli_closed_form(f_i.alpha, f_j.alpha)
+        if f_i.alpha == f_j.alpha:
             flags.append(DEGENERATE_CARD_FLAG)
-        else:
-            closed = bernoulli_closed_form(f_i.alpha, f_j.alpha)
-            if closed.clamped:
-                flags.append("closed form clamped; iterative fallback")
-                two_point_i = CardinalityPmf([1.0 - f_i.alpha, f_i.alpha])
-                two_point_j = CardinalityPmf([1.0 - f_j.alpha, f_j.alpha])
-                omega_card, fused_pmf, card_trace = newton_cardinality(
-                    two_point_i, two_point_j, config
-                )
-                alpha_star = float(fused_pmf.probs[1])
-            else:
-                omega_card, alpha_star = closed.omega, closed.alpha
         fused: FiniteSetDistribution = BernoulliRfs(alpha_star, fused_loc)
 
     elif isinstance(f_i, PoissonRfs):
-        if abs(f_i.rate - f_j.rate) < 1e-12 * max(f_i.rate, f_j.rate, 1.0):
-            omega_card, rate_star = 0.5, f_i.rate
+        omega_card, rate_star = poisson_closed_form(f_i.rate, f_j.rate)
+        if f_i.rate == f_j.rate:
             flags.append(DEGENERATE_CARD_FLAG)
-        else:
-            omega_card, rate_star = poisson_closed_form(f_i.rate, f_j.rate)
         fused = PoissonRfs(rate_star, fused_loc)
 
     elif isinstance(f_i, IidClusterRfs):

@@ -89,7 +89,7 @@ def test_criterion_04_localisation_weight_solver_on_sweep_geometry():
     The sweep holds the major-axis variance at 1 while the minor axis
     shrinks with kappa; reference weights are approximate by construction.
     """
-    config = sf.NewtonConfig(omega_init=0.5, epsilon=1e-4, mc_samples=1000, seed=0)
+    config = sf.NewtonConfig(omega_init=0.5, epsilon=1e-4)
     results = {}
     for kappa in (1.0, 10.0, 20.0):
         rho_i, rho_j = two_sensor_pair(kappa)

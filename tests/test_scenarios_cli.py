@@ -1,5 +1,9 @@
+import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,8 @@ from setfuse import scenarios
 from setfuse.cli import main
 from conftest import binomial_pmf
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO_ROOT / "scripts" / "scenarios"
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -37,7 +42,7 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, bernoulli_payload(solver={"seed": 5}, omega=0.3))
         scenario = scenarios.load_scenario(path)
         assert scenario.family == "bernoulli"
-        assert scenario.solver.seed == 5
+        assert scenario.solver == sf.NewtonConfig()
         assert scenario.omega == 0.3
         assert scenario.f_i.alpha == 0.8
 
@@ -319,7 +324,7 @@ class TestSweepRows:
 class TestReproduce:
     @pytest.mark.parametrize("example", scenarios.EXAMPLE_IDS)
     def test_every_builtin_experiment_passes_its_checks(self, tmp_path, example):
-        result = scenarios.reproduce(example, tmp_path, seed=0)
+        result = scenarios.reproduce(example, tmp_path)
         failed = [name for name, ok, _ in result["checks"] if not ok]
         assert not failed
         summary = (tmp_path / example / "summary.txt").read_text()
@@ -330,6 +335,54 @@ class TestReproduce:
     def test_unknown_example_rejected(self, tmp_path):
         with pytest.raises(scenarios.ScenarioError, match="unknown example"):
             scenarios.reproduce("ex9", tmp_path)
+
+    def test_reproduce_all_script_passes_every_check(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "reproduce_all.py"), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdicts = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")]
+        assert verdicts == ["PASS"] * 22
+
+
+def _set(*keys_and_value):
+    """Mutation of a scenario payload that sets the value at a key path."""
+    *keys, last, value = keys_and_value
+
+    def mutate(payload):
+        target = payload
+        for key in keys:
+            target = target.setdefault(key, {}) if isinstance(key, str) else target[key]
+        target[last] = value
+
+    return mutate
+
+
+# Scalars of the wrong kind or out of range; each exits 2 at load.
+BAD_SCALARS = {
+    "omega string": _set("omega", "x"),
+    "omega bool": _set("omega", True),
+    "alpha string": _set("inputs", 0, "alpha", "0.5"),
+    "alpha bool": _set("inputs", 1, "alpha", True),
+    "mean string": _set("inputs", 0, "loc", "mean", ["0.25", 0.25]),
+    "n_max string": _set("n_max", "a"),
+    "n_max fractional": _set("n_max", 5.7),
+    "n_max zero": _set("n_max", 0),
+    "sweep steps string": _set("sweep", "kappa", 2, "x"),
+    "sweep steps numeric string": _set("sweep", "omega", 2, "3"),
+    "sigma1_sq string": _set("sweep", "sigma1_sq", "x"),
+    "sigma1_sq zero": _set("sweep", "sigma1_sq", 0),
+    "sigma1_sq negative": _set("sweep", "sigma1_sq", -1.0),
+    "det_sigma negative": _set("sweep", "det_sigma", -1.0),
+    "sweep not an object": _set("sweep", 5),
+    "max_iters fractional": _set("solver", "max_iters", 2.5),
+    "seed string": _set("solver", "seed", "x"),
+    "version bool": _set("version", True),
+    "outputs number": _set("outputs", 5),
+}
 
 
 class TestCli:
@@ -377,6 +430,13 @@ class TestCli:
                          "--out", str(tmp_path / mode)]) == 2
             assert "non-finite number" in capsys.readouterr().err
             assert not (tmp_path / mode / "fuse.csv").exists()
+
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, bernoulli_payload(alpha_i=12345))
+        path.write_text(path.read_text(encoding="utf-8").replace("12345", "1" * 5000), encoding="utf-8")
+        assert main(["fuse", "--scenario", str(path), "--mode", "p2", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("case", ["representation", "dimension", "misaligned"])
     def test_unpaired_localisations_exit_2(self, tmp_path, capsys, case):
@@ -434,9 +494,55 @@ class TestCli:
     def test_seed_override_accepted(self, tmp_path):
         path = write_scenario(tmp_path, bernoulli_payload(solver={"seed": 1}))
         scenario = scenarios.load_scenario(path)
-        assert scenario.solver.seed == 1
+        assert scenario.solver == sf.NewtonConfig()
         assert main(["fuse", "--scenario", str(path), "--mode", "consistent",
                      "--out", str(tmp_path / "s"), "--seed", "42"]) == 0
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+    def test_dead_solver_fields_warn_once_and_change_nothing(self, tmp_path, caplog, name):
+        payload = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+        assert "mc_samples" not in payload.get("solver", {}) and "seed" not in payload.get("solver", {})
+        old = copy.deepcopy(payload)
+        old.setdefault("solver", {}).update(mc_samples=0, seed=3)
+        blobs, warnings = [], []
+        for tag, body in (("new", payload), ("old", old)):
+            caplog.clear()
+            path = write_scenario(tmp_path, body, f"{tag}.json")
+            assert main(["fuse", "--scenario", str(path), "--mode", "consistent",
+                         "--out", str(tmp_path / tag)]) == 0
+            warnings.append([r.getMessage() for r in caplog.records if r.levelname == "WARNING"])
+            blobs.append((tmp_path / tag / "fuse.csv").read_bytes())
+        assert warnings[0] == [] and len(warnings[1]) == 1
+        assert "mc_samples" in warnings[1][0] and "seed" in warnings[1][0]
+        assert blobs[0] == blobs[1]
+
+    def test_seed_flag_is_hidden_warns_and_changes_nothing(self, tmp_path, capsys, caplog):
+        for argv in ([], ["fuse"], ["sweep"], ["reproduce"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--help"])
+            assert exit_info.value.code == 0
+            assert "--seed" not in capsys.readouterr().out
+        scenario = str(SCENARIO_DIR / "two_sensor_bernoulli.json")
+        blobs, warnings = [], []
+        for tag, extra in (("plain", []), ("seeded", ["--seed", "7"])):
+            caplog.clear()
+            assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path / tag), *extra]) == 0
+            warnings.append([r.getMessage() for r in caplog.records if r.levelname == "WARNING"])
+            blobs.append((tmp_path / tag / "sweep.csv").read_bytes())
+        assert warnings[0] == [] and len(warnings[1]) == 1 and "--seed" in warnings[1][0]
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+    def test_bad_scalar_exits_2(self, tmp_path, capsys, case):
+        payload = bernoulli_payload(alpha_j=0.6, sweep={"kappa": [1.0, 4.0, 3], "omega": [0.0, 1.0, 5]})
+        BAD_SCALARS[case](payload)
+        path = write_scenario(tmp_path, payload)
+        for argv in (["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"], ["sweep"]):
+            out = tmp_path / "_".join(argv)
+            assert main([*argv, "--scenario", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1, err
+            assert not out.exists()
 
     def test_sweep_and_reproduce_cli(self, tmp_path):
         payload = bernoulli_payload(

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
+from setfuse.solvers import DEGENERATE_CARD_FLAG
 from conftest import binomial_pmf, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
@@ -23,7 +26,7 @@ def two_sensor_pair(kappa):
 class TestNewtonConfig:
     def test_defaults_are_valid(self):
         cfg = sf.NewtonConfig()
-        assert cfg.omega_init == 0.5 and cfg.epsilon == 1e-4 and cfg.mc_samples == 1000
+        assert cfg.omega_init == 0.5 and cfg.epsilon == 1e-4 and cfg.max_iters == 50
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -32,12 +35,23 @@ class TestNewtonConfig:
             {"epsilon": 0.0},
             {"omega_clamp": 0.7},
             {"max_iters": 0},
-            {"mc_samples": 0},
+            {"max_iters": 2.5},
+            {"max_iters": True},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             sf.NewtonConfig(**kwargs)
+
+    def test_seed_is_discarded(self):
+        assert sf.NewtonConfig(seed=3) == sf.NewtonConfig()
+        assert "seed" not in repr(sf.NewtonConfig(seed=3))
+        names = [f.name for f in dataclasses.fields(sf.NewtonConfig)]
+        assert names == ["omega_init", "epsilon", "max_iters", "omega_clamp"]
+
+    def test_sample_count_is_gone(self):
+        with pytest.raises(TypeError):
+            sf.NewtonConfig(mc_samples=1000)
 
 
 class TestChernoffObjective:
@@ -257,6 +271,72 @@ class TestClosedForms:
             assert newton == pytest.approx(closed.omega, abs=1e-3)
 
 
+def _decimal_log_ratio(num: Decimal, den: Decimal, diff: Decimal) -> Decimal:
+    """ln(num / den), given diff = num - den, to about 35 digits."""
+    x = diff / den
+    return x - x * x / 2 + x**3 / 3 if abs(x) < Decimal("1e-12") else (num / den).ln()
+
+
+def decimal_bernoulli_weight(alpha_i: float, alpha_j: float) -> float:
+    """(log(A / P) - logit alpha_i) / (A + P) in 50-digit arithmetic, with
+    A = log((1 - alpha_i) / (1 - alpha_j)) and P = log(alpha_j / alpha_i)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a_i, a_j = Decimal(alpha_i), Decimal(alpha_j)
+        absent = _decimal_log_ratio(1 - a_i, 1 - a_j, a_j - a_i)
+        present = _decimal_log_ratio(a_j, a_i, a_j - a_i)
+        return float(((absent / present).ln() - (a_i / (1 - a_i)).ln()) / (absent + present))
+
+
+def decimal_poisson_weight(rate_i: float, rate_j: float) -> float:
+    """log((r - 1) / log r) / log r for r = rate_j / rate_i, in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        l_i, l_j = Decimal(rate_i), Decimal(rate_j)
+        log_r = _decimal_log_ratio(l_j, l_i, l_j - l_i)
+        return float(((l_j - l_i) / l_i / log_r).ln() / log_r)
+
+
+def near_and_extreme_pairs(bases, upper):
+    """Each base against a neighbour a few ulps to a relative 0.1 away,
+    and every base against every other."""
+    pairs = set()
+    for a in bases:
+        for rel in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1):
+            for b in (a * (1 - rel), a * (1 + rel), math.nextafter(a, 0.0), math.nextafter(a, upper)):
+                if 0.0 < b < upper and b != a:
+                    pairs.add((a, b))
+        pairs.update((a, b) for b in bases if b != a)
+    return sorted(pairs)
+
+
+BERNOULLI_PAIRS = near_and_extreme_pairs([1e-300, 1e-13, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12], 1.0)
+POISSON_PAIRS = near_and_extreme_pairs([1e-300, 1e-13, 1e-6, 0.5, 1.0, 3.0, 1e6, 1e13, 1e150], math.inf)
+
+
+class TestClosedFormAccuracy:
+    def test_bernoulli_matches_decimal_reference(self):
+        for a_i, a_j in BERNOULLI_PAIRS:
+            out = sf.bernoulli_closed_form(a_i, a_j)
+            assert not out.clamped
+            assert out.omega == pytest.approx(decimal_bernoulli_weight(a_i, a_j), abs=1e-14), (a_i, a_j)
+
+    def test_poisson_matches_decimal_reference(self):
+        for l_i, l_j in POISSON_PAIRS:
+            out = sf.poisson_closed_form(l_i, l_j)
+            assert out.omega == pytest.approx(decimal_poisson_weight(l_i, l_j), abs=1e-14), (l_i, l_j)
+
+    @pytest.mark.parametrize("closed_form,pairs", [
+        (sf.bernoulli_closed_form, BERNOULLI_PAIRS),
+        (sf.poisson_closed_form, POISSON_PAIRS),
+    ])
+    def test_swapping_inputs_mirrors_the_weight(self, closed_form, pairs):
+        for x_i, x_j in pairs:
+            fwd, rev = closed_form(x_i, x_j), closed_form(x_j, x_i)
+            assert fwd.omega == pytest.approx(1.0 - rev.omega, abs=1e-14), (x_i, x_j)
+            assert 0.0 <= fwd.omega <= 1.0
+
+
 class TestKldBalanceResidual:
     def test_endpoint_sign(self):
         p_i, p_j = binomial_pmf(5, 0.95), binomial_pmf(5, 0.92)
@@ -384,6 +464,31 @@ class TestConsistentFuse:
         assert calls == ["density"]
         sf.consistent_fuse(f_i, f_j, sf.NewtonConfig())
         assert calls == ["density", "density"]
+
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    def test_closed_form_families_never_iterate_on_counts(self, monkeypatch, family):
+        def forbidden(*args):
+            raise AssertionError("newton_cardinality called")
+
+        monkeypatch.setattr(sf.solvers, "newton_cardinality", forbidden)
+        pairs, make = (BERNOULLI_PAIRS, sf.BernoulliRfs) if family == "bernoulli" else (POISSON_PAIRS, sf.PoissonRfs)
+        for x_i, x_j in pairs + [(0.3, 0.3 + 1e-10), (0.5, 0.5 + 1e-9)]:
+            result = sf.consistent_fuse(make(x_i, UNIT), make(x_j, SHIFTED), sf.NewtonConfig())
+            assert result.card_trace is None
+
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "iid"])
+    def test_count_degenerate_flag_iff_inputs_equal(self, family):
+        if family == "iid":
+            # the last two agree wherever both are positive, but are not equal
+            pmfs = ([0.2, 0.5, 0.3], [0.2, 0.5 + 1e-9, 0.3 - 1e-9], [0.2, 0.4, 0.4, 0.0], [0.0, 0.4, 0.4, 0.2])
+            make, values = sf.IidClusterRfs, [sf.CardinalityPmf(p) for p in pmfs]
+        else:
+            make = sf.BernoulliRfs if family == "bernoulli" else sf.PoissonRfs
+            values = [1e-13, 5e-13, 0.3, 0.3 + 1e-10, math.nextafter(0.3, 1.0), 0.5, 0.5 + 1e-9]
+        for a in range(len(values)):
+            for b in range(a, len(values)):
+                result = sf.consistent_fuse(make(values[a], UNIT), make(values[b], UNIT), sf.NewtonConfig())
+                assert (DEGENERATE_CARD_FLAG in result.flags) == (a == b), (values[a], values[b])
 
     def test_diagnostics_attach_without_mutation(self):
         f = sf.BernoulliRfs(0.8, UNIT)
