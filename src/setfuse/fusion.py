@@ -17,6 +17,7 @@ endpoints w = 0 and w = 1 the corresponding input is returned verbatim.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,48 +161,60 @@ def _poisson_rate(rate_i: float, rate_j: float, omega: float, log_z: float) -> f
     return rate_i ** (1.0 - omega) * rate_j**omega * math.exp(log_z)
 
 
-def bernoulli_fuse_p2(
-    f_i: BernoulliRfs, f_j: BernoulliRfs, omega: float
-) -> tuple[BernoulliRfs, float, float]:
+class BernoulliJoint(NamedTuple):
+    fused: BernoulliRfs
+    z: float
+    alpha: float
+
+
+class PoissonJoint(NamedTuple):
+    fused: PoissonRfs
+    z: float
+    rate: float
+
+
+class IidJoint(NamedTuple):
+    fused: IidClusterRfs
+    z: float
+    normalizer: float
+
+
+def bernoulli_fuse_p2(f_i: BernoulliRfs, f_j: BernoulliRfs, omega: float) -> BernoulliJoint:
     """Joint fusion of two Bernoulli sets: fused object, z_w, fused alpha."""
     _check_omega(omega)
     if omega == 0.0:
-        return f_i, 1.0, f_i.alpha
+        return BernoulliJoint(f_i, 1.0, f_i.alpha)
     if omega == 1.0:
-        return f_j, 1.0, f_j.alpha
+        return BernoulliJoint(f_j, 1.0, f_j.alpha)
     pinned = {f_i.alpha, f_j.alpha} == {0.0, 1.0}
     if pinned:
         raise ValueError("incompatible existence beliefs: alphas are 0 and 1")
     fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
     alpha = _bernoulli_alpha(f_i.alpha, f_j.alpha, omega, fused.log_z)
-    return BernoulliRfs(alpha, fused.density()), math.exp(fused.log_z), alpha
+    return BernoulliJoint(BernoulliRfs(alpha, fused.density()), math.exp(fused.log_z), alpha)
 
 
-def poisson_fuse_p2(
-    f_i: PoissonRfs, f_j: PoissonRfs, omega: float
-) -> tuple[PoissonRfs, float, float]:
+def poisson_fuse_p2(f_i: PoissonRfs, f_j: PoissonRfs, omega: float) -> PoissonJoint:
     """Joint fusion of two Poisson sets: fused object, z_w, fused rate."""
     _check_omega(omega)
     if omega == 0.0:
-        return f_i, 1.0, f_i.rate
+        return PoissonJoint(f_i, 1.0, f_i.rate)
     if omega == 1.0:
-        return f_j, 1.0, f_j.rate
+        return PoissonJoint(f_j, 1.0, f_j.rate)
     fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
     rate = _poisson_rate(f_i.rate, f_j.rate, omega, fused.log_z)
-    return PoissonRfs(rate, fused.density()), math.exp(fused.log_z), rate
+    return PoissonJoint(PoissonRfs(rate, fused.density()), math.exp(fused.log_z), rate)
 
 
-def iid_fuse_p2(
-    f_i: IidClusterRfs, f_j: IidClusterRfs, omega: float, n_max: int
-) -> tuple[IidClusterRfs, float, float]:
+def iid_fuse_p2(f_i: IidClusterRfs, f_j: IidClusterRfs, omega: float, n_max: int) -> IidJoint:
     """Joint fusion of two IID-cluster sets: fused object, z_w, normalizer."""
     _check_omega(omega)
     if omega == 0.0:
-        return f_i, 1.0, 1.0
+        return IidJoint(f_i, 1.0, 1.0)
     if omega == 1.0:
-        return f_j, 1.0, 1.0
+        return IidJoint(f_j, 1.0, 1.0)
     p_i = cardinality_of(f_i, n_max)
     p_j = cardinality_of(f_j, n_max)
     fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
     card, norm = iid_cardinality_p2(p_i, p_j, fused.log_z, omega)
-    return IidClusterRfs(card, fused.density()), math.exp(fused.log_z), norm
+    return IidJoint(IidClusterRfs(card, fused.density()), math.exp(fused.log_z), norm)

@@ -2,7 +2,9 @@
 
 The weighted geometric mean of two Gaussians is itself Gaussian. In a frame
 that diagonalises both covariances at once, its parameters, its scale
-factor and the factor's weight derivatives are sums over the coordinates.
+factor and the factor's weight derivatives are sums over the coordinates,
+accumulated one coordinate at a time by the same expressions for a single
+weight and for an array of weights.
 """
 
 from __future__ import annotations
@@ -53,43 +55,52 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     log z_w = 1/2 (w sum(log c_i) + (1-w) sum(log c_j) - sum(log s) - w(1-w) sum(d^2 r)),
     E[q] = 1/2 (sum(log c_i) - sum(log c_j) - sum((c_i - c_j) r)
     - (1-w)^2 sum(c_j d^2 r^2) + w^2 sum(c_i d^2 r^2)),
-    Var[q] = sum(1/2 (c_i - c_j)^2 r^2 + c_i c_j d^2 r^3). The five sums
-    other than sum(log s) are one product of [r, r^2, r^3] with fixed
-    coefficients.
+    Var[q] = sum(1/2 (c_i - c_j)^2 r^2 + c_i c_j d^2 r^3). The frame is kept
+    as one (c_i, c_j, d^2) triple of floats per coordinate, and one loop over
+    the coordinates accumulates sum(log s) and the five other sums. The same
+    statements run in Python floats for a scalar weight and broadcast over
+    an array of weights; a scalar weight (a float, a numpy scalar or a 0-d
+    array) gives Python floats. Each term is formed from the ratios c_i r,
+    c_j r and d^2 r, and log s is summed per coordinate, never as the log of
+    a product, so no intermediate under- or overflows at extreme covariance
+    scales.
     """
     _check_pair(rho_i, rho_j)
-    balanced = rho_i.cov / np.trace(rho_i.cov) + rho_j.cov / np.trace(rho_j.cov)
-    chol = np.linalg.cholesky(balanced)
+    cov_i, cov_j = rho_i.cov, rho_j.cov
+    chol = np.linalg.cholesky(cov_i / cov_i.trace() + cov_j / cov_j.trace())
     whiten = np.linalg.inv(chol)
-    eigvecs = np.linalg.eigh(whiten @ rho_i.cov @ whiten.T)[1]
+    eigvecs = np.linalg.eigh(whiten @ cov_i @ whiten.T)[1]
     to_frame = eigvecs.T @ whiten
-    var_i = ((to_frame @ rho_i.cov) * to_frame).sum(1)
-    var_j = ((to_frame @ rho_j.cov) * to_frame).sum(1)
+    var_i = ((to_frame @ cov_i) * to_frame).sum(1)
+    var_j = ((to_frame @ cov_j) * to_frame).sum(1)
     delta = to_frame @ (rho_j.mean - rho_i.mean)
     pair = (var_i, var_j, delta, chol @ eigvecs, rho_i.mean)
-    sum_log_i, sum_log_j = np.log(var_i).sum(), np.log(var_j).sum()
-    gap = var_i - var_j
-    sq = delta * delta
-    coef = np.zeros((3, sq.size, 5))
-    coef[0, :, 0], coef[0, :, 1] = sq, gap
-    coef[1, :, 2], coef[1, :, 3], coef[1, :, 4] = var_j * sq, var_i * sq, 0.5 * gap * gap
-    coef[2, :, 4] = var_i * var_j * sq
-    coef = coef.reshape(-1, 5)
+    frame = list(zip(var_i.tolist(), var_j.tolist(), (delta * delta).tolist()))
+    # summed in the loop's order, so that w = 0 and w = 1 give log z = 0 exactly
+    sum_log_i = sum_log_j = 0.0
+    for c_i, c_j, _ in frame:
+        sum_log_i += np.log(c_i)
+        sum_log_j += np.log(c_j)
 
-    def at(omega):
-        w = np.asarray(omega, dtype=float)
+    def at(w):
         v = 1.0 - w
-        s = v[..., None] * var_j + w[..., None] * var_i
-        r = 1.0 / s
-        r2 = r * r
-        sums = np.concatenate([r, r2, r2 * r], -1) @ coef
+        log_s = mahal = gap = tilt_j = tilt_i = curvature = 0.0
+        for c_i, c_j, sq in frame:
+            s = v * c_j + w * c_i
+            r = 1.0 / s
+            a, b, e, g = c_i * r, c_j * r, sq * r, (c_i - c_j) * r
+            log_s += np.log(s)
+            mahal += e
+            gap += g
+            tilt_j += b * e
+            tilt_i += a * e
+            curvature += 0.5 * g * g + a * b * e
+        log_z = 0.5 * (w * sum_log_i + v * sum_log_j - log_s - w * v * mahal)
+        slope = 0.5 * (sum_log_i - sum_log_j - gap - v * v * tilt_j + w * w * tilt_i)
         # Hoelder guarantees z <= 1; clip roundoff that lands above
-        log_z = np.minimum(0.5 * (w * sum_log_i + v * sum_log_j - np.log(s).sum(-1) - w * v * sums[..., 0]), 0.0)
-        slope = 0.5 * (sum_log_i - sum_log_j - sums[..., 1] - v * v * sums[..., 2] + w * w * sums[..., 3])
-        curvature = sums[..., 4]
-        if np.ndim(omega) == 0:
-            log_z, slope, curvature = float(log_z), float(slope), float(curvature)
-        return _Fused(log_z, slope, curvature, omega, pair)
+        if isinstance(log_z, np.ndarray):
+            return _Fused(np.minimum(log_z, 0.0), slope, curvature, w, pair)
+        return _Fused(min(float(log_z), 0.0), float(slope), float(curvature), w, pair)
 
     return at
 

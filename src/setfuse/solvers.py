@@ -68,6 +68,12 @@ class NewtonConfig:
             raise ValueError("max_iters must be an integer >= 1")
 
 
+# The generated __init__ keeps the seed keyword. Dropping the class attribute
+# its default leaves behind makes ``config.seed`` raise AttributeError, and
+# dropping its field record keeps dataclasses.replace() from reading it.
+del NewtonConfig.seed, NewtonConfig.__dataclass_fields__["seed"]
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """One iterate: weight, objective -log z_w, and d/dw, d2/dw2 of log z_w."""

@@ -148,6 +148,13 @@ class TestBernoulliFusion:
         fused, _, alpha = fusion.bernoulli_fuse_p2(f, f, 0.5)
         assert alpha == 0.0
 
+    def test_fields_are_named(self):
+        rho_i, rho_j = gaussian_pair_with_scale(0.5)
+        joint = fusion.bernoulli_fuse_p2(sf.BernoulliRfs(0.8, rho_i), sf.BernoulliRfs(0.8, rho_j), 0.5)
+        assert joint.alpha == joint.fused.alpha == pytest.approx(2.0 / 3.0, rel=1e-9)
+        assert joint.z == pytest.approx(0.5, rel=1e-12)
+        assert fusion.bernoulli_fuse_p2(joint.fused, joint.fused, 1.0).alpha == joint.alpha
+
 
 class TestPoissonFusion:
     def test_identical_inputs(self):
@@ -175,6 +182,13 @@ class TestPoissonFusion:
         f_j = sf.PoissonRfs(5.0, UNIT)
         _, _, rate = fusion.poisson_fuse_p2(f_i, f_j, 0.5)
         assert rate == 0.0
+
+    def test_fields_are_named(self):
+        rho_i, rho_j = gaussian_pair_with_scale(0.4)
+        joint = fusion.poisson_fuse_p2(sf.PoissonRfs(2.0, rho_i), sf.PoissonRfs(8.0, rho_j), 0.5)
+        assert joint.rate == joint.fused.rate == pytest.approx(1.6, rel=1e-9)
+        assert joint.z == pytest.approx(0.4, rel=1e-12)
+        assert fusion.poisson_fuse_p2(joint.fused, joint.fused, 0.0).rate == joint.rate
 
 
 class TestIidFusion:
@@ -223,6 +237,16 @@ class TestIidFusion:
         np.testing.assert_array_equal(fused.card.probs, [1.0, 0.0])
         assert z == 0.0
         assert norm == pytest.approx(0.5, rel=1e-12)
+
+    def test_fields_are_named(self):
+        far = sf.GaussianDensity([100.0, 0.0], np.eye(2))
+        f_i = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), UNIT)
+        f_j = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), far)
+        joint = fusion.iid_fuse_p2(f_i, f_j, 0.5, 1)
+        assert joint.normalizer == pytest.approx(0.5, rel=1e-12)
+        assert joint.z == 0.0
+        np.testing.assert_array_equal(joint.fused.card.probs, [1.0, 0.0])
+        assert fusion.iid_fuse_p2(f_i, f_j, 1.0, 1).normalizer == 1.0
 
     def test_propagates_disjoint_support_error(self):
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([1.0, 0.0]), UNIT)

@@ -100,10 +100,11 @@ class TestLogScaleDerivatives:
         assert fused.curvature == pytest.approx(0.0, abs=1e-12)
 
 
-def ill_conditioned_pair(rng, cond):
-    """Random 1-D to 4-D pair, each covariance with condition number up to
-    cond and its own overall scale, means up to 100 sigma_i apart."""
-    dim = int(rng.integers(1, 5))
+def ill_conditioned_pair(rng, cond, dim=None):
+    """Random pair of dimension dim (1 to 4 if not given), each covariance
+    with condition number up to cond and its own overall scale, means up to
+    100 sigma_i apart."""
+    dim = dim or int(rng.integers(1, 5))
     covs = []
     for _ in range(2):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -148,6 +149,32 @@ class TestPairEvaluator:
     def test_scalar_weight_gives_floats(self, rng):
         fused = gaussian._pair(make_gaussian(rng), make_gaussian(rng))(0.4)
         assert all(type(v) is float for v in fused[:3])
+
+    @pytest.mark.parametrize("weight", [np.float64(0.4), np.array(0.4)], ids=["float64", "0-d"])
+    def test_numpy_scalar_weight_gives_floats(self, rng, weight):
+        at = gaussian._pair(make_gaussian(rng), make_gaussian(rng))
+        fused = at(weight)
+        assert all(type(v) is float for v in fused[:3])
+        assert fused[:3] == at(0.4)[:3]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_extreme_covariance_scales(self, rng, dim, scale):
+        # x -> sqrt(scale) x leaves z_w unchanged, while any product of the
+        # frame variances s under- or overflows at these scales
+        ws = rng.uniform(0.02, 0.98, 7)
+        for _ in range(20):
+            a, b = ill_conditioned_pair(rng, 1e2, dim)
+            at = gaussian._pair(
+                *(sf.GaussianDensity(rho.mean * math.sqrt(scale), rho.cov * scale) for rho in (a, b))
+            )
+            row, unscaled = at(ws), gaussian._pair(a, b)(ws)
+            cells = [at(float(w)) for w in ws]
+            for field in ("log_z", "slope", "curvature"):
+                got = getattr(row, field)
+                assert np.isfinite(got).all(), field
+                np.testing.assert_allclose(got, [getattr(cell, field) for cell in cells], rtol=1e-14, err_msg=field)
+                np.testing.assert_allclose(got, getattr(unscaled, field), rtol=1e-10, atol=1e-10, err_msg=field)
 
     def test_endpoints_give_unit_scale(self, rng):
         for _ in range(10):

@@ -49,6 +49,10 @@ class TestNewtonConfig:
         names = [f.name for f in dataclasses.fields(sf.NewtonConfig)]
         assert names == ["omega_init", "epsilon", "max_iters", "omega_clamp"]
 
+    def test_seed_is_not_an_attribute(self):
+        assert not hasattr(sf.NewtonConfig(seed=3), "seed")
+        assert dataclasses.replace(sf.NewtonConfig(seed=3), max_iters=5) == sf.NewtonConfig(max_iters=5)
+
     def test_sample_count_is_gone(self):
         with pytest.raises(TypeError):
             sf.NewtonConfig(mc_samples=1000)
