@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .fusion import _common_probs, cardinality_emd
+from .fusion import _check_omega, _common_probs, cardinality_emd
 from .model import CardinalityPmf
 
 
@@ -39,6 +39,7 @@ def cardinality_inconsistency_bound(
     If z_seq[n] is below the returned value, the fused pmf built from
     (p_i, p_j, z_seq, omega) is inconsistent at n.
     """
+    _check_omega(omega)
     if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
     a, b = _common_probs(p_i, p_j)
@@ -58,6 +59,7 @@ def cardinality_inconsistency_bound(
 def bernoulli_inconsistency_bound(alpha_i: float, alpha_j: float, omega: float) -> float:
     """Scale threshold below which the fused existence probability is
     smaller than both inputs. Equals 1 when the input alphas coincide."""
+    _check_omega(omega)
     if not (0.0 < alpha_i < 1.0 and 0.0 < alpha_j < 1.0):
         raise ValueError("existence probabilities must lie strictly inside (0, 1)")
     absent = (1.0 - alpha_i) ** (1.0 - omega) * (1.0 - alpha_j) ** omega
@@ -108,6 +110,7 @@ def iid_inconsistency_bound(
     at n whenever z_omega falls below the returned value. The normalizer is
     evaluated internally at the supplied z_omega.
     """
+    _check_omega(omega)
     if n <= 0:
         raise ValueError("bound undefined at n = 0")
     if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
@@ -129,6 +132,7 @@ def iid_inconsistency_threshold(
     factor that flushed to zero) it is the limit as z_omega -> 0, the
     smallest count of the joint support.
     """
+    _check_omega(omega)
     if not 0.0 <= z_omega < 1.0:
         raise ValueError("threshold requires z_omega = 0 or z_omega in (0, 1)")
     a, b = _common_probs(p_i, p_j)
@@ -156,6 +160,8 @@ def pointwise_ratio(
     Values below 1 flag candidate pointwise inconsistency of the consistent
     fusion at that cardinality.
     """
+    if n < 0:
+        raise ValueError("count n must be >= 0")
     z = np.asarray(z_seq, dtype=float)
     if n >= z.size or z[n] == 0.0:
         raise ValueError("ratio undefined: z_seq[n] must be positive")

@@ -6,8 +6,8 @@ that coupled rule for the Bernoulli, Poisson and IID-cluster families, plus
 the decoupled cardinality-only geometric mean used by the consistent scheme.
 
 Every rule reads log z_w and the fused localisation from one pair evaluator
-picked by ``_localisation_pair``, and fuses count pmfs with the shared
-kernel ``quadrature.tilted_log_moments``.
+picked by ``_localisation_pair``, and fuses count pmfs with the array
+evaluator grids use, ``quadrature.tilted_log_moments``.
 
 Support convention: fractional powers treat 0^a = 0 for a > 0, so fused
 supports are intersections of the input supports for w in (0, 1). At the
@@ -45,19 +45,20 @@ def _common_probs(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray,
 
 
 def _geometric_pmf(
-    a: np.ndarray, b: np.ndarray, omega: float, log_extra: float | np.ndarray = 0.0
+    p_i: CardinalityPmf, p_j: CardinalityPmf, omega: float, log_extra: float | np.ndarray = 0.0
 ) -> tuple[CardinalityPmf, float]:
-    """Normalized exp((1-w) log a + w log b + extra) and its normalizer,
-    from the shared tilted-sum kernel over the joint support. Only the
-    normalizer may flush to zero; the pmf stays accurate in deep tails."""
-    joint = (a > 0) & (b > 0)
-    if not np.any(joint):
+    """Normalized exp((1-w) log a + w log b + extra) and its normalizer. Only
+    the normalizer may flush to zero; the pmf stays accurate in deep tails.
+    At w = 0 or 1 the matching input itself is returned, with normalizer 1."""
+    if omega == 0.0:
+        return p_i, 1.0
+    if omega == 1.0:
+        return p_j, 1.0
+    a, b = _common_probs(p_i, p_j)
+    if not np.any((a > 0) & (b > 0)):
         raise ValueError("incompatible cardinality supports")
-    extra = log_extra[joint] if np.ndim(log_extra) else log_extra
-    fused = quadrature.tilted_log_moments(np.log(a[joint]) + extra, np.log(b[joint]) + extra)(omega)
-    probs = np.zeros_like(a)
-    probs[joint] = fused.weights
-    return CardinalityPmf(probs), math.exp(fused.log_z)
+    fused = quadrature.tilted_log_moments(a, b, CardinalityPmf, log_extra=log_extra)(omega)
+    return fused.density(), math.exp(fused.log_z)
 
 
 def fused_cardinality_p2(
@@ -78,16 +79,12 @@ def fused_cardinality_p2(
     if z.ndim != 1 or z.size < a.size:
         raise ValueError("z_seq must cover every cardinality of the joint support")
     z = z[: a.size]
-    if abs(z[0] - 1.0) > 1e-12:
+    if not abs(z[0] - 1.0) <= 1e-12:
         raise ValueError("z_seq[0] must be 1 by convention")
     joint = (a > 0) & (b > 0)
-    if np.any((z[joint] <= 0) | (z[joint] > 1.0 + 1e-12)):
+    if not np.all((z[joint] > 0) & (z[joint] <= 1.0 + 1e-12)):
         raise ValueError("scale factors must lie in (0, 1] on the joint support")
-    if omega == 0.0:
-        return CardinalityPmf(a), 1.0
-    if omega == 1.0:
-        return CardinalityPmf(b), 1.0
-    return _geometric_pmf(a, b, omega, np.log(np.where(z > 0, z, 1.0)))
+    return _geometric_pmf(p_i, p_j, omega, np.log(np.where(z > 0, z, 1.0)))
 
 
 def iid_cardinality_p2(
@@ -102,10 +99,7 @@ def iid_cardinality_p2(
     _check_omega(omega)
     if not -math.inf < log_z <= 1e-12:
         raise ValueError("log scale factor must be finite and <= 0")
-    a, b = _common_probs(p_i, p_j)
-    if omega in (0.0, 1.0):
-        return CardinalityPmf(a if omega == 0.0 else b), 1.0
-    return _geometric_pmf(a, b, omega, np.arange(a.size) * log_z)
+    return _geometric_pmf(p_i, p_j, omega, np.arange(max(p_i.n_max, p_j.n_max) + 1) * log_z)
 
 
 def cardinality_emd(
@@ -116,12 +110,7 @@ def cardinality_emd(
     Dominates min(p_i(n), p_j(n)) at every n since the normalizer is <= 1.
     """
     _check_omega(omega)
-    a, b = _common_probs(p_i, p_j)
-    if omega == 0.0:
-        return CardinalityPmf(a), 1.0
-    if omega == 1.0:
-        return CardinalityPmf(b), 1.0
-    return _geometric_pmf(a, b, omega)
+    return _geometric_pmf(p_i, p_j, omega)
 
 
 def _localisation_pair(loc_i: LocalisationDensity, loc_j: LocalisationDensity):

@@ -1,21 +1,22 @@
 """The normalized geometric mean of two arrays, and grid quadrature.
 
-``tilted_log_moments`` is the one kernel that forms
-a^(1-w) b^w / z_w for arrays: grid densities here, count pmfs in
-``fusion``, ``solvers`` and ``diagnostics``. It sums terms shifted by their
-maximum and gives log z_w, the mean and variance of the log ratio
+``tilted_log_moments`` is the one evaluator of a^(1-w) b^w / z_w for a pair
+of nonnegative arrays: grid densities here, count pmfs in ``fusion`` and
+``solvers``. It takes the logs once over the entries where both arrays are
+positive and, at each weight, sums the terms shifted by their maximum. An
+evaluation gives log z_w and the mean and variance of the log ratio
 log b - log a under the fused terms (the first two w-derivatives of
-log z_w) and the shifted terms with their sum, which normalize to the fused
-terms only when a caller asks for them. For grids z_w = integral
+log z_w); its ``density()`` lays the normalized terms back onto the full
+array and builds the fused grid or pmf from it. For grids z_w = integral
 rho_i^(1-w) rho_j^w is a midpoint-rule sum; ``grid_log_moments`` is the
-grid pair evaluator, the counterpart of ``gaussian._pair``, and
-``fusion.localisation_emd`` reads either to give the fused density and z_w.
+grid pair evaluator, the counterpart of ``gaussian._pair``.
 ``grid_z_omega`` sums z_w exactly with ``math.fsum``, as an oracle for the
-kernel."""
+evaluator."""
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,40 +34,47 @@ def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
         raise ValueError("misaligned grids: origin, cell size and extent must match")
 
 
-class _Tilted(NamedTuple):
-    """log z_w, its two w-derivatives, and the shifted terms with their sum."""
+class _Fused(NamedTuple):
+    """An array pair at one interior weight: log z_w, its two w-derivatives,
+    and the shifted terms with what ``density()`` needs to lay them back."""
 
     log_z: float
     slope: float
     curvature: float
     rel: np.ndarray
     total: float
+    mask: np.ndarray
+    volume: float
+    build: Callable
 
-    @property
-    def weights(self) -> np.ndarray:
-        """The terms normalized to unit sum."""
-        return self.rel / self.total
+    def density(self):
+        """``build`` of the full array of unit mass, zero off the joint support."""
+        values = np.zeros(self.mask.shape)
+        values[self.mask] = self.rel / (self.total * self.volume)
+        return self.build(values)
 
 
 def tilted_log_moments(
-    log_a: np.ndarray, log_b: np.ndarray, log_scale: float = 0.0
-) -> Callable[[float], _Tilted]:
-    """w -> (log z_w, d log z_w/dw, d2 log z_w/dw2, rel, total) for
-    z_w = exp(log_scale) * sum of exp((1-w) log_a + w log_b).
+    a: np.ndarray, b: np.ndarray, build: Callable, volume: float = 1.0, log_extra: float | np.ndarray = 0.0
+) -> Callable[[float], _Fused]:
+    """w -> the fused terms of z_w = volume * sum of a^(1-w) b^w exp(log_extra)
+    over the entries where both arrays are positive.
 
-    ``rel / total`` (the ``weights`` property) are the terms normalized to
-    unit sum, i.e. the normalized geometric mean over the joint support; the
-    derivatives are the mean and variance of log_b - log_a under them. Terms
-    are shifted by their maximum before exponentiation, so nothing underflows
-    however small z_w is.
-    An extra log term shared by every pair of terms goes into both log_a and
-    log_b, since (1-w)(a+e) + w(b+e) = (1-w)a + wb + e.
+    The derivatives are the mean and variance of log b - log a under the
+    normalized terms. Terms are shifted by their maximum before
+    exponentiation, so only exp(log_z) may underflow. ``log_extra``, a scalar
+    or an array shaped like ``a``, goes into both logs, since
+    (1-w)(a+e) + w(b+e) = (1-w)a + wb + e.
     """
-    if log_a.size == 0:
+    mask = (a > 0) & (b > 0)
+    if not mask.any():
         raise ValueError("densities have disjoint support; geometric mean vanishes")
-    log_ratio = log_b - log_a
+    extra = log_extra[mask] if np.ndim(log_extra) else log_extra
+    log_a = np.log(a[mask]) + extra
+    log_ratio = np.log(b[mask]) + extra - log_a
+    log_scale = math.log(volume)
 
-    def evaluate(omega: float) -> _Tilted:
+    def evaluate(omega: float) -> _Fused:
         logs = log_ratio * omega
         logs += log_a
         log_sum, rel, total = _shifted_sum(logs)
@@ -74,7 +82,8 @@ def tilted_log_moments(
         spread = log_ratio - mean
         spread *= spread
         curvature = rel @ spread / total
-        return _Tilted(float(log_sum + log_scale), float(mean), float(curvature), rel, total)
+        log_z = float(log_sum + log_scale)
+        return _Fused(log_z, float(mean), float(curvature), rel, total, mask, volume, build)
 
     return evaluate
 
@@ -89,35 +98,11 @@ def _shifted_sum(logs: np.ndarray) -> tuple[float, np.ndarray, float]:
     return peak + math.log(total), rel, total
 
 
-class _Fused(NamedTuple):
-    """A grid pair at one interior weight: the kernel terms plus what it
-    takes to lay them back onto the lattice."""
-
-    log_z: float
-    slope: float
-    curvature: float
-    rel: np.ndarray
-    total: float
-    mask: np.ndarray
-    like: GridDensity
-
-    def density(self) -> GridDensity:
-        values = np.zeros(self.like.values.shape)
-        values[self.mask] = self.rel / (self.total * self.like.cell_volume)
-        return GridDensity._trusted(self.like, values)
-
-
 def grid_log_moments(rho_i: GridDensity, rho_j: GridDensity) -> Callable[[float], _Fused]:
-    """Grid counterpart of ``gaussian._pair``: the logs are taken once over
-    the cells where both densities are positive; returns a function of an
-    interior weight giving log z_w, its two w-derivatives and, through
-    ``density()``, the fused grid."""
+    """Grid counterpart of ``gaussian._pair``, whose ``density()`` is the
+    fused grid on the lattice of ``rho_i``."""
     _check_aligned(rho_i, rho_j)
-    mask = (rho_i.values > 0) & (rho_j.values > 0)
-    moments = tilted_log_moments(
-        np.log(rho_i.values[mask]), np.log(rho_j.values[mask]), math.log(rho_i.cell_volume)
-    )
-    return lambda omega: _Fused(*moments(omega), mask, rho_i)
+    return tilted_log_moments(rho_i.values, rho_j.values, partial(GridDensity._trusted, rho_i), rho_i.cell_volume)
 
 
 def grid_z_omega(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:

@@ -37,6 +37,7 @@ from .fusion import (
     poisson_fuse_p2,
 )
 from .model import (
+    COV_CONDITION_LIMIT,
     BernoulliRfs,
     CardinalityPmf,
     FiniteSetDistribution,
@@ -187,12 +188,22 @@ def _parse_sweep(spec) -> SweepSpec:
 
     kappa = _range("kappa")
     omega = _range("omega")
-    if kappa[0] < 1.0:
-        raise ScenarioError("sweep.kappa values must be >= 1")
     if not (0.0 <= omega[0] <= omega[1] <= 1.0):
         raise ScenarioError("sweep.omega values must lie in [0, 1]")
     given = {key: spec[key] for key in scales if spec.get(key) is not None}
-    return SweepSpec(kappa, omega, **{key: _number(v, f"sweep.{key}", positive=True) for key, v in given.items()})
+    sweep = SweepSpec(kappa, omega, **{key: _number(v, f"sweep.{key}", positive=True) for key, v in given.items()})
+    # both frame variances are monotone in kappa, so the two ends bound every row
+    for end in kappa[:2]:
+        if not 1.0 <= end <= COV_CONDITION_LIMIT:
+            raise ScenarioError(f"sweep.kappa values must lie in [1, {COV_CONDITION_LIMIT:g}], got {end:g}")
+        try:
+            for cov in sweep.covariances(end):
+                GaussianDensity(np.zeros(2), cov)
+        except OverflowError as exc:
+            raise ScenarioError(f"sweep covariance at kappa = {end:g} overflows") from exc
+        except ValueError as exc:
+            raise ScenarioError(f"invalid sweep covariance at kappa = {end:g}: {exc}") from exc
+    return sweep
 
 
 def load_scenario(path) -> Scenario:
@@ -341,8 +352,8 @@ def _sweep_table(scenario: Scenario) -> tuple[tuple[str, ...], list[tuple]]:
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
     f_i, f_j = scenario.f_i, scenario.f_j
-    if not isinstance(f_i.loc, GaussianDensity) or not isinstance(f_j.loc, GaussianDensity):
-        raise ScenarioError("sweep requires Gaussian localisation inputs")
+    if not all(isinstance(f.loc, GaussianDensity) and f.loc.dim == 2 for f in (f_i, f_j)):
+        raise ScenarioError("sweep requires 2-D Gaussian localisation inputs")
     sweep = scenario.sweep
 
     # fused(w, log z_w) -> the family's fused count summary at one cell

@@ -221,19 +221,17 @@ def newton_cardinality(
     p_i: CardinalityPmf, p_j: CardinalityPmf, config: NewtonConfig
 ) -> tuple[float, CardinalityPmf, NewtonTrace]:
     """Solve for the weight maximising -log of the pmf geometric-mean
-    normalizer; all sums are exact over the finite joint support."""
+    normalizer, with the array evaluator grids use: all sums are exact over
+    the finite joint support."""
     a, b = _common_probs(p_i, p_j)
     if np.array_equal(a, b):
         trace = NewtonTrace((), True, 0, (DEGENERATE_CARD_FLAG,))
         return 0.5, p_i, trace
-    joint = (a > 0) & (b > 0)
-    if joint.sum() < 2:
+    if np.count_nonzero((a > 0) & (b > 0)) < 2:
         raise ValueError("cardinality solver needs at least two joint support points")
-    evaluate = quadrature.tilted_log_moments(np.log(a[joint]), np.log(b[joint]))
+    evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf)
     omega_star, fused, trace = _newton_weight(evaluate, config)
-    probs = np.zeros_like(a)
-    probs[joint] = fused.weights
-    return omega_star, CardinalityPmf(probs), trace
+    return omega_star, fused.density(), trace
 
 
 # h(x) = log(log1p(x) / x) = sum over k >= 1 of _H_SERIES[k - 1] x^k

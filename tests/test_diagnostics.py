@@ -261,3 +261,26 @@ class TestPointwiseRatio:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError, match="ratio undefined"):
             diagnostics.pointwise_ratio(TWO_POINT, TWO_POINT, [1.0, 0.0], 0.5, 1)
+
+
+class TestArgumentRanges:
+    def test_negative_count_rejected(self):
+        p_i, p_j = sf.CardinalityPmf([0.2, 0.3, 0.5]), sf.CardinalityPmf([0.3, 0.3, 0.4])
+        z_seq = [1.0, 0.5, 0.25]
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                diagnostics.pointwise_ratio(p_i, p_j, z_seq, 0.5, n)
+
+    @pytest.mark.parametrize("omega", [-0.1, 1.5, math.nan])
+    def test_weight_outside_unit_interval_rejected(self, omega):
+        p_i, p_j = sf.CardinalityPmf([0.2, 0.3, 0.5]), sf.CardinalityPmf([0.3, 0.3, 0.4])
+        calls = (
+            lambda: diagnostics.cardinality_inconsistency_bound(p_i, p_j, [1.0, 0.5, 0.25], omega, 1),
+            lambda: diagnostics.bernoulli_inconsistency_bound(0.8, 0.6, omega),
+            lambda: diagnostics.iid_inconsistency_bound(p_i, p_j, omega, 1, 0.5),
+            lambda: diagnostics.iid_inconsistency_threshold(p_i, p_j, omega, 0.5),
+            lambda: diagnostics.pointwise_ratio(p_i, p_j, [1.0, 0.5, 0.25], omega, 1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="omega must lie in"):
+                call()

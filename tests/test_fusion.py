@@ -44,6 +44,13 @@ class TestFusedCardinality:
         with pytest.raises(ValueError, match="\\(0, 1\\]"):
             fusion.fused_cardinality_p2(p, p, [1.0, 1.5], 0.5)
 
+    def test_nan_scale_factors_rejected(self):
+        p = sf.CardinalityPmf([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="\\(0, 1\\]"):
+            fusion.fused_cardinality_p2(p, p, [1.0, math.nan, 0.5], 0.5)
+        with pytest.raises(ValueError, match="z_seq\\[0\\]"):
+            fusion.fused_cardinality_p2(p, p, [math.nan, 1.0, 0.5], 0.5)
+
     def test_endpoints_return_inputs(self):
         p_i = sf.CardinalityPmf([0.2, 0.8])
         p_j = sf.CardinalityPmf([0.5, 0.5])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
@@ -143,6 +145,84 @@ class TestGridEmd:
         gi, gj = gaussian_grids
         assert fusion.localisation_emd(gi, gj, 0.0)[0] is gi
         assert fusion.localisation_emd(gi, gj, 1.0) == (gj, 1.0)
+
+
+def array_pair(seed: int, kind: str):
+    """Two random inputs of one kind (a count pmf, or a density on a 1-D or
+    2-D lattice) with some zero entries and at least two shared positive
+    ones, and the mask of their joint support."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(2, 5, 2)) if kind == "grid2" else (rng.integers(2, 10),)
+    raw = rng.uniform(0.0, 1.0, (2, *shape)) * (rng.uniform(size=(2, *shape)) > 0.3)
+    shared = rng.choice(raw[0].size, 2, replace=False)
+    raw.reshape(2, -1)[:, shared] += 0.5
+    if kind == "pmf":
+        pair = [sf.CardinalityPmf(values / values.sum()) for values in raw]
+    else:
+        cell = rng.uniform(0.1, 2.0, len(shape))
+        pair = [sf.GridDensity(np.zeros(len(shape)), cell, values / (values.sum() * np.prod(cell))) for values in raw]
+    return pair, (raw[0] > 0) & (raw[1] > 0)
+
+
+def _values(x):
+    return x.probs if isinstance(x, sf.CardinalityPmf) else x.values
+
+
+def _mass(x):
+    return _values(x).sum() * (1.0 if isinstance(x, sf.CardinalityPmf) else x.cell_volume)
+
+
+class TestArrayPairProperties:
+    """Count pmfs and grids share one array evaluator, so the weight
+    solvers and fusion rules obey the same laws on both."""
+
+    CONFIG = sf.NewtonConfig(epsilon=1e-10)
+    SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+    @staticmethod
+    def solve(x_i, x_j):
+        if isinstance(x_i, sf.CardinalityPmf):
+            omega, fused, _ = sf.newton_cardinality(x_i, x_j, TestArrayPairProperties.CONFIG)
+        else:
+            omega, fused, _, _ = sf.newton_localisation(x_i, x_j, TestArrayPairProperties.CONFIG)
+        return omega, fused
+
+    @pytest.mark.parametrize("kind", ["pmf", "grid1", "grid2"])
+    @given(seed=SEEDS)
+    @settings(max_examples=25)
+    def test_optimal_weight_and_fused_input(self, kind, seed):
+        (x_i, x_j), joint = array_pair(seed, kind)
+        omega, fused = self.solve(x_i, x_j)
+        assert self.solve(x_j, x_i)[0] == pytest.approx(1.0 - omega, abs=1e-8)
+        values = _values(fused)
+        assert np.all(values[~joint] == 0.0)
+        assert np.all(values >= np.minimum(_values(x_i), _values(x_j)) * (1.0 - 1e-12))
+        assert abs(_mass(fused) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["pmf", "grid1", "grid2"])
+    @given(seed=SEEDS, omega=st.floats(0.01, 0.99))
+    @settings(max_examples=25)
+    def test_fusion_rules_at_a_weight(self, kind, seed, omega):
+        (x_i, x_j), joint = array_pair(seed, kind)
+        if kind == "pmf":
+            z_seq = np.concatenate(([1.0], np.random.default_rng(seed).uniform(0.05, 1.0, joint.size - 1)))
+            rules = [
+                lambda w: fusion.cardinality_emd(x_i, x_j, w),
+                lambda w: fusion.fused_cardinality_p2(x_i, x_j, z_seq, w),
+                lambda w: fusion.iid_cardinality_p2(x_i, x_j, -3.0 * omega, w),
+            ]
+        else:
+            rules = [lambda w: fusion.localisation_emd(x_i, x_j, w)]
+        for rule in rules:
+            for end, x in ((0.0, x_i), (1.0, x_j)):
+                fused, z = rule(end)
+                assert fused is x and z == 1.0
+            fused, z = rule(omega)
+            assert 0.0 < z <= 1.0 + 1e-12
+            assert np.all(_values(fused)[~joint] == 0.0)
+            assert abs(_mass(fused) - 1.0) <= 1e-12
+        fused = rules[0](omega)[0]
+        assert np.all(_values(fused) >= np.minimum(_values(x_i), _values(x_j)) * (1.0 - 1e-12))
 
 
 class TestDerivativeIdentity:

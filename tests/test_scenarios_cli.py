@@ -175,6 +175,17 @@ class TestRunSweep:
         with pytest.raises(scenarios.ScenarioError, match="Gaussian"):
             scenarios.run_sweep(scenario, tmp_path / "out")
 
+    def test_one_dimensional_inputs_exit_2(self, tmp_path, capsys):
+        loc_1d = {"mean": [0.0], "cov": [[1.0]]}
+        payload = bernoulli_payload(sweep={"kappa": [1.0, 4.0, 3], "omega": [0.0, 1.0, 5]})
+        for spec in payload["inputs"]:
+            spec["loc"] = loc_1d
+        path = write_scenario(tmp_path, payload)
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2-D Gaussian" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_iid_sweep_rows_are_self_consistent(self, tmp_path):
         pmf_i = [0.05, 0.15, 0.8]
         pmf_j = [0.1, 0.2, 0.7]
@@ -377,6 +388,9 @@ BAD_SCALARS = {
     "sigma1_sq zero": _set("sweep", "sigma1_sq", 0),
     "sigma1_sq negative": _set("sweep", "sigma1_sq", -1.0),
     "det_sigma negative": _set("sweep", "det_sigma", -1.0),
+    "kappa end below 1": _set("sweep", "kappa", [2.0, 0.5, 3]),
+    "kappa end above condition limit": _set("sweep", "kappa", 1, 1e13),
+    "sigma1_sq overflows": _set("sweep", "sigma1_sq", 1e300),
     "sweep not an object": _set("sweep", 5),
     "max_iters fractional": _set("solver", "max_iters", 2.5),
     "seed string": _set("solver", "seed", "x"),

@@ -457,17 +457,27 @@ class TestConsistentFuse:
         calls = []
 
         def counted(owner, name):
+            # a density() call is recorded by the type it builds: the array
+            # evaluator builds IID count pmfs as well as fused grids
             method = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or method(*args))
+
+            def call(*args):
+                out = method(*args)
+                calls.append(type(out).__name__ if name == "density" else name)
+                return out
+
+            monkeypatch.setattr(owner, name, call)
 
         counted(sf.GaussianDensity, "__post_init__")
         counted(sf.GridDensity, "__post_init__")
         counted(gaussian._Fused, "density")
         counted(quadrature._Fused, "density")
+        loc = "GridDensity" if grid else "GaussianDensity"
         sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig())
-        assert calls == ["density"]
+        assert calls == [loc]
         sf.consistent_fuse(f_i, f_j, sf.NewtonConfig())
-        assert calls == ["density", "density"]
+        pmfs = ["CardinalityPmf"] if family == "iid" else []
+        assert calls == [loc, loc, *pmfs]
 
     @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
     def test_closed_form_families_never_iterate_on_counts(self, monkeypatch, family):
