@@ -81,19 +81,27 @@ def poisson_inconsistency(
     return bound, z_omega < bound
 
 
-def _log_iid_normalizer(a: np.ndarray, b: np.ndarray, omega: float, z_omega: float) -> float:
-    """log of sum_n a(n)^(1-w) b(n)^w z^n over the joint support, or -inf
-    when no term survives. n log z joins the logs summed by the kernel's
-    shifted sum, so z^n never underflows; at z = 0 only n = 0 survives."""
-    joint = (a > 0) & (b > 0)
+def _joint_counts(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts where both pmfs are positive, and each pmf there."""
+    a, b = _common_probs(p_i, p_j)
+    ns = ((a > 0) & (b > 0)).nonzero()[0]
+    return ns, a[ns], b[ns]
+
+
+def _log_iid_normalizer(ns: np.ndarray, a: np.ndarray, b: np.ndarray, omega: float, z_omega: float) -> float:
+    """log of sum_n a(n)^(1-w) b(n)^w z^n over the joint-support counts ns
+    (a and b hold the pmfs there), or -inf when no term survives. n log z
+    joins the logs summed by the kernel's shifted sum, so z^n never
+    underflows; at z = 0 only n = 0 survives."""
     if z_omega == 0.0:
-        joint[1:] = False
-    ns = np.flatnonzero(joint)
+        k = 1 if ns.size and ns[0] == 0 else 0
+        ns, a, b, scale = ns[:k], a[:k], b[:k], 0.0
+    else:
+        scale = ns * math.log(z_omega)
     if ns.size == 0:
         return -math.inf
-    scale = ns * math.log(z_omega) if z_omega > 0.0 else 0.0
-    log_a = np.log(a[joint]) + scale
-    log_b = np.log(b[joint]) + scale
+    log_a = np.log(a) + scale
+    log_b = np.log(b) + scale
     return quadrature._shifted_sum(log_a + omega * (log_b - log_a))[0]
 
 
@@ -113,13 +121,14 @@ def iid_inconsistency_bound(
     _check_omega(omega)
     if n <= 0:
         raise ValueError("bound undefined at n = 0")
-    if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
+    a_n, b_n = p_i.prob(n), p_j.prob(n)
+    if a_n <= 0.0 or b_n <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
     if not z_omega >= 0.0:
         raise ValueError("scale factor must be nonnegative")
-    a, b = _common_probs(p_i, p_j)
-    ratio = min(a[n], b[n]) / (a[n] ** (1.0 - omega) * b[n] ** omega)
-    return math.exp((_log_iid_normalizer(a, b, omega, z_omega) + math.log(ratio)) / n)
+    ratio = min(a_n, b_n) / (a_n ** (1.0 - omega) * b_n**omega)
+    log_norm = _log_iid_normalizer(*_joint_counts(p_i, p_j), omega, z_omega)
+    return math.exp((log_norm + math.log(ratio)) / n)
 
 
 def iid_inconsistency_threshold(
@@ -135,15 +144,14 @@ def iid_inconsistency_threshold(
     _check_omega(omega)
     if not 0.0 <= z_omega < 1.0:
         raise ValueError("threshold requires z_omega = 0 or z_omega in (0, 1)")
-    a, b = _common_probs(p_i, p_j)
-    joint = (a > 0) & (b > 0)
-    if not np.any(joint):
+    ns, a, b = _joint_counts(p_i, p_j)
+    if ns.size == 0:
         raise ValueError("incompatible cardinality supports")
     if z_omega == 0.0:
-        return float(np.argmax(joint))
-    geo = a[joint] ** (1.0 - omega) * b[joint] ** omega
-    gamma = float(np.min(np.minimum(a[joint], b[joint]) / geo))
-    log_norm = _log_iid_normalizer(a, b, omega, z_omega)
+        return float(ns[0])
+    geo = a ** (1.0 - omega) * b**omega
+    gamma = float((np.minimum(a, b) / geo).min())
+    log_norm = _log_iid_normalizer(ns, a, b, omega, z_omega)
     return (log_norm + math.log(gamma)) / math.log(z_omega)
 
 

@@ -40,8 +40,14 @@ def _check_omega(omega: float) -> None:
 
 
 def _common_probs(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray, np.ndarray]:
-    n = max(p_i.n_max, p_j.n_max)
-    return p_i.padded(n), p_j.padded(n)
+    """Both pmfs' probabilities over one count range. Only a shorter pmf is
+    padded; a pmf that spans the range gives its own read-only array."""
+    a, b = p_i.probs, p_j.probs
+    if a.size < b.size:
+        a = p_i.padded(p_j.n_max)
+    elif b.size < a.size:
+        b = p_j.padded(p_i.n_max)
+    return a, b
 
 
 def _geometric_pmf(
@@ -54,10 +60,13 @@ def _geometric_pmf(
         return p_i, 1.0
     if omega == 1.0:
         return p_j, 1.0
-    a, b = _common_probs(p_i, p_j)
-    if not np.any((a > 0) & (b > 0)):
-        raise ValueError("incompatible cardinality supports")
-    fused = quadrature.tilted_log_moments(a, b, CardinalityPmf, log_extra=log_extra)(omega)
+    try:
+        evaluate = quadrature.tilted_log_moments(
+            *_common_probs(p_i, p_j), CardinalityPmf._trusted, log_extra=log_extra
+        )
+    except ValueError:
+        raise ValueError("incompatible cardinality supports") from None
+    fused = evaluate(omega)
     return fused.density(), math.exp(fused.log_z)
 
 
@@ -145,6 +154,11 @@ def _bernoulli_alpha(alpha_i: float, alpha_j: float, omega: float, log_z: float)
     return present / (absent + present) if present > 0.0 else 0.0
 
 
+def _check_alphas(alpha_i: float, alpha_j: float) -> None:
+    if {alpha_i, alpha_j} == {0.0, 1.0}:
+        raise ValueError("incompatible existence beliefs: alphas are 0 and 1")
+
+
 def _poisson_rate(rate_i: float, rate_j: float, omega: float, log_z: float) -> float:
     """Jointly fused Poisson rate at weight w and scale z_w."""
     return rate_i ** (1.0 - omega) * rate_j**omega * math.exp(log_z)
@@ -175,9 +189,7 @@ def bernoulli_fuse_p2(f_i: BernoulliRfs, f_j: BernoulliRfs, omega: float) -> Ber
         return BernoulliJoint(f_i, 1.0, f_i.alpha)
     if omega == 1.0:
         return BernoulliJoint(f_j, 1.0, f_j.alpha)
-    pinned = {f_i.alpha, f_j.alpha} == {0.0, 1.0}
-    if pinned:
-        raise ValueError("incompatible existence beliefs: alphas are 0 and 1")
+    _check_alphas(f_i.alpha, f_j.alpha)
     fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
     alpha = _bernoulli_alpha(f_i.alpha, f_j.alpha, omega, fused.log_z)
     return BernoulliJoint(BernoulliRfs(alpha, fused.density()), math.exp(fused.log_z), alpha)

@@ -50,6 +50,14 @@ class CardinalityPmf:
             raise ValueError(f"cardinality pmf must sum to 1 (got {total!r})")
         _set_frozen(self, probs=p.copy())
 
+    @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "CardinalityPmf":
+        """Freeze nonnegative probabilities of unit mass (a fused or padded
+        pmf). The array is taken over, not copied."""
+        self = object.__new__(cls)
+        _set_frozen(self, probs=probs)
+        return self
+
     @property
     def n_max(self) -> int:
         return self.probs.size - 1
@@ -315,7 +323,9 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
     """Materialize the cardinality pmf of ``f`` on 0..n_max.
 
     Poisson counts are truncated and renormalized; the truncation must leave
-    tail mass below 1e-9 or a ValueError is raised.
+    tail mass below 1e-9 or a ValueError is raised. An IID-cluster pmf that
+    already ends at n_max is returned itself; truncating its positive mass
+    raises a ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -344,7 +354,8 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
         probs = terms[: n_max + 1]
         return CardinalityPmf(probs / probs.sum())
     if isinstance(f, IidClusterRfs):
-        return CardinalityPmf(f.card.padded(n_max))
+        card = f.card
+        return card if card.n_max == n_max else CardinalityPmf._trusted(card.padded(n_max))
     raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")
 
 

@@ -64,13 +64,14 @@ def tilted_log_moments(
     normalized terms. Terms are shifted by their maximum before
     exponentiation, so only exp(log_z) may underflow. ``log_extra``, a scalar
     or an array shaped like ``a``, goes into both logs, since
-    (1-w)(a+e) + w(b+e) = (1-w)a + wb + e.
+    (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The evaluator's ``points`` is
+    the number of joint-support entries.
     """
     mask = (a > 0) & (b > 0)
-    if not mask.any():
-        raise ValueError("densities have disjoint support; geometric mean vanishes")
     extra = log_extra[mask] if np.ndim(log_extra) else log_extra
     log_a = np.log(a[mask]) + extra
+    if not log_a.size:
+        raise ValueError("densities have disjoint support; geometric mean vanishes")
     log_ratio = np.log(b[mask]) + extra - log_a
     log_scale = math.log(volume)
 
@@ -85,6 +86,7 @@ def tilted_log_moments(
         log_z = float(log_sum + log_scale)
         return _Fused(log_z, float(mean), float(curvature), rel, total, mask, volume, build)
 
+    evaluate.points = log_a.size
     return evaluate
 
 

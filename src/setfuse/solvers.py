@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import gaussian, quadrature
-from .fusion import _bernoulli_alpha, _check_omega, _common_probs, _localisation_pair, _poisson_rate
+from .fusion import _bernoulli_alpha, _check_alphas, _check_omega, _common_probs, _localisation_pair, _poisson_rate
 from .model import (
     BernoulliRfs,
     CardinalityPmf,
@@ -39,6 +39,7 @@ from .model import (
 
 DEGENERATE_LOC_FLAG = "degenerate: identical localisation densities"
 DEGENERATE_CARD_FLAG = "degenerate: identical cardinality pmfs"
+SINGLE_COUNT_FLAG = "degenerate: single joint count"
 
 
 @dataclass(frozen=True)
@@ -222,14 +223,19 @@ def newton_cardinality(
 ) -> tuple[float, CardinalityPmf, NewtonTrace]:
     """Solve for the weight maximising -log of the pmf geometric-mean
     normalizer, with the array evaluator grids use: all sums are exact over
-    the finite joint support."""
+    the finite joint support. A joint support of one count fuses to that
+    count at weight 0.5, flagged ``SINGLE_COUNT_FLAG``."""
     a, b = _common_probs(p_i, p_j)
     if np.array_equal(a, b):
         trace = NewtonTrace((), True, 0, (DEGENERATE_CARD_FLAG,))
         return 0.5, p_i, trace
-    if np.count_nonzero((a > 0) & (b > 0)) < 2:
-        raise ValueError("cardinality solver needs at least two joint support points")
-    evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf)
+    try:
+        evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf._trusted)
+    except ValueError:
+        raise ValueError("incompatible cardinality supports") from None
+    if evaluate.points == 1:
+        # every weight fuses to the one count both pmfs support
+        return 0.5, evaluate(0.5).density(), NewtonTrace((), True, 0, (SINGLE_COUNT_FLAG,))
     omega_star, fused, trace = _newton_weight(evaluate, config)
     return omega_star, fused.density(), trace
 
@@ -311,6 +317,19 @@ def kld_balance_residual(fused, f_i, f_j) -> float:
     raise TypeError(f"unsupported density type {type(fused).__name__}")
 
 
+def _closed_form_count(closed_form: Callable, x_i: float, x_j: float, pinned: tuple[float, ...]):
+    """Weight, fused count parameter and flags of a Bernoulli or Poisson
+    count pair. An input value in ``pinned`` puts all its count mass on one
+    count, the only joint one, which every weight fuses to; it is returned
+    at weight 0.5, as equal inputs are."""
+    if x_i == x_j:
+        return 0.5, x_i, [DEGENERATE_CARD_FLAG]
+    for x in (x_i, x_j):
+        if x in pinned:
+            return 0.5, x, [SINGLE_COUNT_FLAG]
+    return *closed_form(x_i, x_j)[:2], []
+
+
 def consistent_fuse(
     f_i: FiniteSetDistribution, f_j: FiniteSetDistribution, config: NewtonConfig
 ) -> FusionResult:
@@ -332,15 +351,16 @@ def consistent_fuse(
     card_trace: Optional[NewtonTrace] = None
 
     if isinstance(f_i, BernoulliRfs):
-        omega_card, alpha_star, _ = bernoulli_closed_form(f_i.alpha, f_j.alpha)
-        if f_i.alpha == f_j.alpha:
-            flags.append(DEGENERATE_CARD_FLAG)
+        _check_alphas(f_i.alpha, f_j.alpha)
+        omega_card, alpha_star, card_flags = _closed_form_count(
+            bernoulli_closed_form, f_i.alpha, f_j.alpha, (0.0, 1.0)
+        )
+        flags.extend(card_flags)
         fused: FiniteSetDistribution = BernoulliRfs(alpha_star, fused_loc)
 
     elif isinstance(f_i, PoissonRfs):
-        omega_card, rate_star = poisson_closed_form(f_i.rate, f_j.rate)
-        if f_i.rate == f_j.rate:
-            flags.append(DEGENERATE_CARD_FLAG)
+        omega_card, rate_star, card_flags = _closed_form_count(poisson_closed_form, f_i.rate, f_j.rate, (0.0,))
+        flags.extend(card_flags)
         fused = PoissonRfs(rate_star, fused_loc)
 
     elif isinstance(f_i, IidClusterRfs):

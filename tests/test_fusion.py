@@ -255,6 +255,22 @@ class TestIidFusion:
         np.testing.assert_array_equal(joint.fused.card.probs, [1.0, 0.0])
         assert fusion.iid_fuse_p2(f_i, f_j, 1.0, 1).normalizer == 1.0
 
+    def test_count_path_validates_no_pmf(self, monkeypatch):
+        rho_i, rho_j = gaussian_pair_with_scale(0.5)
+        pairs = [(binomial_pmf(5, 0.95), binomial_pmf(5, 0.6)), (binomial_pmf(5, 0.9), binomial_pmf(3, 0.5))]
+        validated = []
+        post_init = sf.CardinalityPmf.__post_init__
+        monkeypatch.setattr(sf.CardinalityPmf, "__post_init__", lambda self: validated.append(post_init(self)))
+        for p_i, p_j in pairs:
+            f_i, f_j = sf.IidClusterRfs(p_i, rho_i), sf.IidClusterRfs(p_j, rho_j)
+            assert sf.cardinality_of(f_i, 5) is p_i
+            for n_max in (5, 8):
+                assert fusion.iid_fuse_p2(f_i, f_j, 0.4, n_max).fused.card.n_max == n_max
+            sf.newton_cardinality(p_i, p_j, sf.NewtonConfig())
+        assert validated == []
+        sf.CardinalityPmf([0.5, 0.5])
+        assert len(validated) == 1
+
     def test_propagates_disjoint_support_error(self):
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([1.0, 0.0]), UNIT)
         f_j = sf.IidClusterRfs(sf.CardinalityPmf([0.0, 1.0]), UNIT)

@@ -225,6 +225,22 @@ class TestArrayPairProperties:
         assert np.all(_values(fused) >= np.minimum(_values(x_i), _values(x_j)) * (1.0 - 1e-12))
 
 
+    @given(seed=SEEDS, omega=st.floats(0.01, 0.99))
+    @settings(max_examples=25)
+    def test_trusted_pmf_equals_public_constructor(self, seed, omega):
+        (p_i, p_j), _ = array_pair(seed, "pmf")
+        # a longer second pmf, so one input is padded
+        p_j = sf.CardinalityPmf(np.concatenate((p_j.probs, np.zeros(seed % 3))))
+        outputs = [
+            fusion.cardinality_emd(p_i, p_j, omega)[0],
+            fusion.iid_cardinality_p2(p_i, p_j, -3.0 * omega, omega)[0],
+            sf.newton_cardinality(p_i, p_j, self.CONFIG)[1],
+        ]
+        for fused in outputs:
+            np.testing.assert_array_equal(fused.probs, sf.CardinalityPmf(fused.probs).probs)
+            assert not fused.probs.flags.writeable
+
+
 class TestDerivativeIdentity:
     def test_gradient_equals_scaled_divergence_gap(self, rng):
         # z' = z (D(rho_w||rho_i) - D(rho_w||rho_j)), checked against a

@@ -12,6 +12,7 @@ import pytest
 import setfuse as sf
 from setfuse import scenarios
 from setfuse.cli import main
+from setfuse.solvers import SINGLE_COUNT_FLAG
 from conftest import binomial_pmf
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -494,6 +495,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "solver error" in err and "omega=" in err
         assert "slope=" in err and "curvature=" in err
+
+    @pytest.mark.parametrize("name, field", [("two_sensor_bernoulli.json", "alpha"), ("poisson_pair.json", "lambda")])
+    def test_count_pinned_at_zero_fuses_in_consistent_mode(self, tmp_path, capsys, name, field):
+        payload = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+        payload["inputs"][0][field] = 0.0
+        path = write_scenario(tmp_path, payload)
+        assert main(["fuse", "--scenario", str(path), "--mode", "consistent", "--out", str(tmp_path / "o")]) == 0
+        assert SINGLE_COUNT_FLAG in capsys.readouterr().out
+        with open(tmp_path / "o" / "fuse.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert all(np.isfinite(float(row[k])) for k in row if k not in ("family", "mode", "inconsistent"))
+        assert float(row["omega_card"]) == 0.5 and float(row[f"{field}_fused"]) == 0.0
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
     def test_seed_does_not_change_consistent_output(self, tmp_path, name):

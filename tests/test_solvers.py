@@ -7,7 +7,7 @@ import pytest
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from setfuse.solvers import DEGENERATE_CARD_FLAG
+from setfuse.solvers import DEGENERATE_CARD_FLAG, SINGLE_COUNT_FLAG
 from conftest import binomial_pmf, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
@@ -174,10 +174,19 @@ class TestNewtonCardinality:
         assert omega == 0.5 and fused is p
         assert any(flag.startswith("degenerate") for flag in trace.flags)
 
-    def test_single_common_support_point_rejected(self):
+    def test_single_common_support_point_fuses_to_it(self):
         p_i = sf.CardinalityPmf([0.5, 0.5, 0.0])
         p_j = sf.CardinalityPmf([0.0, 0.5, 0.5])
-        with pytest.raises(ValueError, match="two joint support"):
+        for a, b in ((p_i, p_j), (p_j, p_i)):
+            omega, fused, trace = sf.newton_cardinality(a, b, sf.NewtonConfig(max_iters=1))
+            assert omega == 0.5
+            np.testing.assert_array_equal(fused.probs, [0.0, 1.0, 0.0])
+            assert trace.flags == (SINGLE_COUNT_FLAG,) and trace.converged and trace.iterations == 0
+
+    def test_disjoint_supports_rejected(self):
+        p_i = sf.CardinalityPmf([1.0, 0.0])
+        p_j = sf.CardinalityPmf([0.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match="incompatible cardinality supports"):
             sf.newton_cardinality(p_i, p_j, sf.NewtonConfig())
 
     def test_exhausted_iterations_raise_with_trace(self):
@@ -498,11 +507,37 @@ class TestConsistentFuse:
             make, values = sf.IidClusterRfs, [sf.CardinalityPmf(p) for p in pmfs]
         else:
             make = sf.BernoulliRfs if family == "bernoulli" else sf.PoissonRfs
-            values = [1e-13, 5e-13, 0.3, 0.3 + 1e-10, math.nextafter(0.3, 1.0), 0.5, 0.5 + 1e-9]
+            values = [0.0, 1e-13, 5e-13, 0.3, 0.3 + 1e-10, math.nextafter(0.3, 1.0), 0.5, 0.5 + 1e-9]
         for a in range(len(values)):
             for b in range(a, len(values)):
                 result = sf.consistent_fuse(make(values[a], UNIT), make(values[b], UNIT), sf.NewtonConfig())
                 assert (DEGENERATE_CARD_FLAG in result.flags) == (a == b), (values[a], values[b])
+
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "iid"])
+    def test_single_joint_count_fuses_to_it_as_p2_does(self, family):
+        if family == "bernoulli":
+            make, pairs = sf.BernoulliRfs, [(0.0, 0.5), (0.3, 0.0), (1.0, 0.5), (0.7, 1.0)]
+            p2, count = fusion.bernoulli_fuse_p2, lambda f: f.alpha
+        elif family == "poisson":
+            make, pairs = sf.PoissonRfs, [(0.0, 2.5), (4.0, 0.0)]
+            p2, count = fusion.poisson_fuse_p2, lambda f: f.rate
+        else:
+            make = sf.IidClusterRfs
+            pairs = [(sf.CardinalityPmf([0.5, 0.5, 0.0]), sf.CardinalityPmf([0.0, 0.2, 0.8])),
+                     (sf.CardinalityPmf([0.0, 0.0, 1.0]), sf.CardinalityPmf([0.1, 0.3, 0.6]))]
+            p2 = lambda f_i, f_j, w: fusion.iid_fuse_p2(f_i, f_j, w, 2)
+            count = lambda f: tuple(f.card.probs)
+        for x_i, x_j in pairs:
+            f_i, f_j = make(x_i, UNIT), make(x_j, SHIFTED)
+            result = sf.consistent_fuse(f_i, f_j, sf.NewtonConfig())
+            assert result.omega_card == 0.5
+            assert SINGLE_COUNT_FLAG in result.flags and DEGENERATE_CARD_FLAG not in result.flags
+            for w in (0.2, 0.5, 0.9):
+                assert count(result.fused) == count(p2(f_i, f_j, w).fused)
+
+    def test_alphas_zero_and_one_still_rejected(self):
+        with pytest.raises(ValueError, match="incompatible existence"):
+            sf.consistent_fuse(sf.BernoulliRfs(0.0, UNIT), sf.BernoulliRfs(1.0, SHIFTED), sf.NewtonConfig())
 
     def test_diagnostics_attach_without_mutation(self):
         f = sf.BernoulliRfs(0.8, UNIT)
