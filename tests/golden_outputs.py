@@ -1,0 +1,169 @@
+"""Golden outputs of the committed CLI commands, and their regeneration.
+
+The eleven commands are ``fuse`` on each committed scenario in both modes,
+``sweep`` on the two-sensor scenario and ``reproduce ex1..ex4``. For each,
+``tests/golden/manifest.json`` holds its arguments, exit code and stdout
+(paths written as ``{out}/...``), and ``tests/golden/<case>/`` holds every
+file it writes. Files above ``SAMPLE_ABOVE`` bytes keep only their header,
+first row, last row and every 97th row; the manifest records their line
+count.
+
+``tests/test_golden.py`` runs each command in process and compares with
+``compare``. Regenerate only when an output is meant to change:
+
+    PYTHONPATH=src python tests/golden_outputs.py
+
+It prints the largest relative change of each file against the stored data,
+then rewrites that data.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
+
+from setfuse import cli
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+SCENARIOS = TESTS.parent / "scripts" / "scenarios"
+SAMPLE_ABOVE = 25_000
+SAMPLE_EVERY = 97
+RTOL = 1e-12
+
+
+def commands() -> dict[str, list[str]]:
+    """Case name -> CLI arguments, with ``{scenarios}`` and ``{out}`` left to fill."""
+    cases = {}
+    for name in ("binomial_iid_pair", "poisson_pair", "two_sensor_bernoulli"):
+        for mode in ("p2", "consistent"):
+            cases[f"fuse-{name}-{mode}"] = [
+                "fuse", "--scenario", f"{{scenarios}}/{name}.json", "--mode", mode, "--out", "{out}",
+            ]
+    cases["sweep-two_sensor_bernoulli"] = [
+        "sweep", "--scenario", "{scenarios}/two_sensor_bernoulli.json", "--out", "{out}",
+    ]
+    for example in ("ex1", "ex2", "ex3", "ex4"):
+        cases[f"reproduce-{example}"] = ["reproduce", example, "--out", "{out}"]
+    return cases
+
+
+def run(argv: list[str], out: Path) -> tuple[int, list[str], dict[str, list[str]]]:
+    """Run one command through ``cli.main`` into ``out``: its exit code, its
+    stdout lines with ``out`` written as ``{out}``, and the lines of every
+    file it wrote, keyed by path relative to ``out``."""
+    filled = [arg.format(scenarios=SCENARIOS, out=out) for arg in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(filled)
+    lines = stdout.getvalue().replace(str(out), "{out}").splitlines()
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            files[path.relative_to(out).as_posix()] = path.read_text(encoding="utf-8").splitlines()
+    return code, lines, files
+
+
+def sample(lines: list[str]) -> list[str]:
+    """The header, the first and last rows, and every 97th row."""
+    keep = {0, 1, len(lines) - 1, *range(SAMPLE_EVERY, len(lines), SAMPLE_EVERY)}
+    return [lines[k] for k in sorted(keep)]
+
+
+def _cell_change(old: str, new: str) -> float:
+    """Relative change of one cell: 0 when equal, inf when not comparable."""
+    if old == new:
+        return 0.0
+    if old.lstrip("-").isdigit() and new.lstrip("-").isdigit():
+        return math.inf  # integers must match exactly
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf  # strings and booleans must match exactly
+    if a == b:
+        return 0.0
+    return math.inf if a == 0.0 else abs(b - a) / abs(a)
+
+
+def line_change(old: str, new: str) -> float:
+    """Largest relative change over the comma-separated cells of one line."""
+    old_cells, new_cells = old.split(","), new.split(",")
+    if len(old_cells) != len(new_cells):
+        return math.inf
+    return max(_cell_change(a, b) for a, b in zip(old_cells, new_cells))
+
+
+def file_change(name: str, old: list[str], new: list[str]) -> float:
+    """Largest relative change between stored and new lines of one file;
+    ``summary.txt`` and every non-CSV file must match exactly."""
+    if len(old) != len(new):
+        return math.inf
+    if not name.endswith(".csv"):
+        return 0.0 if old == new else math.inf
+    return max((line_change(a, b) for a, b in zip(old, new)), default=0.0)
+
+
+def load(case: str) -> dict:
+    """The stored record of one case: argv, exit code, stdout and files."""
+    record = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))[case]
+    base = GOLDEN / case
+    record["files"] = {
+        path.relative_to(base).as_posix(): path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(base.rglob("*"))
+        if path.is_file()
+    }
+    return record
+
+
+def compare(record: dict, files: dict[str, list[str]]) -> dict[str, float]:
+    """Largest relative change per file of a new run against a stored record.
+    A file present on one side only, or a sampled file whose line count
+    moved, reads inf."""
+    changes = {}
+    for name in sorted(set(record["files"]) | set(files)):
+        if name not in record["files"] or name not in files:
+            changes[name] = math.inf
+            continue
+        new = files[name]
+        if name in record["sampled"]:
+            if len(new) != record["sampled"][name]:
+                changes[name] = math.inf
+                continue
+            new = sample(new)
+        changes[name] = file_change(name, record["files"][name], new)
+    return changes
+
+
+def regenerate() -> None:
+    stored = (GOLDEN / "manifest.json").is_file()
+    manifest = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, argv in commands().items():
+            out = Path(tmp) / case
+            code, stdout, files = run(argv, out)
+            if stored:
+                old = load(case)
+                for name, change in compare(old, files).items():
+                    print(f"{case}/{name}: largest relative change {change:.3g}")
+                if (old["exit"], old["stdout"]) != (code, stdout):
+                    print(f"{case}: exit code or stdout changed")
+            shutil.rmtree(GOLDEN / case, ignore_errors=True)
+            sampled = {}
+            for name, lines in files.items():
+                if len("\n".join(lines)) > SAMPLE_ABOVE:
+                    sampled[name] = len(lines)
+                    lines = sample(lines)
+                target = GOLDEN / case / name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            manifest[case] = {"argv": argv, "exit": code, "stdout": stdout, "sampled": sampled}
+    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
