@@ -4,6 +4,10 @@
     setfuse sweep --scenario s.json --out dir
     setfuse reproduce ex1|ex2|ex3|ex4 --out dir
 
+Every command loads its scenario (``fuse``, ``sweep``), computes a report,
+prints its check verdicts, writes it, and prints each path written and then
+the report's own lines.
+
 Exit codes: 0 success, 2 bad input, 3 solver or fusion failure.
 Set SETFUSE_LOG=error|warn|info|debug to control logging. A ``--seed N``
 left in older command lines is accepted with a warning and has no effect.
@@ -15,8 +19,10 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 
-from .scenarios import EXAMPLE_IDS, ScenarioError, load_scenario, reproduce, run_fuse, run_sweep
+from .scenarios import EXAMPLE_IDS, ScenarioError, experiment_report, fuse_scenario, load_scenario
+from .scenarios import sweep_report, write_report
 from .solvers import SolverError
 
 log = logging.getLogger("setfuse")
@@ -40,43 +46,23 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
-def _resolve_out(args, scenario=None) -> str:
-    if args.out is not None:
-        return args.out
-    if scenario is not None and scenario.out_dir is not None:
-        return scenario.out_dir
-    raise ScenarioError("no output directory: pass --out or set 'outputs' in the scenario")
-
-
-def _cmd_fuse(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = _resolve_out(args, scenario)
-    result, path = run_fuse(scenario, args.mode, out)
-    print(f"wrote {path}")
-    print(
-        f"family={scenario.family} mode={args.mode} "
-        f"omega_card={result.omega_card:.6f} omega_loc={result.omega_loc[0]:.6f} "
-        f"z={result.z_values[0]:.6f} flags={','.join(result.flags) or '-'}"
-    )
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = _resolve_out(args, scenario)
-    path = run_sweep(scenario, out)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_reproduce(args) -> int:
-    out = args.out if args.out is not None else "out"
-    result = reproduce(args.example, out)
-    for name, ok, detail in result["checks"]:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    for path in result["files"]:
+def _run(args) -> int:
+    """Run one command through the stages in the module docstring."""
+    if args.command == "reproduce":
+        report = experiment_report(args.example)
+        out = Path("out" if args.out is None else args.out) / args.example
+    else:
+        scenario = load_scenario(args.scenario)
+        out = scenario.out_dir if args.out is None else args.out
+        if out is None:
+            raise ScenarioError("no output directory: pass --out or set 'outputs' in the scenario")
+        report = fuse_scenario(scenario, args.mode)[1] if args.command == "fuse" else sweep_report(scenario)
+    for line in report.verdicts():
+        print(line)
+    for path in write_report(report, out):
         print(f"wrote {path}")
-    print(f"wrote {result['summary']}")
+    for line in report.lines:
+        print(line)
     return EXIT_OK
 
 
@@ -93,15 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     fuse = sub.add_parser("fuse", parents=[common], help="fuse a scenario pair once")
     fuse.add_argument("--scenario", required=True, help="scenario JSON path")
     fuse.add_argument("--mode", required=True, choices=("p2", "consistent"))
-    fuse.set_defaults(func=_cmd_fuse)
 
     sweep = sub.add_parser("sweep", parents=[common], help="run the scenario's (kappa, omega) sweep")
     sweep.add_argument("--scenario", required=True, help="scenario JSON path")
-    sweep.set_defaults(func=_cmd_sweep)
 
     rep = sub.add_parser("reproduce", parents=[common], help="rebuild a built-in experiment")
     rep.add_argument("example", choices=EXAMPLE_IDS)
-    rep.set_defaults(func=_cmd_reproduce)
 
     return parser
 
@@ -113,7 +96,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         log.warning("ignoring --seed: it has no effect")
     try:
-        return args.func(args)
+        return _run(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,6 +11,11 @@ fixed (``sigma1_sq``, default 1.0) while the minor-axis variance shrinks as
 sigma1_sq / kappa. Setting ``det_sigma`` instead holds the determinant fixed.
 The fixed-major-axis default is what reproduces the reference experiment
 curves; the determinant convention is kept as an override.
+
+Every command runs in stages: ``load_scenario`` loads, ``fuse_scenario``,
+``sweep_report`` or ``experiment_report`` computes a ``Report`` without
+writing anything, and ``write_report`` writes it. ``run_fuse``,
+``run_sweep`` and ``reproduce`` are a compute followed by the write.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -286,6 +291,33 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
+class Report(NamedTuple):
+    """What one command computed, before anything is written: its tables as
+    (file name, header, rows) in write order, its checks as (name, ok,
+    detail), and the lines it prints after naming the files it wrote."""
+
+    tables: Sequence[tuple[str, Sequence[str], Sequence[tuple]]]
+    checks: Sequence[tuple[str, bool, str]] = ()
+    lines: Sequence[str] = ()
+
+    def verdicts(self) -> list[str]:
+        """One ``PASS``/``FAIL`` line per check."""
+        return [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in self.checks]
+
+
+def write_report(report: Report, out_dir) -> list[Path]:
+    """Write each table of ``report`` as a CSV under ``out_dir``, then its
+    verdicts as summary.txt when it has checks; returns the paths written."""
+    out_dir = Path(out_dir)
+    paths = [write_csv(out_dir / name, header, rows) for name, header, rows in report.tables]
+    if report.checks:
+        summary = out_dir / "summary.txt"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary.write_text("\n".join(report.verdicts()) + "\n", encoding="utf-8")
+        paths.append(summary)
+    return paths
+
+
 def _iid_n_max(scenario: Scenario) -> int:
     if scenario.n_max is not None:
         return scenario.n_max
@@ -303,8 +335,10 @@ def _count_summary(f: FiniteSetDistribution):
     return f.rate if isinstance(f, PoissonRfs) else f.card.map_estimate()
 
 
-def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path]:
-    """Fuse the scenario pair and write a one-row CSV report.
+def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
+    """Fuse the scenario pair: the result, with its ``inconsistent``
+    diagnostic, and the report of ``fuse``, a one-row fuse.csv and a
+    summary line.
 
     Mode "p2" applies the jointly coupled rule at the scenario's fixed
     weight (default 0.5, i.e. divergence averaging); mode "consistent" runs
@@ -329,26 +363,29 @@ def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path
 
     name = _SUMMARY_NAME[scenario.family]
     values = tuple(_count_summary(f) for f in (f_i, f_j, result.fused))
-    inconsistent = values[2] < min(values[0], values[1])
-    result = with_diagnostics(result, {"inconsistent": bool(inconsistent)})
+    inconsistent = bool(values[2] < min(values[0], values[1]))
+    result = with_diagnostics(result, {"inconsistent": inconsistent})
     value_cols = (f"{name}_i", f"{name}_j", f"{name}_fused")
     header = ("family", "mode", "omega_card", "omega_loc", "z_omega", *value_cols, "inconsistent")
-    row = (
-        scenario.family,
-        mode,
-        result.omega_card,
-        result.omega_loc[0],
-        result.z_values[0],
-        *values,
-        bool(inconsistent),
+    row = (scenario.family, mode, result.omega_card, result.omega_loc[0], result.z_values[0], *values, inconsistent)
+    line = (
+        f"family={scenario.family} mode={mode} "
+        f"omega_card={result.omega_card:.6f} omega_loc={result.omega_loc[0]:.6f} "
+        f"z={result.z_values[0]:.6f} flags={','.join(result.flags) or '-'}"
     )
-    path = write_csv(Path(out_dir) / "fuse.csv", header, [row])
-    return result, path
+    return result, Report([("fuse.csv", header, [row])], lines=[line])
 
 
-def _sweep_table(scenario: Scenario) -> tuple[tuple[str, ...], list[tuple]]:
-    """Header and rows of the (kappa, omega) sweep in grid order: one pair
-    evaluation per kappa covers its omega row; the count rule runs per cell."""
+def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path]:
+    """Fuse the scenario pair and write its one-row fuse.csv under ``out_dir``."""
+    result, report = fuse_scenario(scenario, mode)
+    return result, write_report(report, out_dir)[0]
+
+
+def sweep_report(scenario: Scenario) -> Report:
+    """The report of ``sweep``: sweep.csv, one row per (kappa, omega) cell
+    in grid order. One pair evaluation per kappa covers its omega row; the
+    count rule runs per cell."""
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
     f_i, f_j = scenario.f_i, scenario.f_j
@@ -380,13 +417,13 @@ def _sweep_table(scenario: Scenario) -> tuple[tuple[str, ...], list[tuple]]:
             value = fused(omega, log_z)
             rows.append((kappa, omega, math.exp(log_z), *inputs, value, value < min(inputs)))
     name = _SUMMARY_NAME[scenario.family]
-    return ("kappa", "omega", "z_omega", f"{name}_i", f"{name}_j", f"{name}_omega", "inconsistent"), rows
+    header = ("kappa", "omega", "z_omega", f"{name}_i", f"{name}_j", f"{name}_omega", "inconsistent")
+    return Report([("sweep.csv", header, rows)])
 
 
 def run_sweep(scenario: Scenario, out_dir) -> Path:
-    """Evaluate the (kappa, omega) sweep grid and write one CSV row per cell,
-    in grid order."""
-    return write_csv(Path(out_dir) / "sweep.csv", *_sweep_table(scenario))
+    """Evaluate the (kappa, omega) sweep grid and write sweep.csv under ``out_dir``."""
+    return write_report(sweep_report(scenario), out_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +462,10 @@ def two_sensor_scenario() -> Scenario:
     )
 
 
-def _summary(checks: list[tuple[str, bool, str]], out_dir: Path) -> Path:
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks
-    ]
-    path = out_dir / "summary.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _reproduce_ex1(out_dir: Path) -> dict:
+def _reproduce_ex1() -> Report:
     scenario = two_sensor_scenario()
-    header, rows = _sweep_table(scenario)
-    sweep_path = write_csv(out_dir / "sweep.csv", header, rows)
-    z, alpha = np.array([(row[2], row[5]) for row in rows]).T.reshape(2, scenario.sweep.kappa[2], -1)
+    (sweep,) = sweep_report(scenario).tables
+    z, alpha = np.array([(row[2], row[5]) for row in sweep[2]]).T.reshape(2, scenario.sweep.kappa[2], -1)
     interior = slice(1, -1)
     checks = [
         (
@@ -467,15 +493,11 @@ def _reproduce_ex1(out_dir: Path) -> dict:
     # cardinality-consistent fused existence (constant 0.8)
     mid = alpha.shape[1] // 2
     kl_rows = [(k, a, 0.8) for k, a in zip(scenario.sweep.kappa_grid(), alpha[:, mid])]
-    kl_path = write_csv(
-        out_dir / "existence_vs_diversity.csv",
-        ("kappa", "alpha_kl_averaging", "alpha_consistent"),
-        kl_rows,
-    )
-    return {"files": [sweep_path, kl_path], "checks": checks}
+    kl_table = ("existence_vs_diversity.csv", ("kappa", "alpha_kl_averaging", "alpha_consistent"), kl_rows)
+    return Report([sweep, kl_table], checks)
 
 
-def _reproduce_ex2(out_dir: Path) -> dict:
+def _reproduce_ex2() -> Report:
     z_grid = np.linspace(0.1, 0.9, 9)
     omega_grid = np.linspace(0.0, 1.0, 11)
     pmf_rows, map_rows, bound_rows, eta_rows = [], [], [], []
@@ -541,53 +563,34 @@ def _reproduce_ex2(out_dir: Path) -> dict:
             f"drop fraction high={drop_fraction['high']:.3f} low={drop_fraction['low']:.3f}",
         )
     )
-    files = [
-        write_csv(out_dir / "fused_count_pmfs.csv", ("pair", "z_omega", "omega", "n", "prob"), pmf_rows),
-        write_csv(out_dir / "map_estimates.csv", ("pair", "z_omega", "omega", "map_fused"), map_rows),
-        write_csv(out_dir / "inconsistency_bounds.csv", ("pair", "z_omega", "omega", "n", "bound"), bound_rows),
-        write_csv(out_dir / "inconsistency_thresholds.csv", ("pair", "z_omega", "omega", "eta"), eta_rows),
+    tables = [
+        ("fused_count_pmfs.csv", ("pair", "z_omega", "omega", "n", "prob"), pmf_rows),
+        ("map_estimates.csv", ("pair", "z_omega", "omega", "map_fused"), map_rows),
+        ("inconsistency_bounds.csv", ("pair", "z_omega", "omega", "n", "bound"), bound_rows),
+        ("inconsistency_thresholds.csv", ("pair", "z_omega", "omega", "eta"), eta_rows),
     ]
-    return {"files": files, "checks": checks}
+    return Report(tables, checks)
 
 
-def _reproduce_ex3(out_dir: Path) -> dict:
+def _reproduce_ex3() -> Report:
     scenario = two_sensor_scenario()
     sweep = scenario.sweep
     kappas = sweep.kappa_grid()
     m_i, m_j = TWO_SENSOR_MEANS
     rows = []
     solved = {}
-    max_iters_seen = 0
     for kappa in kappas:
         cov_i, cov_j = sweep.covariances(float(kappa))
         omega_star, fused, z_star, trace = newton_localisation(
             GaussianDensity(m_i, cov_i), GaussianDensity(m_j, cov_j), scenario.solver
         )
         rows.append((float(kappa), omega_star, trace.iterations, z_star))
-        solved[float(kappa)] = (omega_star, fused, trace)
-        max_iters_seen = max(max_iters_seen, trace.iterations)
-    files = [write_csv(out_dir / "optimal_weights.csv", ("kappa", "omega_star", "iterations", "z_star"), rows)]
+        solved[float(kappa)] = (omega_star, fused)
     emd_rows = []
     for kappa in (1.0, 10.0, 20.0):
-        omega_star, fused, _ = solved[kappa]
-        emd_rows.append(
-            (
-                kappa,
-                omega_star,
-                fused.mean[0],
-                fused.mean[1],
-                fused.cov[0, 0],
-                fused.cov[0, 1],
-                fused.cov[1, 1],
-            )
-        )
-    files.append(
-        write_csv(
-            out_dir / "fused_localisations.csv",
-            ("kappa", "omega_star", "mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy"),
-            emd_rows,
-        )
-    )
+        omega_star, fused = solved[kappa]
+        emd_rows.append((kappa, omega_star, *fused.mean, fused.cov[0, 0], fused.cov[0, 1], fused.cov[1, 1]))
+    max_iters_seen = max(row[2] for row in rows)
     w1, w10, w20 = (solved[k][0] for k in (1.0, 10.0, 20.0))
     checks = [
         (
@@ -616,10 +619,15 @@ def _reproduce_ex3(out_dir: Path) -> dict:
             f"max iterations = {max_iters_seen}",
         ),
     ]
-    return {"files": files, "checks": checks}
+    tables = [
+        ("optimal_weights.csv", ("kappa", "omega_star", "iterations", "z_star"), rows),
+        ("fused_localisations.csv",
+         ("kappa", "omega_star", "mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy"), emd_rows),
+    ]
+    return Report(tables, checks)
 
 
-def _reproduce_ex4(out_dir: Path) -> dict:
+def _reproduce_ex4() -> Report:
     weight_rows, pmf_rows, checks = [], [], []
     for pair in ("low", "high"):
         k, prob_i, prob_j = BINOMIAL_PAIRS[pair]
@@ -641,25 +649,29 @@ def _reproduce_ex4(out_dir: Path) -> dict:
              fused_map == p_i.map_estimate() == p_j.map_estimate(), f"fused MAP = {fused_map}"),
             (f"{pair} pair fused counts dominate input minima", dominated, "consistency holds at every count"),
         ]
-    files = [
-        write_csv(out_dir / "optimal_weights.csv", ("pair", "omega_star", "iterations", "kld_residual"), weight_rows),
-        write_csv(out_dir / "fused_count_pmfs.csv", ("pair", "n", "p_i", "p_j", "p_fused"), pmf_rows),
+    tables = [
+        ("optimal_weights.csv", ("pair", "omega_star", "iterations", "kld_residual"), weight_rows),
+        ("fused_count_pmfs.csv", ("pair", "n", "p_i", "p_j", "p_fused"), pmf_rows),
     ]
-    return {"files": files, "checks": checks}
+    return Report(tables, checks)
 
 
-def reproduce(example_id: str, out_dir) -> dict:
-    """Run one built-in experiment; returns files written and check verdicts."""
+def experiment_report(example_id: str) -> Report:
+    """Run one built-in experiment: its tables and check verdicts."""
     if example_id not in EXAMPLE_IDS:
         raise ScenarioError(f"unknown example {example_id!r}; expected one of {EXAMPLE_IDS}")
-    out_dir = Path(out_dir) / example_id
-    runner = {
+    log.info("reproducing %s", example_id)
+    return {
         "ex1": _reproduce_ex1,
         "ex2": _reproduce_ex2,
         "ex3": _reproduce_ex3,
         "ex4": _reproduce_ex4,
-    }[example_id]
-    log.info("reproducing %s into %s", example_id, out_dir)
-    result = runner(out_dir)
-    result["summary"] = _summary(result["checks"], out_dir)
-    return result
+    }[example_id]()
+
+
+def reproduce(example_id: str, out_dir) -> dict:
+    """Run one built-in experiment and write it under ``out_dir/example_id``;
+    returns the CSVs written, the check verdicts and the summary.txt path."""
+    report = experiment_report(example_id)
+    *files, summary = write_report(report, Path(out_dir) / example_id)
+    return {"files": files, "checks": list(report.checks), "summary": summary}
