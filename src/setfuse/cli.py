@@ -8,7 +8,8 @@ Every command loads its scenario (``fuse``, ``sweep``), computes a report,
 prints its check verdicts, writes it, and prints each path written and then
 the report's own lines.
 
-Exit codes: 0 success, 2 bad input, 3 solver or fusion failure.
+Exit codes: 0 success, 2 bad input (inputs that cannot be fused together
+included), 3 solver or fusion failure.
 Set SETFUSE_LOG=error|warn|info|debug to control logging. A ``--seed N``
 left in older command lines is accepted with a warning and has no effect.
 """
@@ -21,6 +22,7 @@ import os
 import sys
 from pathlib import Path
 
+from .model import IncompatibleInputs
 from .scenarios import EXAMPLE_IDS, ScenarioError, experiment_report, fuse_scenario, load_scenario
 from .scenarios import sweep_report, write_report
 from .solvers import SolverError
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
         log.warning("ignoring --seed: it has no effect")
     try:
         return _run(args)
-    except ScenarioError as exc:
+    except (ScenarioError, IncompatibleInputs) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -28,6 +28,7 @@ from .model import (
     GaussianDensity,
     GridDensity,
     IidClusterRfs,
+    IncompatibleInputs,
     LocalisationDensity,
     PoissonRfs,
     cardinality_of,
@@ -65,7 +66,7 @@ def _geometric_pmf(
             *_common_probs(p_i, p_j), CardinalityPmf._trusted, log_extra=log_extra
         )
     except ValueError:
-        raise ValueError("incompatible cardinality supports") from None
+        raise IncompatibleInputs("incompatible cardinality supports") from None
     fused = evaluate(omega)
     return fused.density(), math.exp(fused.log_z)
 
@@ -156,7 +157,7 @@ def _bernoulli_alpha(alpha_i: float, alpha_j: float, omega: float, log_z: float)
 
 def _check_alphas(alpha_i: float, alpha_j: float) -> None:
     if {alpha_i, alpha_j} == {0.0, 1.0}:
-        raise ValueError("incompatible existence beliefs: alphas are 0 and 1")
+        raise IncompatibleInputs("incompatible existence beliefs: alphas are 0 and 1")
 
 
 def _poisson_rate(rate_i: float, rate_j: float, omega: float, log_z: float) -> float:

@@ -24,6 +24,12 @@ GRID_MASS_TOL = 1e-2
 COV_CONDITION_LIMIT = 1e12
 
 
+class IncompatibleInputs(ValueError):
+    """Inputs that are each valid but cannot be fused or evaluated together:
+    existence beliefs of 0 and 1, count pmfs with no common support, or a
+    count range that would cut off positive probability."""
+
+
 def _set_frozen(obj, **arrays: np.ndarray) -> None:
     """Store arrays, made read-only, on a frozen dataclass instance."""
     for name, value in arrays.items():
@@ -75,7 +81,7 @@ class CardinalityPmf:
         """Probabilities extended with zeros out to index n_max."""
         if n_max < self.n_max:
             if np.any(self.probs[n_max + 1:] > 0):
-                raise ValueError("cannot truncate pmf with positive tail mass")
+                raise IncompatibleInputs("cannot truncate pmf with positive tail mass")
             return self.probs[: n_max + 1].copy()
         out = np.zeros(n_max + 1)
         out[: self.probs.size] = self.probs

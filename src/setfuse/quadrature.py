@@ -9,9 +9,7 @@ log b - log a under the fused terms (the first two w-derivatives of
 log z_w); its ``density()`` lays the normalized terms back onto the full
 array and builds the fused grid or pmf from it. For grids z_w = integral
 rho_i^(1-w) rho_j^w is a midpoint-rule sum; ``grid_log_moments`` is the
-grid pair evaluator, the counterpart of ``gaussian._pair``.
-``grid_z_omega`` sums z_w exactly with ``math.fsum``, as an oracle for the
-evaluator."""
+grid pair evaluator, the counterpart of ``gaussian._pair``."""
 
 from __future__ import annotations
 
@@ -105,23 +103,6 @@ def grid_log_moments(rho_i: GridDensity, rho_j: GridDensity) -> Callable[[float]
     fused grid on the lattice of ``rho_i``."""
     _check_aligned(rho_i, rho_j)
     return tilted_log_moments(rho_i.values, rho_j.values, partial(GridDensity._trusted, rho_i), rho_i.cell_volume)
-
-
-def grid_z_omega(rho_i: GridDensity, rho_j: GridDensity, omega: float) -> float:
-    """Midpoint-rule value of z_w, summed exactly with ``math.fsum``; an
-    oracle for the kernel. Cells where either density vanishes contribute
-    nothing for w in (0, 1); endpoints integrate the endpoint density
-    alone."""
-    _check_aligned(rho_i, rho_j)
-    vol = rho_i.cell_volume
-    if omega == 0.0:
-        return math.fsum(rho_i.values.ravel()) * vol
-    if omega == 1.0:
-        return math.fsum(rho_j.values.ravel()) * vol
-    vi = rho_i.values
-    vj = rho_j.values
-    mask = (vi > 0) & (vj > 0)
-    return math.fsum(np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))) * vol
 
 
 def discretize_gaussians(

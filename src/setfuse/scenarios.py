@@ -34,6 +34,7 @@ import numpy as np
 from . import diagnostics, gaussian, quadrature
 from .fusion import (
     _bernoulli_alpha,
+    _check_alphas,
     _poisson_rate,
     bernoulli_fuse_p2,
     fused_cardinality_p2,
@@ -242,6 +243,8 @@ def load_scenario(path) -> Scenario:
     if not 0.0 <= omega <= 1.0:
         raise ScenarioError("omega must lie in [0, 1]")
     n_max = None if raw.get("n_max") is None else _number(raw["n_max"], "n_max", count=True, positive=True)
+    if family == "iid" and n_max is not None and any(f.card.probs[n_max + 1:].any() for f in (f_i, f_j)):
+        raise ScenarioError(f"n_max = {n_max} would truncate positive probability of an input pmf")
     out_dir = raw.get("outputs")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError("outputs must be a string")
@@ -396,6 +399,7 @@ def sweep_report(scenario: Scenario) -> Report:
     # fused(w, log z_w) -> the family's fused count summary at one cell
     inputs = (_count_summary(f_i), _count_summary(f_j))
     if scenario.family == "bernoulli":
+        _check_alphas(*inputs)
         fused = partial(_bernoulli_alpha, *inputs)
     elif scenario.family == "poisson":
         fused = partial(_poisson_rate, *inputs)

@@ -32,6 +32,7 @@ from .model import (
     GaussianDensity,
     GridDensity,
     IidClusterRfs,
+    IncompatibleInputs,
     LocalisationDensity,
     PoissonRfs,
     pmf_kld,
@@ -232,7 +233,7 @@ def newton_cardinality(
     try:
         evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf._trusted)
     except ValueError:
-        raise ValueError("incompatible cardinality supports") from None
+        raise IncompatibleInputs("incompatible cardinality supports") from None
     if evaluate.points == 1:
         # every weight fuses to the one count both pmfs support
         return 0.5, evaluate(0.5).density(), NewtonTrace((), True, 0, (SINGLE_COUNT_FLAG,))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import setfuse as sf
+from setfuse import quadrature
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -35,3 +38,20 @@ def binomial_pmf(k, p):
 
     raw = binom.pmf(np.arange(k + 1), k, p)
     return sf.CardinalityPmf(raw / raw.sum())
+
+
+def grid_z_omega(rho_i, rho_j, omega):
+    """Midpoint-rule value of z_w, summed exactly with ``math.fsum``; an
+    oracle for ``quadrature.grid_log_moments``. Cells where either density
+    vanishes contribute nothing for w in (0, 1); endpoints integrate the
+    endpoint density alone."""
+    quadrature._check_aligned(rho_i, rho_j)
+    vol = rho_i.cell_volume
+    if omega == 0.0:
+        return math.fsum(rho_i.values.ravel()) * vol
+    if omega == 1.0:
+        return math.fsum(rho_j.values.ravel()) * vol
+    vi = rho_i.values
+    vj = rho_j.values
+    mask = (vi > 0) & (vj > 0)
+    return math.fsum(np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))) * vol

@@ -11,7 +11,7 @@ import pytest
 
 import setfuse as sf
 from setfuse import diagnostics, fusion, gaussian, quadrature, scenarios
-from conftest import binomial_pmf, make_gaussian, random_pmf
+from conftest import binomial_pmf, grid_z_omega, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -145,12 +145,12 @@ def test_criterion_06_derivative_oracles():
     for w in (0.2, 0.5, 0.8):
         log_z, slope, curvature = grid_moments(w)[:3]
         z = math.exp(log_z)
-        fd1 = (quadrature.grid_z_omega(gi, gj, w + h)
-               - quadrature.grid_z_omega(gi, gj, w - h)) / (2 * h)
+        fd1 = (grid_z_omega(gi, gj, w + h)
+               - grid_z_omega(gi, gj, w - h)) / (2 * h)
         assert z * slope == pytest.approx(fd1, rel=1e-3)
-        fd2 = (quadrature.grid_z_omega(gi, gj, w + h)
-               - 2 * quadrature.grid_z_omega(gi, gj, w)
-               + quadrature.grid_z_omega(gi, gj, w - h)) / h**2
+        fd2 = (grid_z_omega(gi, gj, w + h)
+               - 2 * grid_z_omega(gi, gj, w)
+               + grid_z_omega(gi, gj, w - h)) / h**2
         assert z * (curvature + slope**2) == pytest.approx(fd2, rel=1e-3)
 
         assert gaussian._pair(UNIT, SHIFTED)(w).curvature == pytest.approx(curvature, rel=1e-3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setfuse as sf
-from setfuse import fusion, gaussian
+from setfuse import diagnostics, fusion, gaussian, solvers
 from conftest import binomial_pmf, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
@@ -334,3 +334,26 @@ class TestDensityRelation:
                 ratio = pointwise_ratio(f_i.card, f_j.card, z_seq, w, n)
                 rhs = ratio * z_seq[n] * sf.rfs_density_eval(joint, x)
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
+
+
+
+DISJOINT = (sf.CardinalityPmf([0.5, 0.5, 0.0]), sf.CardinalityPmf([0.0, 0.0, 1.0]))
+
+
+class TestIncompatibleInputs:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: fusion.bernoulli_fuse_p2(sf.BernoulliRfs(0.0, UNIT), sf.BernoulliRfs(1.0, UNIT), 0.5),
+             "existence beliefs"),
+            (lambda: fusion.cardinality_emd(*DISJOINT, 0.5), "cardinality supports"),
+            (lambda: solvers.newton_cardinality(*DISJOINT, sf.NewtonConfig()), "cardinality supports"),
+            (lambda: diagnostics.iid_inconsistency_threshold(*DISJOINT, 0.5, 0.5), "cardinality supports"),
+            (lambda: DISJOINT[1].padded(1), "truncate"),
+        ],
+        ids=["alphas", "fusion supports", "solver supports", "diagnostics supports", "truncation"],
+    )
+    def test_typed_error_at_each_site(self, call, message):
+        with pytest.raises(sf.IncompatibleInputs, match=message) as info:
+            call()
+        assert isinstance(info.value, ValueError)

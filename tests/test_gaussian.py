@@ -5,7 +5,7 @@ import pytest
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature, solvers
-from conftest import make_gaussian
+from conftest import grid_z_omega, make_gaussian
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -50,7 +50,7 @@ class TestEmdScale:
         z = fusion.localisation_emd(UNIT, SHIFTED, 0.5)[1]
         assert z == pytest.approx(0.60653, abs=1e-5)
         gi, gj = quadrature.discretize_gaussians([UNIT, SHIFTED])
-        assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, 0.5), rel=1e-3)
+        assert z == pytest.approx(grid_z_omega(gi, gj, 0.5), rel=1e-3)
 
     def test_never_exceeds_one_on_weight_grid(self, rng):
         for _ in range(25):
@@ -65,7 +65,7 @@ class TestEmdScale:
             w = rng.uniform(0.05, 0.95)
             gi, gj = quadrature.discretize_gaussians([a, b])
             assert fusion.localisation_emd(a, b, w)[1] == pytest.approx(
-                quadrature.grid_z_omega(gi, gj, w), rel=1e-3
+                grid_z_omega(gi, gj, w), rel=1e-3
             )
 
     def test_neg_log_scale_is_concave(self, rng):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from conftest import make_gaussian
+from conftest import grid_z_omega, make_gaussian
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -21,21 +21,21 @@ def gaussian_grids():
 class TestGridZ:
     def test_identical_grids_integrate_to_one(self, gaussian_grids):
         gi, _ = gaussian_grids
-        assert quadrature.grid_z_omega(gi, gi, 0.4) == pytest.approx(1.0, abs=1e-9)
+        assert grid_z_omega(gi, gi, 0.4) == pytest.approx(1.0, abs=1e-9)
 
     def test_endpoint_weight(self, gaussian_grids):
         gi, gj = gaussian_grids
-        assert quadrature.grid_z_omega(gi, gj, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert grid_z_omega(gi, gj, 1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_canonical_pair(self, gaussian_grids):
         gi, gj = gaussian_grids
-        assert quadrature.grid_z_omega(gi, gj, 0.5) == pytest.approx(0.60653, abs=1e-3)
+        assert grid_z_omega(gi, gj, 0.5) == pytest.approx(0.60653, abs=1e-3)
 
     def test_misaligned_grids_rejected(self, gaussian_grids):
         gi, _ = gaussian_grids
         other = sf.GridDensity(gi.origin + 0.05, gi.cell_size, gi.values)
         with pytest.raises(ValueError, match="misaligned"):
-            quadrature.grid_z_omega(gi, other, 0.5)
+            grid_z_omega(gi, other, 0.5)
 
     def test_alignment_tolerance(self, gaussian_grids):
         gi, _ = gaussian_grids
@@ -67,15 +67,15 @@ class TestGridDerivatives:
         gi, gj = gaussian_grids
         for w in (0.1, 0.5, 0.9):
             z, _, _ = grid_derivatives(gi, gj, w)
-            assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, w), rel=1e-12)
+            assert z == pytest.approx(grid_z_omega(gi, gj, w), rel=1e-12)
 
     def test_first_derivative_matches_central_difference(self, gaussian_grids):
         gi, gj = gaussian_grids
         h = 1e-4
         for w in (0.25, 0.5, 0.75):
             fd = (
-                quadrature.grid_z_omega(gi, gj, w + h)
-                - quadrature.grid_z_omega(gi, gj, w - h)
+                grid_z_omega(gi, gj, w + h)
+                - grid_z_omega(gi, gj, w - h)
             ) / (2 * h)
             assert grid_derivatives(gi, gj, w)[1] == pytest.approx(fd, rel=1e-4)
 
@@ -84,9 +84,9 @@ class TestGridDerivatives:
         h = 1e-4
         for w in (0.25, 0.5, 0.75):
             fd = (
-                quadrature.grid_z_omega(gi, gj, w + h)
-                - 2 * quadrature.grid_z_omega(gi, gj, w)
-                + quadrature.grid_z_omega(gi, gj, w - h)
+                grid_z_omega(gi, gj, w + h)
+                - 2 * grid_z_omega(gi, gj, w)
+                + grid_z_omega(gi, gj, w - h)
             ) / h**2
             assert grid_derivatives(gi, gj, w)[2] == pytest.approx(fd, rel=1e-3)
 
@@ -121,7 +121,7 @@ class TestGridEmd:
         gi, gj = quadrature.discretize_gaussians([UNIT, SHIFTED], extent_sigmas=12.0)
         for w in (0.1, 0.5, 0.9):
             fused, z = fusion.localisation_emd(gi, gj, w)
-            assert z == pytest.approx(quadrature.grid_z_omega(gi, gj, w), rel=1e-12)
+            assert z == pytest.approx(grid_z_omega(gi, gj, w), rel=1e-12)
             assert abs(fused.values.sum() * fused.cell_volume - 1.0) <= 1e-12
 
     def test_trusted_density_equals_public_constructor(self, rng):

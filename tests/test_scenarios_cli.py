@@ -400,7 +400,51 @@ BAD_SCALARS = {
 }
 
 
+def _drop(*keys):
+    """Mutation of a scenario payload that deletes the value at a key path."""
+    *path, last = keys
+
+    def mutate(payload):
+        target = payload
+        for key in path:
+            target = target[key]
+        del target[last]
+
+    return mutate
+
+
+# Committed scenarios made malformed or incompatible; each exits 2 in both
+# modes, and in ``sweep`` where the scenario has a sweep block.
+BAD_INPUTS = {
+    "alphas 0 and 1": ("two_sensor_bernoulli.json", [_set("inputs", 0, "alpha", 0.0), _set("inputs", 1, "alpha", 1.0)]),
+    "disjoint count supports": (
+        "binomial_iid_pair.json",
+        [_set("inputs", 0, "pmf", [0.5, 0.5, 0, 0, 0, 0]), _set("inputs", 1, "pmf", [0, 0, 0, 0, 0.5, 0.5])],
+    ),
+    "n_max below pmf support": ("binomial_iid_pair.json", [_set("n_max", 3)]),
+    "required field dropped": ("poisson_pair.json", [_drop("inputs", 1, "loc")]),
+    "string for a number": ("poisson_pair.json", [_set("inputs", 0, "lambda", "2.0")]),
+    "NaN": ("poisson_pair.json", [_set("inputs", 1, "lambda", float("nan"))]),
+    "unknown family": ("two_sensor_bernoulli.json", [_set("family", "multi")]),
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_or_incompatible_input_exits_2(self, tmp_path, capsys, case):
+        name, mutations = BAD_INPUTS[case]
+        payload = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+        for mutate in mutations:
+            mutate(payload)
+        path = write_scenario(tmp_path, payload)
+        commands = [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"]] + [["sweep"]] * ("sweep" in payload)
+        for argv in commands:
+            out = tmp_path / "_".join(argv)
+            assert main([*argv, "--scenario", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err, err
+            assert not list(out.rglob("*.csv"))
+
     def test_fuse_exit_codes(self, tmp_path, capsys):
         ok = write_scenario(tmp_path, bernoulli_payload())
         assert main(["fuse", "--scenario", str(ok), "--mode", "consistent",
@@ -424,9 +468,9 @@ class TestCli:
             "disjoint.json",
         )
         assert main(["fuse", "--scenario", str(disjoint), "--mode", "p2",
-                     "--out", str(tmp_path)]) == 3
+                     "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "incompatible cardinality supports" in err
+        assert "error: incompatible cardinality supports" in err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):
