@@ -8,8 +8,8 @@ Every command loads its scenario (``fuse``, ``sweep``), computes a report,
 prints its check verdicts, writes it, and prints each path written and then
 the report's own lines.
 
-Exit codes: 0 success, 2 bad input (inputs that cannot be fused together
-included), 3 solver or fusion failure.
+Exit codes: 0 success, 2 bad input or inputs that cannot be fused
+together, 3 solver or fusion failure.
 Set SETFUSE_LOG=error|warn|info|debug to control logging. A ``--seed N``
 left in older command lines is accepted with a warning and has no effect.
 """

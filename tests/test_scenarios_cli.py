@@ -416,7 +416,10 @@ def _drop(*keys):
 # Committed scenarios made malformed or incompatible; each exits 2 in both
 # modes, and in ``sweep`` where the scenario has a sweep block.
 BAD_INPUTS = {
-    "alphas 0 and 1": ("two_sensor_bernoulli.json", [_set("inputs", 0, "alpha", 0.0), _set("inputs", 1, "alpha", 1.0)]),
+    "alphas 0 and 1": (
+        "two_sensor_bernoulli.json",
+        [_set("inputs", 0, "alpha", 0.0), _set("inputs", 1, "alpha", 1.0)],
+    ),
     "disjoint count supports": (
         "binomial_iid_pair.json",
         [_set("inputs", 0, "pmf", [0.5, 0.5, 0, 0, 0, 0]), _set("inputs", 1, "pmf", [0, 0, 0, 0, 0.5, 0.5])],
@@ -437,7 +440,9 @@ class TestCli:
         for mutate in mutations:
             mutate(payload)
         path = write_scenario(tmp_path, payload)
-        commands = [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"]] + [["sweep"]] * ("sweep" in payload)
+        commands = [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"]]
+        if "sweep" in payload:
+            commands.append(["sweep"])
         for argv in commands:
             out = tmp_path / "_".join(argv)
             assert main([*argv, "--scenario", str(path), "--out", str(out)]) == 2
