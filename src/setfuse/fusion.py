@@ -91,8 +91,8 @@ def fused_cardinality_p2(
     z = z[: a.size]
     if not abs(z[0] - 1.0) <= 1e-12:
         raise ValueError("z_seq[0] must be 1 by convention")
-    joint = (a > 0) & (b > 0)
-    if not np.all((z[joint] > 0) & (z[joint] <= 1.0 + 1e-12)):
+    outside = ~((z > 0) & (z <= 1.0 + 1e-12))
+    if outside.any() and ((a[outside] > 0) & (b[outside] > 0)).any():
         raise ValueError("scale factors must lie in (0, 1] on the joint support")
     return _geometric_pmf(p_i, p_j, omega, np.log(np.where(z > 0, z, 1.0)))
 

@@ -2,20 +2,14 @@
 
 ``tilted_log_moments`` is the one evaluator of a^(1-w) b^w / z_w for a pair
 of nonnegative arrays: grid densities here, count pmfs in ``fusion`` and
-``solvers``. It takes the logs once over the entries where both arrays are
-positive and, at each weight, sums the terms shifted by their maximum. An
-evaluation gives log z_w and the mean and variance of the log ratio
-log b - log a under the fused terms (the first two w-derivatives of
-log z_w); its ``density()`` lays the normalized terms back onto the full
-array and builds the fused grid or pmf from it. For grids z_w = integral
-rho_i^(1-w) rho_j^w is a midpoint-rule sum; ``grid_log_moments`` is the
-grid pair evaluator, the counterpart of ``gaussian._pair``."""
+``solvers``. For grids z_w = integral rho_i^(1-w) rho_j^w is a midpoint-rule
+sum; ``grid_log_moments`` is the counterpart of ``gaussian._pair``."""
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,24 +26,34 @@ def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
         raise ValueError("misaligned grids: origin, cell size and extent must match")
 
 
-class _Fused(NamedTuple):
-    """An array pair at one interior weight: log z_w, its two w-derivatives,
-    and the shifted terms with what ``density()`` needs to lay them back."""
+class _Fused:
+    """An array pair at one interior weight: ``log_z`` and the shifted terms
+    ``rel`` over the whole array, with their sum ``total``. ``slope`` and
+    ``curvature``, the mean and variance of log b - log a under the terms
+    (the first two w-derivatives of log z_w), are formed together on the
+    first read of either."""
 
-    log_z: float
-    slope: float
-    curvature: float
-    rel: np.ndarray
-    total: float
-    mask: np.ndarray
-    volume: float
-    build: Callable
+    __slots__ = ("log_z", "rel", "total", "pair", "_moments")
+
+    def __init__(self, log_z: float, rel: np.ndarray, total: float, pair: tuple):
+        self.log_z, self.rel, self.total, self.pair, self._moments = log_z, rel, total, pair, None
+
+    slope = property(lambda self: self._read_moments()[0])
+    curvature = property(lambda self: self._read_moments()[1])
+
+    def _read_moments(self) -> tuple[float, float]:
+        if self._moments is None:
+            log_ratio = self.pair[0]
+            mean = np.vdot(self.rel, log_ratio) / self.total
+            spread = log_ratio - mean
+            spread *= spread
+            self._moments = float(mean), float(np.vdot(self.rel, spread) / self.total)
+        return self._moments
 
     def density(self):
-        """``build`` of the full array of unit mass, zero off the joint support."""
-        values = np.zeros(self.mask.shape)
-        values[self.mask] = self.rel / (self.total * self.volume)
-        return self.build(values)
+        """``build`` of the normalized terms: unit mass, exactly 0 off the joint support."""
+        _, volume, build = self.pair
+        return build(self.rel / (self.total * volume))
 
 
 def tilted_log_moments(
@@ -58,33 +62,35 @@ def tilted_log_moments(
     """w -> the fused terms of z_w = volume * sum of a^(1-w) b^w exp(log_extra)
     over the entries where both arrays are positive.
 
-    The derivatives are the mean and variance of log b - log a under the
-    normalized terms. Terms are shifted by their maximum before
+    Both whole arrays are logged once, with log a = -inf and log b - log a = 0
+    off the joint support, so each evaluation gathers nothing and its terms
+    there are exactly 0. Terms are shifted by their maximum before
     exponentiation, so only exp(log_z) may underflow. ``log_extra``, a scalar
-    or an array shaped like ``a``, goes into both logs, since
-    (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The evaluator's ``points`` is
-    the number of joint-support entries.
+    or an array shaped like ``a``, goes into log a alone, since
+    (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. ``points`` counts the
+    joint-support entries.
     """
-    mask = (a > 0) & (b > 0)
-    extra = log_extra[mask] if np.ndim(log_extra) else log_extra
-    log_a = np.log(a[mask]) + extra
-    if not log_a.size:
+    off = (a <= 0) | (b <= 0)
+    points = off.size - np.count_nonzero(off)
+    if not points:
         raise ValueError("densities have disjoint support; geometric mean vanishes")
-    log_ratio = np.log(b[mask]) + extra - log_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(a)
+        log_ratio = np.log(b) - log_a
+    log_a[off] = -np.inf
+    log_ratio[off] = 0.0
+    if isinstance(log_extra, np.ndarray) or log_extra:
+        log_a += log_extra
     log_scale = math.log(volume)
+    pair = (log_ratio, volume, build)
 
     def evaluate(omega: float) -> _Fused:
         logs = log_ratio * omega
         logs += log_a
         log_sum, rel, total = _shifted_sum(logs)
-        mean = rel @ log_ratio / total
-        spread = log_ratio - mean
-        spread *= spread
-        curvature = rel @ spread / total
-        log_z = float(log_sum + log_scale)
-        return _Fused(log_z, float(mean), float(curvature), rel, total, mask, volume, build)
+        return _Fused(float(log_sum + log_scale), rel, total, pair)
 
-    evaluate.points = log_a.size
+    evaluate.points = points
     return evaluate
 
 

@@ -243,7 +243,9 @@ def load_scenario(path) -> Scenario:
     if not 0.0 <= omega <= 1.0:
         raise ScenarioError("omega must lie in [0, 1]")
     n_max = None if raw.get("n_max") is None else _number(raw["n_max"], "n_max", count=True, positive=True)
-    if family == "iid" and n_max is not None and any(f.card.probs[n_max + 1:].any() for f in (f_i, f_j)):
+    if n_max is not None and family != "iid":
+        raise ScenarioError(f"n_max applies only to the iid family, not {family}")
+    if n_max is not None and any(f.card.probs[n_max + 1:].any() for f in (f_i, f_j)):
         raise ScenarioError(f"n_max = {n_max} would truncate positive probability of an input pmf")
     out_dir = raw.get("outputs")
     if out_dir is not None and not isinstance(out_dir, str):

@@ -55,3 +55,24 @@ def grid_z_omega(rho_i, rho_j, omega):
     vj = rho_j.values
     mask = (vi > 0) & (vj > 0)
     return math.fsum(np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))) * vol
+
+
+def gathered_moments(a, b, omega, volume=1.0, log_extra=0.0):
+    """The array-pair evaluator's outputs at an interior weight, computed
+    over the gathered joint-support entries and summed with ``math.fsum``:
+    an oracle for ``quadrature.tilted_log_moments``. Returns log z_w, its
+    two w-derivatives, the fused values on the full array (0 off the joint
+    support) and the number of joint-support entries."""
+    mask = (a > 0) & (b > 0)
+    log_a = np.log(a[mask]) + np.broadcast_to(log_extra, a.shape)[mask]
+    log_ratio = np.log(b[mask]) - np.log(a[mask])
+    logs = log_a + omega * log_ratio
+    peak = logs.max()
+    terms = np.exp(logs - peak)
+    total = math.fsum(terms)
+    weights = terms / total
+    slope = math.fsum(weights * log_ratio)
+    curvature = math.fsum(weights * (log_ratio - slope) ** 2)
+    values = np.zeros(a.shape)
+    values[mask] = weights / volume
+    return peak + math.log(total) + math.log(volume), slope, curvature, values, int(mask.sum())

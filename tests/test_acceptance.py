@@ -143,7 +143,8 @@ def test_criterion_06_derivative_oracles():
     grid_moments = quadrature.grid_log_moments(gi, gj)
     h = 1e-4
     for w in (0.2, 0.5, 0.8):
-        log_z, slope, curvature = grid_moments(w)[:3]
+        fused = grid_moments(w)
+        log_z, slope, curvature = fused.log_z, fused.slope, fused.curvature
         z = math.exp(log_z)
         fd1 = (grid_z_omega(gi, gj, w + h)
                - grid_z_omega(gi, gj, w - h)) / (2 * h)

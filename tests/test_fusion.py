@@ -44,6 +44,16 @@ class TestFusedCardinality:
         with pytest.raises(ValueError, match="\\(0, 1\\]"):
             fusion.fused_cardinality_p2(p, p, [1.0, 1.5], 0.5)
 
+    def test_scale_range_checked_on_the_joint_support_at_every_weight(self):
+        p_i = sf.CardinalityPmf([0.2, 0.3, 0.5, 0.0])
+        p_j = sf.CardinalityPmf([0.1, 0.4, 0.0, 0.5])
+        for w in (0.0, 0.5, 1.0):
+            for bad in (1.5, 0.0, -0.2, math.nan):
+                with pytest.raises(ValueError, match="\\(0, 1\\]"):
+                    fusion.fused_cardinality_p2(p_i, p_j, [1.0, bad, 0.5, 0.5], w)
+            # counts 2 and 3 lie off the joint support, so their scales are not read
+            fusion.fused_cardinality_p2(p_i, p_j, [1.0, 0.5, 2.0, 0.0], w)
+
     def test_nan_scale_factors_rejected(self):
         p = sf.CardinalityPmf([0.2, 0.3, 0.5])
         with pytest.raises(ValueError, match="\\(0, 1\\]"):

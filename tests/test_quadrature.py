@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from conftest import grid_z_omega, make_gaussian
+from conftest import gathered_moments, grid_z_omega, make_gaussian
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -51,7 +51,8 @@ class TestGridZ:
 
 def grid_derivatives(gi, gj, w):
     """z_w and its first two w-derivatives from the log-space kernel."""
-    log_z, slope, curvature = quadrature.grid_log_moments(gi, gj)(w)[:3]
+    fused = quadrature.grid_log_moments(gi, gj)(w)
+    log_z, slope, curvature = fused.log_z, fused.slope, fused.curvature
     z = math.exp(log_z)
     return z, z * slope, z * (curvature + slope**2)
 
@@ -239,6 +240,87 @@ class TestArrayPairProperties:
         for fused in outputs:
             np.testing.assert_array_equal(fused.probs, sf.CardinalityPmf(fused.probs).probs)
             assert not fused.probs.flags.writeable
+
+
+def partial_support_pair(case: str, seed: int):
+    """An array pair whose joint support leaves out part of the arrays: the
+    evaluator built the way its callers build it, and what the gathered
+    oracle needs (both arrays, the cell volume and the extra log term)."""
+    rng = np.random.default_rng(seed)
+    if case in ("grid with zero regions", "tail overlap", "one shared cell"):
+        if case == "grid with zero regions":
+            shape = (12, 17)
+            raw = np.exp(rng.normal(0.0, 8.0, (2, *shape)))
+            raw[0, :4] = 0.0
+            raw[1, :, 11:] = 0.0
+            raw[1, 7:, 2:6] = 0.0
+        else:
+            # one input has fallen below 1e-200 where the other begins
+            shape = (60,)
+            cells = np.arange(60.0)
+            overlap = 10 if case == "tail overlap" else 1
+            raw = np.zeros((2, 60))
+            raw[0, : 30 + overlap] = np.exp(-17.0 * cells[: 30 + overlap] * rng.uniform(0.9, 1.0))
+            raw[1, 30:] = np.exp(rng.normal(0.0, 2.0, 30))
+        cell = rng.uniform(0.1, 2.0, len(shape))
+        gi, gj = (sf.GridDensity(np.zeros(len(shape)), cell, v / (v.sum() * np.prod(cell))) for v in raw)
+        return (lambda: quadrature.grid_log_moments(gi, gj)), gi.values, gj.values, gi.cell_volume, 0.0
+    # count pmfs of unequal length with zeros inside, the shorter one padded
+    raw_i = rng.uniform(0.0, 1.0, 6) * (rng.uniform(size=6) > 0.3)
+    raw_j = rng.uniform(0.0, 1.0, 11) * (rng.uniform(size=11) > 0.3)
+    raw_i[[1, 4]] = raw_j[[1, 4]] = 0.5
+    p_i, p_j = (sf.CardinalityPmf(r / r.sum()) for r in (raw_i, raw_j))
+    a, b = fusion._common_probs(p_i, p_j)
+    log_extra = 0.0
+    if case != "padded pmfs":
+        log_extra = np.arange(a.size) * (-3.0 if case == "iid extra" else -1800.0)
+    return (
+        lambda: quadrature.tilted_log_moments(a, b, sf.CardinalityPmf._trusted, log_extra=log_extra)
+    ), a, b, 1.0, log_extra
+
+
+PARTIAL_SUPPORT = ["grid with zero regions", "tail overlap", "one shared cell", "padded pmfs", "iid extra", "iid extra far apart"]
+
+
+class TestWholeArrayEvaluator:
+    """The evaluator works on the whole arrays; on partial joint supports it
+    must give what the gathered sums give."""
+
+    @pytest.mark.parametrize("case", PARTIAL_SUPPORT)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_gathered_oracle(self, case, seed):
+        make, a, b, volume, log_extra = partial_support_pair(case, seed)
+        evaluate = make()
+        joint = (a > 0) & (b > 0)
+        for w in (0.07, 0.5, 0.93):
+            log_z, slope, curvature, values, points = gathered_moments(a, b, w, volume, log_extra)
+            fused = evaluate(w)
+            assert evaluate.points == points
+            assert fused.log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+            assert fused.slope == pytest.approx(slope, rel=1e-10, abs=1e-10)
+            assert fused.curvature == pytest.approx(curvature, rel=1e-10, abs=1e-10)
+            got = _values(fused.density())
+            np.testing.assert_allclose(got, values, rtol=1e-12, atol=0)
+            assert np.all(got[~joint] == 0.0)
+
+    @pytest.mark.parametrize("case", PARTIAL_SUPPORT)
+    def test_density_read_first_leaves_the_moments(self, case):
+        evaluate = partial_support_pair(case, 0)[0]()
+        first = evaluate(0.3)
+        density = _values(first.density())
+        second = evaluate(0.3)
+        assert (first.log_z, first.slope, first.curvature) == (second.log_z, second.slope, second.curvature)
+        np.testing.assert_array_equal(density, _values(second.density()))
+
+    def test_disjoint_pairs_raise(self):
+        p_i, p_j = sf.CardinalityPmf([0.5, 0.5]), sf.CardinalityPmf([0.0, 0.0, 0.3, 0.7])
+        with pytest.raises(ValueError, match="disjoint support"):
+            quadrature.tilted_log_moments(*fusion._common_probs(p_i, p_j), sf.CardinalityPmf._trusted)
+        values = np.zeros((2, 3, 4))
+        values[0, :, :2] = values[1, :, 2:] = 1.0 / 6.0
+        gi, gj = (sf.GridDensity(np.zeros(2), [1.0, 1.0], v) for v in values)
+        with pytest.raises(ValueError, match="disjoint support"):
+            quadrature.grid_log_moments(gi, gj)
 
 
 class TestDerivativeIdentity:

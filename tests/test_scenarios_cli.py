@@ -425,6 +425,8 @@ BAD_INPUTS = {
         [_set("inputs", 0, "pmf", [0.5, 0.5, 0, 0, 0, 0]), _set("inputs", 1, "pmf", [0, 0, 0, 0, 0.5, 0.5])],
     ),
     "n_max below pmf support": ("binomial_iid_pair.json", [_set("n_max", 3)]),
+    "n_max for bernoulli": ("two_sensor_bernoulli.json", [_set("n_max", 5)]),
+    "n_max for poisson": ("poisson_pair.json", [_set("n_max", 1)]),
     "required field dropped": ("poisson_pair.json", [_drop("inputs", 1, "loc")]),
     "string for a number": ("poisson_pair.json", [_set("inputs", 0, "lambda", "2.0")]),
     "NaN": ("poisson_pair.json", [_set("inputs", 1, "lambda", float("nan"))]),
