@@ -8,8 +8,9 @@ Exits 1 if any check fails.
 
 import argparse
 import sys
+from pathlib import Path
 
-from setfuse.scenarios import EXAMPLE_IDS, reproduce
+from setfuse.scenarios import EXAMPLE_IDS, experiment_report, write_report
 
 
 def main() -> int:
@@ -19,11 +20,12 @@ def main() -> int:
 
     failures = 0
     for example in EXAMPLE_IDS:
-        result = reproduce(example, args.out)
+        report = experiment_report(example)
+        write_report(report, Path(args.out) / example)
         print(f"== {example}")
-        for name, ok, detail in result["checks"]:
-            failures += not ok
-            print(f"  {'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failures += sum(not ok for _, ok, _ in report.checks)
+        for line in report.verdicts():
+            print(f"  {line}")
     print(f"summaries and CSVs under {args.out}/")
     return 1 if failures else 0
 

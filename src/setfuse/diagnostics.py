@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 from .fusion import _check_omega, _common_probs, cardinality_emd
-from .model import CardinalityPmf, IncompatibleInputs
+from .model import DISJOINT_SUPPORT, CardinalityPmf, IncompatibleInputs
 
 
 def is_cardinality_inconsistent(
@@ -146,7 +146,7 @@ def iid_inconsistency_threshold(
         raise ValueError("threshold requires z_omega = 0 or z_omega in (0, 1)")
     ns, a, b = _joint_counts(p_i, p_j)
     if ns.size == 0:
-        raise IncompatibleInputs("incompatible cardinality supports")
+        raise IncompatibleInputs(DISJOINT_SUPPORT)
     if z_omega == 0.0:
         return float(ns[0])
     geo = a ** (1.0 - omega) * b**omega

@@ -61,12 +61,7 @@ def _geometric_pmf(
         return p_i, 1.0
     if omega == 1.0:
         return p_j, 1.0
-    try:
-        evaluate = quadrature.tilted_log_moments(
-            *_common_probs(p_i, p_j), CardinalityPmf._trusted, log_extra=log_extra
-        )
-    except ValueError:
-        raise IncompatibleInputs("incompatible cardinality supports") from None
+    evaluate = quadrature.tilted_log_moments(*_common_probs(p_i, p_j), CardinalityPmf._trusted, log_extra=log_extra)
     fused = evaluate(omega)
     return fused.density(), math.exp(fused.log_z)
 

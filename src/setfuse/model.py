@@ -26,8 +26,11 @@ COV_CONDITION_LIMIT = 1e12
 
 class IncompatibleInputs(ValueError):
     """Inputs that are each valid but cannot be fused or evaluated together:
-    existence beliefs of 0 and 1, count pmfs with no common support, or a
-    count range that would cut off positive probability."""
+    existence beliefs of 0 and 1, count pmfs or grids with no common support,
+    or a count range that would cut off positive probability."""
+
+
+DISJOINT_SUPPORT = "inputs have disjoint supports: no point where both are positive"
 
 
 def _set_frozen(obj, **arrays: np.ndarray) -> None:

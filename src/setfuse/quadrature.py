@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import GaussianDensity, GridDensity
+from .model import DISJOINT_SUPPORT, GaussianDensity, GridDensity, IncompatibleInputs
 
 
 def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
@@ -68,12 +68,12 @@ def tilted_log_moments(
     exponentiation, so only exp(log_z) may underflow. ``log_extra``, a scalar
     or an array shaped like ``a``, goes into log a alone, since
     (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. ``points`` counts the
-    joint-support entries.
+    joint-support entries; with none, it raises ``IncompatibleInputs``.
     """
     off = (a <= 0) | (b <= 0)
     points = off.size - np.count_nonzero(off)
     if not points:
-        raise ValueError("densities have disjoint support; geometric mean vanishes")
+        raise IncompatibleInputs(DISJOINT_SUPPORT)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a = np.log(a)
         log_ratio = np.log(b) - log_a

@@ -14,8 +14,7 @@ curves; the determinant convention is kept as an override.
 
 Every command runs in stages: ``load_scenario`` loads, ``fuse_scenario``,
 ``sweep_report`` or ``experiment_report`` computes a ``Report`` without
-writing anything, and ``write_report`` writes it. ``run_fuse``,
-``run_sweep`` and ``reproduce`` are a compute followed by the write.
+writing anything, and ``write_report`` writes it.
 """
 
 from __future__ import annotations
@@ -381,12 +380,6 @@ def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
     return result, Report([("fuse.csv", header, [row])], lines=[line])
 
 
-def run_fuse(scenario: Scenario, mode: str, out_dir) -> tuple[FusionResult, Path]:
-    """Fuse the scenario pair and write its one-row fuse.csv under ``out_dir``."""
-    result, report = fuse_scenario(scenario, mode)
-    return result, write_report(report, out_dir)[0]
-
-
 def sweep_report(scenario: Scenario) -> Report:
     """The report of ``sweep``: sweep.csv, one row per (kappa, omega) cell
     in grid order. One pair evaluation per kappa covers its omega row; the
@@ -425,11 +418,6 @@ def sweep_report(scenario: Scenario) -> Report:
     name = _SUMMARY_NAME[scenario.family]
     header = ("kappa", "omega", "z_omega", f"{name}_i", f"{name}_j", f"{name}_omega", "inconsistent")
     return Report([("sweep.csv", header, rows)])
-
-
-def run_sweep(scenario: Scenario, out_dir) -> Path:
-    """Evaluate the (kappa, omega) sweep grid and write sweep.csv under ``out_dir``."""
-    return write_report(sweep_report(scenario), out_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +661,3 @@ def experiment_report(example_id: str) -> Report:
         "ex3": _reproduce_ex3,
         "ex4": _reproduce_ex4,
     }[example_id]()
-
-
-def reproduce(example_id: str, out_dir) -> dict:
-    """Run one built-in experiment and write it under ``out_dir/example_id``;
-    returns the CSVs written, the check verdicts and the summary.txt path."""
-    report = experiment_report(example_id)
-    *files, summary = write_report(report, Path(out_dir) / example_id)
-    return {"files": files, "checks": list(report.checks), "summary": summary}

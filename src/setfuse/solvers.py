@@ -32,7 +32,6 @@ from .model import (
     GaussianDensity,
     GridDensity,
     IidClusterRfs,
-    IncompatibleInputs,
     LocalisationDensity,
     PoissonRfs,
     pmf_kld,
@@ -230,10 +229,7 @@ def newton_cardinality(
     if np.array_equal(a, b):
         trace = NewtonTrace((), True, 0, (DEGENERATE_CARD_FLAG,))
         return 0.5, p_i, trace
-    try:
-        evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf._trusted)
-    except ValueError:
-        raise IncompatibleInputs("incompatible cardinality supports") from None
+    evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf._trusted)
     if evaluate.points == 1:
         # every weight fuses to the one count both pmfs support
         return 0.5, evaluate(0.5).density(), NewtonTrace((), True, 0, (SINGLE_COUNT_FLAG,))

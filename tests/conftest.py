@@ -57,6 +57,14 @@ def grid_z_omega(rho_i, rho_j, omega):
     return math.fsum(np.exp((1.0 - omega) * np.log(vi[mask]) + omega * np.log(vj[mask]))) * vol
 
 
+def disjoint_grids():
+    """Aligned 20 x 20 grids of unit mass with no cell where both are
+    positive: the left half of one, the right half of the other."""
+    values = np.zeros((2, 20, 20))
+    values[0, :10] = values[1, 10:] = 0.5
+    return [sf.GridDensity(np.zeros(2), [0.1, 0.1], v) for v in values]
+
+
 def gathered_moments(a, b, omega, volume=1.0, log_extra=0.0):
     """The array-pair evaluator's outputs at an interior weight, computed
     over the gathered joint-support entries and summed with ``math.fsum``:

@@ -1,7 +1,10 @@
 """Golden outputs of the committed CLI commands, and their regeneration.
 
-The eleven commands are ``fuse`` on each committed scenario in both modes,
-``sweep`` on the two-sensor scenario and ``reproduce ex1..ex4``. For each,
+The commands are ``fuse`` on each committed scenario in both modes,
+``sweep`` on the two-sensor scenario, ``reproduce ex1..ex4``, and ``fuse``
+on the edge scenarios under ``tests/golden/scenarios/``: an existence
+belief of 0, IID pmfs with one joint count, and IID pmfs with no joint
+count (exit 2). For each,
 ``tests/golden/manifest.json`` holds its arguments, exit code and stdout
 (paths written as ``{out}/...``), and ``tests/golden/<case>/`` holds every
 file it writes. Files above ``SAMPLE_ABOVE`` bytes keep only their header,
@@ -14,16 +17,20 @@ count.
     PYTHONPATH=src python tests/golden_outputs.py
 
 It prints the largest relative change of each file against the stored data,
-then rewrites that data.
+then rewrites that data. With ``--check`` it prints the same changes, rewrites
+nothing, and exits 1 when any change is above ``RTOL`` (or an exit code,
+stdout or case moved), so a change can show what would move first.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -38,7 +45,8 @@ RTOL = 1e-12
 
 
 def commands() -> dict[str, list[str]]:
-    """Case name -> CLI arguments, with ``{scenarios}`` and ``{out}`` left to fill."""
+    """Case name -> CLI arguments, with ``{scenarios}``, ``{golden}`` and
+    ``{out}`` left to fill."""
     cases = {}
     for name in ("binomial_iid_pair", "poisson_pair", "two_sensor_bernoulli"):
         for mode in ("p2", "consistent"):
@@ -50,6 +58,13 @@ def commands() -> dict[str, list[str]]:
     ]
     for example in ("ex1", "ex2", "ex3", "ex4"):
         cases[f"reproduce-{example}"] = ["reproduce", example, "--out", "{out}"]
+    edge = {"bernoulli_alpha_zero": ("consistent",), "iid_single_joint_count": ("p2", "consistent"),
+            "iid_disjoint_supports": ("p2", "consistent")}
+    for name, modes in edge.items():
+        for mode in modes:
+            cases[f"fuse-{name}-{mode}"] = [
+                "fuse", "--scenario", f"{{golden}}/scenarios/{name}.json", "--mode", mode, "--out", "{out}",
+            ]
     return cases
 
 
@@ -57,7 +72,7 @@ def run(argv: list[str], out: Path) -> tuple[int, list[str], dict[str, list[str]
     """Run one command through ``cli.main`` into ``out``: its exit code, its
     stdout lines with ``out`` written as ``{out}``, and the lines of every
     file it wrote, keyed by path relative to ``out``."""
-    filled = [arg.format(scenarios=SCENARIOS, out=out) for arg in argv]
+    filled = [arg.format(scenarios=SCENARIOS, golden=GOLDEN, out=out) for arg in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(filled)
@@ -139,19 +154,31 @@ def compare(record: dict, files: dict[str, list[str]]) -> dict[str, float]:
     return changes
 
 
-def regenerate() -> None:
-    stored = (GOLDEN / "manifest.json").is_file()
+def regenerate(check: bool = False) -> int:
+    """Run every command and print how its outputs moved against the stored
+    data; then rewrite that data, or with ``check`` leave it as it is. Returns
+    1 when ``check`` finds a move above ``RTOL``, else 0."""
+    path = GOLDEN / "manifest.json"
+    stored = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
     manifest = {}
+    moved = False
     with tempfile.TemporaryDirectory() as tmp:
         for case, argv in commands().items():
             out = Path(tmp) / case
             code, stdout, files = run(argv, out)
-            if stored:
+            if case not in stored:
+                print(f"{case}: not stored")
+                moved = True
+            else:
                 old = load(case)
                 for name, change in compare(old, files).items():
                     print(f"{case}/{name}: largest relative change {change:.3g}")
+                    moved |= not change <= RTOL
                 if (old["exit"], old["stdout"]) != (code, stdout):
                     print(f"{case}: exit code or stdout changed")
+                    moved = True
+            if check:
+                continue
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
             sampled = {}
             for name, lines in files.items():
@@ -162,8 +189,13 @@ def regenerate() -> None:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             manifest[case] = {"argv": argv, "exit": code, "stdout": stdout, "sampled": sampled}
-    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    if check:
+        return int(moved)
+    path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden outputs.")
+    parser.add_argument("--check", action="store_true", help="compare with the stored data and rewrite nothing")
+    sys.exit(regenerate(parser.parse_args().check))

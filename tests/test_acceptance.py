@@ -69,7 +69,7 @@ def test_criterion_03_two_sensor_sweep_behaviour(tmp_path):
     """Joint-fusion sweep: scales below one, monotone in diversity, fused
     existence always below the inputs and dipping under one half."""
     scenario = scenarios.two_sensor_scenario()
-    path = scenarios.run_sweep(scenario, tmp_path)
+    (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path)
     rows = np.genfromtxt(path, delimiter=",", names=True, encoding="utf-8")
     n_k, n_w = scenario.sweep.kappa[2], scenario.sweep.omega[2]
     z = rows["z_omega"].reshape(n_k, n_w)

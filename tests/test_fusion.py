@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import diagnostics, fusion, gaussian, solvers
-from conftest import binomial_pmf, make_gaussian, random_pmf
+from conftest import binomial_pmf, disjoint_grids, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 
@@ -34,7 +34,7 @@ class TestFusedCardinality:
     def test_disjoint_supports_error(self):
         p_i = sf.CardinalityPmf([1.0, 0.0])
         p_j = sf.CardinalityPmf([0.0, 1.0])
-        with pytest.raises(ValueError, match="incompatible cardinality supports"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             fusion.fused_cardinality_p2(p_i, p_j, [1.0, 1.0], 0.5)
 
     def test_scale_convention_enforced(self):
@@ -284,7 +284,7 @@ class TestIidFusion:
     def test_propagates_disjoint_support_error(self):
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([1.0, 0.0]), UNIT)
         f_j = sf.IidClusterRfs(sf.CardinalityPmf([0.0, 1.0]), UNIT)
-        with pytest.raises(ValueError, match="incompatible cardinality supports"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             fusion.iid_fuse_p2(f_i, f_j, 0.5, 1)
 
 
@@ -348,6 +348,7 @@ class TestDensityRelation:
 
 
 DISJOINT = (sf.CardinalityPmf([0.5, 0.5, 0.0]), sf.CardinalityPmf([0.0, 0.0, 1.0]))
+GRIDS = disjoint_grids()
 
 
 class TestIncompatibleInputs:
@@ -356,14 +357,116 @@ class TestIncompatibleInputs:
         [
             (lambda: fusion.bernoulli_fuse_p2(sf.BernoulliRfs(0.0, UNIT), sf.BernoulliRfs(1.0, UNIT), 0.5),
              "existence beliefs"),
-            (lambda: fusion.cardinality_emd(*DISJOINT, 0.5), "cardinality supports"),
-            (lambda: solvers.newton_cardinality(*DISJOINT, sf.NewtonConfig()), "cardinality supports"),
-            (lambda: diagnostics.iid_inconsistency_threshold(*DISJOINT, 0.5, 0.5), "cardinality supports"),
+            (lambda: fusion.cardinality_emd(*DISJOINT, 0.5), "disjoint support"),
+            (lambda: solvers.newton_cardinality(*DISJOINT, sf.NewtonConfig()), "disjoint support"),
+            (lambda: diagnostics.iid_inconsistency_threshold(*DISJOINT, 0.5, 0.5), "disjoint support"),
             (lambda: DISJOINT[1].padded(1), "truncate"),
+            (lambda: fusion.localisation_emd(*GRIDS, 0.5), "disjoint support"),
+            (lambda: solvers.newton_localisation(*GRIDS, sf.NewtonConfig()), "disjoint support"),
+            (lambda: fusion.bernoulli_fuse_p2(*(sf.BernoulliRfs(0.8, g) for g in GRIDS), 0.5), "disjoint support"),
+            (lambda: solvers.consistent_fuse(*(sf.BernoulliRfs(0.8, g) for g in GRIDS), sf.NewtonConfig()),
+             "disjoint support"),
         ],
-        ids=["alphas", "fusion supports", "solver supports", "diagnostics supports", "truncation"],
+        ids=[
+            "alphas", "fusion supports", "solver supports", "diagnostics supports", "truncation",
+            "grid fusion", "grid solver", "grid joint rule", "grid consistent fusion",
+        ],
     )
     def test_typed_error_at_each_site(self, call, message):
         with pytest.raises(sf.IncompatibleInputs, match=message) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+# Offsets between the two localisation means: overlapping, far apart, and
+# so far apart that z_w underflows to 0 (near-disjoint).
+OFFSETS = (0.0, 2.0, 12.0, 150.0)
+TYPED_ERRORS = (sf.IncompatibleInputs, sf.SolverError)
+
+
+@st.composite
+def gaussian_set_pairs(draw):
+    """A same-family pair on Gaussian localisations of one shared dimension
+    (1 to 3). IID pmfs of different lengths have zero counts, so some pairs
+    share no count."""
+    family = draw(st.sampled_from(["bernoulli", "poisson", "iid"]))
+    offset = draw(st.sampled_from(OFFSETS))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dim = int(rng.integers(1, 4))
+    loc_i, loc_j = (make_gaussian(rng, dim=dim, var_lo=0.1, var_hi=2.0) for _ in range(2))
+    direction = rng.standard_normal(dim)
+    loc_j = sf.GaussianDensity(loc_j.mean + offset * direction / np.linalg.norm(direction), loc_j.cov)
+    if family == "bernoulli":
+        return tuple(sf.BernoulliRfs(a, loc) for a, loc in zip(rng.uniform(0.01, 0.99, 2), (loc_i, loc_j)))
+    if family == "poisson":
+        return tuple(sf.PoissonRfs(r, loc) for r, loc in zip(rng.uniform(0.05, 30.0, 2), (loc_i, loc_j)))
+    pmfs = []
+    for size in rng.integers(2, 9, 2):
+        raw = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) > 0.3)
+        raw[rng.integers(size)] += 0.5
+        pmfs.append(sf.CardinalityPmf(raw / raw.sum()))
+    return sf.IidClusterRfs(pmfs[0], loc_i), sf.IidClusterRfs(pmfs[1], loc_j)
+
+
+def joint_rule(f_i, f_j, omega):
+    """The family's joint (p2) rule: fused object, z_w, count parameter."""
+    if isinstance(f_i, sf.BernoulliRfs):
+        return fusion.bernoulli_fuse_p2(f_i, f_j, omega)
+    if isinstance(f_i, sf.PoissonRfs):
+        return fusion.poisson_fuse_p2(f_i, f_j, omega)
+    return fusion.iid_fuse_p2(f_i, f_j, omega, max(f_i.card.n_max, f_j.card.n_max))
+
+
+def count_pmf(f, n_max=150):
+    """The count pmf of a set distribution on 0..n_max (the IID pmf itself)."""
+    return f.card.probs if isinstance(f, sf.IidClusterRfs) else sf.cardinality_of(f, n_max).probs
+
+
+def assert_finite(f):
+    assert all(np.isfinite(x).all() for x in (count_pmf(f), f.loc.mean, f.loc.cov))
+
+
+class TestWholeFusionProperties:
+    """Laws of the whole fusions on Gaussian inputs of every family: each
+    call gives a finite result or a typed error, for either input order."""
+
+    CONFIG = sf.NewtonConfig(epsilon=1e-10)
+
+    @given(pair=gaussian_set_pairs())
+    @settings(max_examples=40)
+    def test_consistent_fusion(self, pair):
+        f_i, f_j = pair
+        try:
+            result = solvers.consistent_fuse(f_i, f_j, self.CONFIG)
+        except TYPED_ERRORS as exc:
+            with pytest.raises(type(exc)):
+                solvers.consistent_fuse(f_j, f_i, self.CONFIG)
+            return
+        swapped = solvers.consistent_fuse(f_j, f_i, self.CONFIG)
+        assert swapped.omega_card == pytest.approx(1.0 - result.omega_card, abs=1e-6)
+        assert swapped.omega_loc[0] == pytest.approx(1.0 - result.omega_loc[0], abs=1e-6)
+        assert_finite(result.fused)
+        assert 0.0 <= result.z_values[0] <= 1.0 + 1e-12
+        p_i, p_j = fusion._common_probs(*(sf.CardinalityPmf(count_pmf(f)) for f in (f_i, f_j)))
+        fused = count_pmf(result.fused)
+        assert np.all(fused >= np.minimum(p_i, p_j) * (1.0 - 1e-12))
+
+    @given(pair=gaussian_set_pairs(), omega=st.floats(0.01, 0.99))
+    @settings(max_examples=40)
+    def test_joint_rules(self, pair, omega):
+        f_i, f_j = pair
+        for end, f in ((0.0, f_i), (1.0, f_j)):
+            fused, z, _ = joint_rule(f_i, f_j, end)
+            assert fused is f and z == 1.0
+        try:
+            fused, z, value = joint_rule(f_i, f_j, omega)
+        except TYPED_ERRORS as exc:
+            with pytest.raises(type(exc)):
+                joint_rule(f_j, f_i, 1.0 - omega)
+            return
+        assert_finite(fused)
+        assert 0.0 <= z <= 1.0 + 1e-12 and math.isfinite(value)
+        swapped, z_swapped, value_swapped = joint_rule(f_j, f_i, 1.0 - omega)
+        assert z_swapped == pytest.approx(z, rel=1e-9, abs=0.0)
+        assert value_swapped == pytest.approx(value, rel=1e-9, abs=1e-300)
+        np.testing.assert_allclose(count_pmf(swapped), count_pmf(fused), rtol=1e-8, atol=1e-300)

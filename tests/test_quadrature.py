@@ -106,7 +106,7 @@ class TestGridDerivatives:
     def test_disjoint_support_rejected(self):
         gi = sf.GridDensity([0.0], [0.5], [2.0, 0.0])
         gj = sf.GridDensity([0.0], [0.5], [0.0, 2.0])
-        with pytest.raises(ValueError, match="disjoint support"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             quadrature.grid_log_moments(gi, gj)
 
 
@@ -314,12 +314,12 @@ class TestWholeArrayEvaluator:
 
     def test_disjoint_pairs_raise(self):
         p_i, p_j = sf.CardinalityPmf([0.5, 0.5]), sf.CardinalityPmf([0.0, 0.0, 0.3, 0.7])
-        with pytest.raises(ValueError, match="disjoint support"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             quadrature.tilted_log_moments(*fusion._common_probs(p_i, p_j), sf.CardinalityPmf._trusted)
         values = np.zeros((2, 3, 4))
         values[0, :, :2] = values[1, :, 2:] = 1.0 / 6.0
         gi, gj = (sf.GridDensity(np.zeros(2), [1.0, 1.0], v) for v in values)
-        with pytest.raises(ValueError, match="disjoint support"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             quadrature.grid_log_moments(gi, gj)
 
 

@@ -13,7 +13,7 @@ import setfuse as sf
 from setfuse import scenarios
 from setfuse.cli import main
 from setfuse.solvers import SINGLE_COUNT_FLAG
-from conftest import binomial_pmf
+from conftest import binomial_pmf, disjoint_grids
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scripts" / "scenarios"
@@ -101,13 +101,14 @@ class TestRunFuse:
         payload = bernoulli_payload(mean_j=(0.25, 0.25))
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
         for mode in ("p2", "consistent"):
-            result, path = scenarios.run_fuse(scenario, mode, tmp_path / mode)
+            result, report = scenarios.fuse_scenario(scenario, mode)
+            (path,) = scenarios.write_report(report, tmp_path / mode)
             assert result.fused.alpha == pytest.approx(0.8, abs=1e-12)
             assert path.exists()
 
     def test_row_flag_matches_recomputation(self, tmp_path):
         scenario = scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload()))
-        _, path = scenarios.run_fuse(scenario, "p2", tmp_path / "out")
+        (path,) = scenarios.write_report(scenarios.fuse_scenario(scenario, "p2")[1], tmp_path / "out")
         with open(path, newline="") as fh:
             row = next(csv.DictReader(fh))
         recomputed = float(row["alpha_fused"]) < min(
@@ -119,7 +120,8 @@ class TestRunFuse:
 
     def test_consistent_mode_keeps_existence(self, tmp_path):
         scenario = scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload()))
-        result, path = scenarios.run_fuse(scenario, "consistent", tmp_path / "out")
+        result, report = scenarios.fuse_scenario(scenario, "consistent")
+        (path,) = scenarios.write_report(report, tmp_path / "out")
         assert result.fused.alpha == pytest.approx(0.8, abs=1e-9)
         assert result.omega_card == pytest.approx(0.5, abs=1e-9)
         with open(path, newline="") as fh:
@@ -134,7 +136,7 @@ class TestRunSweep:
             sweep={"kappa": [1.0, 1.0, 1], "omega": [0.5, 0.5, 1], "sigma1_sq": 1.0},
         )
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
-        path = scenarios.run_sweep(scenario, tmp_path / "out")
+        (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path / "out")
         with open(path, newline="") as fh:
             row = next(csv.DictReader(fh))
         assert float(row["z_omega"]) == pytest.approx(1.0, abs=1e-12)
@@ -147,14 +149,14 @@ class TestRunSweep:
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
         blobs = []
         for idx in range(3):
-            path = scenarios.run_sweep(scenario, tmp_path / f"out{idx}")
+            (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path / f"out{idx}")
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_requires_sweep_block(self, tmp_path):
         scenario = scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload()))
         with pytest.raises(scenarios.ScenarioError, match="sweep"):
-            scenarios.run_sweep(scenario, tmp_path / "out")
+            scenarios.sweep_report(scenario)
 
     def test_requires_gaussian_localisations(self, tmp_path):
         np.savez(
@@ -174,7 +176,7 @@ class TestRunSweep:
         }
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
         with pytest.raises(scenarios.ScenarioError, match="Gaussian"):
-            scenarios.run_sweep(scenario, tmp_path / "out")
+            scenarios.sweep_report(scenario)
 
     def test_one_dimensional_inputs_exit_2(self, tmp_path, capsys):
         loc_1d = {"mean": [0.0], "cov": [[1.0]]}
@@ -200,7 +202,7 @@ class TestRunSweep:
             "sweep": {"kappa": [1.0, 30.0, 4], "omega": [0.0, 1.0, 5]},
         }
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
-        path = scenarios.run_sweep(scenario, tmp_path / "out")
+        (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path / "out")
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
@@ -234,7 +236,7 @@ class TestRunSweep:
             "sweep": {"kappa": [1.0, 5.0, 3], "omega": [0.25, 0.75, 3]},
         }
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
-        path = scenarios.run_sweep(scenario, tmp_path / "out")
+        (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path / "out")
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 9
@@ -313,7 +315,7 @@ class TestSweepRows:
             "sweep": {"kappa": [1.0, 40.0, 7], "omega": [0.0, 1.0, 11]},
         }
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
-        path = scenarios.run_sweep(scenario, tmp_path / "out")
+        (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path / "out")
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 77
@@ -323,30 +325,31 @@ class TestSweepRows:
             assert float(row["z_omega"]) == pytest.approx(z, rel=1e-12)
             assert float(row[value_col]) == pytest.approx(value, rel=1e-12)
 
-    def test_pair_built_once_per_kappa(self, tmp_path, monkeypatch):
+    def test_pair_built_once_per_kappa(self, monkeypatch):
         from setfuse import gaussian
 
         built = []
         pair = gaussian._pair
         monkeypatch.setattr(gaussian, "_pair", lambda rho_i, rho_j: built.append(1) or pair(rho_i, rho_j))
-        scenarios.run_sweep(scenarios.two_sensor_scenario(), tmp_path / "out")
+        scenarios.sweep_report(scenarios.two_sensor_scenario())
         assert len(built) == 79
 
 
 class TestReproduce:
     @pytest.mark.parametrize("example", scenarios.EXAMPLE_IDS)
     def test_every_builtin_experiment_passes_its_checks(self, tmp_path, example):
-        result = scenarios.reproduce(example, tmp_path)
-        failed = [name for name, ok, _ in result["checks"] if not ok]
+        report = scenarios.experiment_report(example)
+        *files, _ = scenarios.write_report(report, tmp_path / example)
+        failed = [name for name, ok, _ in report.checks if not ok]
         assert not failed
         summary = (tmp_path / example / "summary.txt").read_text()
         assert "FAIL" not in summary
-        for path in result["files"]:
+        for path in files:
             assert path.exists()
 
-    def test_unknown_example_rejected(self, tmp_path):
+    def test_unknown_example_rejected(self):
         with pytest.raises(scenarios.ScenarioError, match="unknown example"):
-            scenarios.reproduce("ex9", tmp_path)
+            scenarios.experiment_report("ex9")
 
     def test_reproduce_all_script_passes_every_check(self, tmp_path):
         env = dict(os.environ)
@@ -424,6 +427,10 @@ BAD_INPUTS = {
         "binomial_iid_pair.json",
         [_set("inputs", 0, "pmf", [0.5, 0.5, 0, 0, 0, 0]), _set("inputs", 1, "pmf", [0, 0, 0, 0, 0.5, 0.5])],
     ),
+    "disjoint grids": (
+        "poisson_pair.json",
+        [_set("inputs", 0, "loc", {"grid": "left.npz"}), _set("inputs", 1, "loc", {"grid": "right.npz"})],
+    ),
     "n_max below pmf support": ("binomial_iid_pair.json", [_set("n_max", 3)]),
     "n_max for bernoulli": ("two_sensor_bernoulli.json", [_set("n_max", 5)]),
     "n_max for poisson": ("poisson_pair.json", [_set("n_max", 1)]),
@@ -438,6 +445,8 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_or_incompatible_input_exits_2(self, tmp_path, capsys, case):
         name, mutations = BAD_INPUTS[case]
+        for grid_name, grid in zip(("left.npz", "right.npz"), disjoint_grids()):
+            np.savez(tmp_path / grid_name, origin=grid.origin, cell_size=grid.cell_size, values=grid.values)
         payload = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
         for mutate in mutations:
             mutate(payload)
@@ -477,7 +486,7 @@ class TestCli:
         assert main(["fuse", "--scenario", str(disjoint), "--mode", "p2",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "error: incompatible cardinality supports" in err
+        assert "error: inputs have disjoint supports" in err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):

@@ -113,7 +113,7 @@ class TestNewtonLocalisation:
     def test_disjoint_grids_rejected(self):
         gi = sf.GridDensity([0.0], [0.5], [2.0, 0.0])
         gj = sf.GridDensity([0.0], [0.5], [0.0, 2.0])
-        with pytest.raises(ValueError, match="disjoint support"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             sf.newton_localisation(gi, gj, sf.NewtonConfig())
 
     def test_grid_path_matches_gaussian_path(self):
@@ -186,7 +186,7 @@ class TestNewtonCardinality:
     def test_disjoint_supports_rejected(self):
         p_i = sf.CardinalityPmf([1.0, 0.0])
         p_j = sf.CardinalityPmf([0.0, 0.5, 0.5])
-        with pytest.raises(ValueError, match="incompatible cardinality supports"):
+        with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             sf.newton_cardinality(p_i, p_j, sf.NewtonConfig())
 
     def test_exhausted_iterations_raise_with_trace(self):
