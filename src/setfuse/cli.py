@@ -10,8 +10,8 @@ the report's own lines.
 
 Exit codes: 0 success, 2 bad input or inputs that cannot be fused
 together, 3 solver or fusion failure.
-Set SETFUSE_LOG=error|warn|info|debug to control logging. A ``--seed N``
-left in older command lines is accepted with a warning and has no effect.
+Set SETFUSE_LOG=error|warn|info|debug to control logging. Every argument
+changes what is fused or where it is written; an unknown one exits 2.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
     fuse = sub.add_parser("fuse", parents=[common], help="fuse a scenario pair once")
     fuse.add_argument("--scenario", required=True, help="scenario JSON path")
@@ -95,8 +94,6 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        log.warning("ignoring --seed: it has no effect")
     try:
         return _run(args)
     except (ScenarioError, IncompatibleInputs) as exc:

@@ -334,15 +334,18 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
     Poisson counts are truncated and renormalized; the truncation must leave
     tail mass below 1e-9 or a ValueError is raised. An IID-cluster pmf that
     already ends at n_max is returned itself; truncating its positive mass
-    raises a ValueError.
+    raises a ValueError. A Bernoulli count needs n_max >= 1, the others
+    n_max >= 0.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if isinstance(f, BernoulliRfs):
+        if n_max < 1:
+            raise ValueError("n_max must be >= 1 for a Bernoulli count")
         probs = np.zeros(n_max + 1)
         probs[0] = 1.0 - f.alpha
         probs[1] = f.alpha
         return CardinalityPmf(probs)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if isinstance(f, PoissonRfs):
         if f.rate == 0.0:
             probs = np.zeros(n_max + 1)

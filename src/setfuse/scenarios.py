@@ -8,7 +8,8 @@ degrees) of a diagonal matrix whose condition number kappa is swept.
 
 Scale convention for the sweep: by default the major-axis variance is held
 fixed (``sigma1_sq``, default 1.0) while the minor-axis variance shrinks as
-sigma1_sq / kappa. Setting ``det_sigma`` instead holds the determinant fixed.
+sigma1_sq / kappa. Setting ``det_sigma`` instead holds the determinant fixed;
+a sweep block sets one of the two, not both.
 The fixed-major-axis default is what reproduces the reference experiment
 curves; the determinant convention is kept as an override.
 
@@ -51,7 +52,6 @@ from .model import (
     IidClusterRfs,
     PoissonRfs,
     _log_factorials,
-    cardinality_of,
 )
 from .solvers import FusionResult, NewtonConfig, consistent_fuse, kld_balance_residual
 from .solvers import newton_cardinality, newton_localisation, with_diagnostics
@@ -97,7 +97,6 @@ class Scenario:
     f_j: FiniteSetDistribution
     solver: NewtonConfig
     omega: float = 0.5
-    n_max: Optional[int] = None
     sweep: Optional[SweepSpec] = None
     out_dir: Optional[str] = None
 
@@ -167,14 +166,8 @@ def _parse_input(family: str, spec, base: Path, where: str) -> FiniteSetDistribu
 
 
 def _parse_solver(spec) -> NewtonConfig:
-    # mc_samples and seed set the sampled curvature of an earlier solver;
-    # older files still carry them, so they are read and then dropped
-    counts = {"max_iters", "mc_samples", "seed"}
-    _check_keys(spec, {"omega_init", "epsilon", "omega_clamp", *counts}, set(), "solver")
-    values = {key: _number(value, f"solver.{key}", key in counts) for key, value in spec.items()}
-    dead = [key for key in ("mc_samples", "seed") if values.pop(key, None) is not None]
-    if dead:
-        log.warning("ignoring solver fields %s: they have no effect", ", ".join(dead))
+    _check_keys(spec, {"omega_init", "epsilon", "max_iters", "omega_clamp"}, set(), "solver")
+    values = {key: _number(value, f"solver.{key}", key == "max_iters") for key, value in spec.items()}
     try:
         return NewtonConfig(**values)
     except ValueError as exc:
@@ -196,6 +189,8 @@ def _parse_sweep(spec) -> SweepSpec:
     if not (0.0 <= omega[0] <= omega[1] <= 1.0):
         raise ScenarioError("sweep.omega values must lie in [0, 1]")
     given = {key: spec[key] for key in scales if spec.get(key) is not None}
+    if len(given) == 2:
+        raise ScenarioError("sweep sets both sigma1_sq and det_sigma; give one scale")
     sweep = SweepSpec(kappa, omega, **{key: _number(v, f"sweep.{key}", positive=True) for key, v in given.items()})
     # both frame variances are monotone in kappa, so the two ends bound every row
     for end in kappa[:2]:
@@ -219,7 +214,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    allowed = {"version", "family", "inputs", "omega", "n_max", "sweep", "solver", "outputs"}
+    allowed = {"version", "family", "inputs", "omega", "sweep", "solver", "outputs"}
     _check_keys(raw, allowed, {"version", "family", "inputs"}, "scenario")
     if raw["version"] != SCENARIO_VERSION or isinstance(raw["version"], bool):
         raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
@@ -241,11 +236,6 @@ def load_scenario(path) -> Scenario:
     omega = _number(raw.get("omega", 0.5), "omega")
     if not 0.0 <= omega <= 1.0:
         raise ScenarioError("omega must lie in [0, 1]")
-    n_max = None if raw.get("n_max") is None else _number(raw["n_max"], "n_max", count=True, positive=True)
-    if n_max is not None and family != "iid":
-        raise ScenarioError(f"n_max applies only to the iid family, not {family}")
-    if n_max is not None and any(f.card.probs[n_max + 1:].any() for f in (f_i, f_j)):
-        raise ScenarioError(f"n_max = {n_max} would truncate positive probability of an input pmf")
     out_dir = raw.get("outputs")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError("outputs must be a string")
@@ -255,7 +245,6 @@ def load_scenario(path) -> Scenario:
         f_j=f_j,
         solver=_parse_solver(raw.get("solver", {})),
         omega=omega,
-        n_max=n_max,
         sweep=None if raw.get("sweep") is None else _parse_sweep(raw["sweep"]),
         out_dir=out_dir,
     )
@@ -322,12 +311,6 @@ def write_report(report: Report, out_dir) -> list[Path]:
     return paths
 
 
-def _iid_n_max(scenario: Scenario) -> int:
-    if scenario.n_max is not None:
-        return scenario.n_max
-    return max(scenario.f_i.card.n_max, scenario.f_j.card.n_max)
-
-
 # column prefix of the count summary each family reports
 _SUMMARY_NAME = {"bernoulli": "alpha", "poisson": "lambda", "iid": "map"}
 
@@ -362,7 +345,7 @@ def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
         elif scenario.family == "poisson":
             fused, z, _ = poisson_fuse_p2(f_i, f_j, w)
         else:
-            fused, z, _ = iid_fuse_p2(f_i, f_j, w, _iid_n_max(scenario))
+            fused, z, _ = iid_fuse_p2(f_i, f_j, w, max(f_i.card.n_max, f_j.card.n_max))
         result = FusionResult(fused=fused, omega_card=w, omega_loc=(w,), z_values=(z,))
 
     name = _SUMMARY_NAME[scenario.family]
@@ -399,8 +382,7 @@ def sweep_report(scenario: Scenario) -> Report:
     elif scenario.family == "poisson":
         fused = partial(_poisson_rate, *inputs)
     else:
-        n_max = _iid_n_max(scenario)
-        p_i, p_j = cardinality_of(f_i, n_max), cardinality_of(f_j, n_max)
+        p_i, p_j = f_i.card, f_j.card
 
         def fused(omega: float, log_z: float) -> int:
             return iid_cardinality_p2(p_i, p_j, log_z, omega)[0].map_estimate()

@@ -47,8 +47,9 @@ class NewtonConfig:
     """Knobs for the weight solvers.
 
     epsilon is the termination threshold on successive weight iterates.
-    A ``seed`` keyword is accepted and discarded, for callers written when
-    the curvature was sampled; every solver derivative is now exact.
+    Every solver derivative is exact, so nothing is sampled. A ``seed``
+    keyword is still accepted and discarded, only because
+    ``perfbench/stream.py`` passes it; no scenario field or CLI flag sets it.
     """
 
     omega_init: float = 0.5
@@ -227,8 +228,9 @@ def newton_cardinality(
     count at weight 0.5, flagged ``SINGLE_COUNT_FLAG``."""
     a, b = _common_probs(p_i, p_j)
     if np.array_equal(a, b):
+        # the longer input spans the count range the other paths fuse over
         trace = NewtonTrace((), True, 0, (DEGENERATE_CARD_FLAG,))
-        return 0.5, p_i, trace
+        return 0.5, p_i if p_i.n_max >= p_j.n_max else p_j, trace
     evaluate = quadrature.tilted_log_moments(a, b, CardinalityPmf._trusted)
     if evaluate.points == 1:
         # every weight fuses to the one count both pmfs support

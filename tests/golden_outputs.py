@@ -2,14 +2,16 @@
 
 The commands are ``fuse`` on each committed scenario in both modes,
 ``sweep`` on the two-sensor scenario, ``reproduce ex1..ex4``, and ``fuse``
-on the edge scenarios under ``tests/golden/scenarios/``: an existence
-belief of 0, IID pmfs with one joint count, and IID pmfs with no joint
-count (exit 2). For each,
-``tests/golden/manifest.json`` holds its arguments, exit code and stdout
-(paths written as ``{out}/...``), and ``tests/golden/<case>/`` holds every
-file it writes. Files above ``SAMPLE_ABOVE`` bytes keep only their header,
-first row, last row and every 97th row; the manifest records their line
-count.
+or ``sweep`` on the edge scenarios under ``tests/golden/scenarios/``: an
+existence belief of 0, IID pmfs with one joint count, IID pmfs with no
+joint count (exit 2), IID pmfs with no objects, and four inputs that exit
+2 (a retired ``n_max``, a retired ``solver.seed``, both sweep scales, and
+a string rate). For each, ``tests/golden/manifest.json`` holds its
+arguments, exit code, stdout and stderr (paths written as ``{out}``,
+``{golden}`` and ``{scenarios}``), and ``tests/golden/<case>/`` holds
+every file it writes. Files above ``SAMPLE_ABOVE`` bytes keep only their
+header, first row, last row and every 97th row; the manifest records their
+line count.
 
 ``tests/test_golden.py`` runs each command in process and compares with
 ``compare``. Regenerate only when an output is meant to change:
@@ -19,7 +21,7 @@ count.
 It prints the largest relative change of each file against the stored data,
 then rewrites that data. With ``--check`` it prints the same changes, rewrites
 nothing, and exits 1 when any change is above ``RTOL`` (or an exit code,
-stdout or case moved), so a change can show what would move first.
+stdout, stderr or case moved), so a change can show what would move first.
 """
 
 from __future__ import annotations
@@ -59,29 +61,40 @@ def commands() -> dict[str, list[str]]:
     for example in ("ex1", "ex2", "ex3", "ex4"):
         cases[f"reproduce-{example}"] = ["reproduce", example, "--out", "{out}"]
     edge = {"bernoulli_alpha_zero": ("consistent",), "iid_single_joint_count": ("p2", "consistent"),
-            "iid_disjoint_supports": ("p2", "consistent")}
+            "iid_disjoint_supports": ("p2", "consistent"), "iid_no_objects": ("p2", "consistent"),
+            "retired_n_max": ("p2",), "retired_solver_seed": ("consistent",), "string_rate": ("p2",),
+            "two_sweep_scales": ("sweep",)}
     for name, modes in edge.items():
+        scenario = ["--scenario", f"{{golden}}/scenarios/{name}.json"]
         for mode in modes:
-            cases[f"fuse-{name}-{mode}"] = [
-                "fuse", "--scenario", f"{{golden}}/scenarios/{name}.json", "--mode", mode, "--out", "{out}",
-            ]
+            if mode == "sweep":
+                cases[f"sweep-{name}"] = ["sweep", *scenario, "--out", "{out}"]
+            else:
+                cases[f"fuse-{name}-{mode}"] = ["fuse", *scenario, "--mode", mode, "--out", "{out}"]
     return cases
 
 
-def run(argv: list[str], out: Path) -> tuple[int, list[str], dict[str, list[str]]]:
-    """Run one command through ``cli.main`` into ``out``: its exit code, its
-    stdout lines with ``out`` written as ``{out}``, and the lines of every
-    file it wrote, keyed by path relative to ``out``."""
-    filled = [arg.format(scenarios=SCENARIOS, golden=GOLDEN, out=out) for arg in argv]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+def run(argv: list[str], out: Path) -> tuple[int, list[str], list[str], dict[str, list[str]]]:
+    """Run one command through ``cli.main`` into ``out``: its exit code, the
+    lines it prints to stdout and to stderr with ``out``, ``GOLDEN`` and
+    ``SCENARIOS`` written as their placeholders, and the lines of every file
+    it wrote, keyed by path relative to ``out``."""
+    places = {"out": out, "golden": GOLDEN, "scenarios": SCENARIOS}
+    filled = [arg.format(**places) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(filled)
-    lines = stdout.getvalue().replace(str(out), "{out}").splitlines()
+    printed = []
+    for stream in (stdout, stderr):
+        text = stream.getvalue()
+        for name, path in places.items():
+            text = text.replace(str(path), f"{{{name}}}")
+        printed.append(text.splitlines())
     files = {}
     for path in sorted(out.rglob("*")):
         if path.is_file():
             files[path.relative_to(out).as_posix()] = path.read_text(encoding="utf-8").splitlines()
-    return code, lines, files
+    return code, *printed, files
 
 
 def sample(lines: list[str]) -> list[str]:
@@ -124,7 +137,7 @@ def file_change(name: str, old: list[str], new: list[str]) -> float:
 
 
 def load(case: str) -> dict:
-    """The stored record of one case: argv, exit code, stdout and files."""
+    """The stored record of one case: argv, exit code, stdout, stderr and files."""
     record = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))[case]
     base = GOLDEN / case
     record["files"] = {
@@ -165,7 +178,7 @@ def regenerate(check: bool = False) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for case, argv in commands().items():
             out = Path(tmp) / case
-            code, stdout, files = run(argv, out)
+            code, stdout, stderr, files = run(argv, out)
             if case not in stored:
                 print(f"{case}: not stored")
                 moved = True
@@ -174,9 +187,10 @@ def regenerate(check: bool = False) -> int:
                 for name, change in compare(old, files).items():
                     print(f"{case}/{name}: largest relative change {change:.3g}")
                     moved |= not change <= RTOL
-                if (old["exit"], old["stdout"]) != (code, stdout):
-                    print(f"{case}: exit code or stdout changed")
-                    moved = True
+                for key, new in (("exit", code), ("stdout", stdout), ("stderr", stderr)):
+                    if old[key] != new:
+                        print(f"{case}: {key} changed")
+                        moved = True
             if check:
                 continue
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
@@ -188,7 +202,7 @@ def regenerate(check: bool = False) -> int:
                 target = GOLDEN / case / name
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            manifest[case] = {"argv": argv, "exit": code, "stdout": stdout, "sampled": sampled}
+            manifest[case] = {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr, "sampled": sampled}
     if check:
         return int(moved)
     path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")

@@ -129,6 +129,15 @@ class TestCardinalityOf:
         pmf = sf.cardinality_of(sf.BernoulliRfs(0.8, UNIT), 1)
         np.testing.assert_allclose(pmf.probs, [0.2, 0.8])
 
+    def test_count_range_of_zero_needs_a_count_that_fits(self):
+        no_objects = sf.IidClusterRfs(sf.CardinalityPmf([1.0]), UNIT)
+        assert sf.cardinality_of(no_objects, 0) is no_objects.card
+        np.testing.assert_array_equal(sf.cardinality_of(sf.PoissonRfs(0.0, UNIT), 0).probs, [1.0])
+        with pytest.raises(ValueError, match=">= 1"):
+            sf.cardinality_of(sf.BernoulliRfs(0.8, UNIT), 0)
+        with pytest.raises(ValueError, match=">= 0"):
+            sf.cardinality_of(no_objects, -1)
+
     def test_non_finite_poisson_rate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             sf.PoissonRfs(math.inf, sf.GaussianDensity([0.0], [[1.0]]))

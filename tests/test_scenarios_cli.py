@@ -40,7 +40,7 @@ def bernoulli_payload(alpha_i=0.8, alpha_j=0.8, mean_j=(-0.75, -0.25), **extra):
 
 class TestScenarioParsing:
     def test_round_trip(self, tmp_path):
-        path = write_scenario(tmp_path, bernoulli_payload(solver={"seed": 5}, omega=0.3))
+        path = write_scenario(tmp_path, bernoulli_payload(omega=0.3))
         scenario = scenarios.load_scenario(path)
         assert scenario.family == "bernoulli"
         assert scenario.solver == sf.NewtonConfig()
@@ -267,7 +267,7 @@ def per_cell_rule(scenario, kappa, omega):
         _, z, rate = sf.poisson_fuse_p2(sf.PoissonRfs(f_i.rate, loc_i), sf.PoissonRfs(f_j.rate, loc_j), omega)
         return z, rate
     fused, z, _ = sf.iid_fuse_p2(
-        sf.IidClusterRfs(f_i.card, loc_i), sf.IidClusterRfs(f_j.card, loc_j), omega, scenarios._iid_n_max(scenario)
+        sf.IidClusterRfs(f_i.card, loc_i), sf.IidClusterRfs(f_j.card, loc_j), omega, max(f_i.card.n_max, f_j.card.n_max)
     )
     return z, fused.card.map_estimate()
 
@@ -300,20 +300,20 @@ class TestFormatCell:
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def sweep_payload(family, kappa=(1.0, 40.0, 7), omega=(0.0, 1.0, 11)):
+    """A unit-covariance pair of the family's ``SWEEP_PAYLOADS`` counts with a sweep block."""
+    means = ([0.25, 0.25], [-0.75, -0.25])
+    inputs = [
+        {**spec, "loc": {"mean": mean, "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+        for spec, mean in zip(SWEEP_PAYLOADS[family], means)
+    ]
+    return {"version": 1, "family": family, "inputs": inputs, "sweep": {"kappa": list(kappa), "omega": list(omega)}}
+
+
 class TestSweepRows:
     @pytest.mark.parametrize("family", sorted(SWEEP_PAYLOADS))
     def test_rows_match_per_cell_scalar_rule(self, tmp_path, family):
-        means = ([0.25, 0.25], [-0.75, -0.25])
-        inputs = [
-            {**spec, "loc": {"mean": mean, "cov": [[1.0, 0.0], [0.0, 1.0]]}}
-            for spec, mean in zip(SWEEP_PAYLOADS[family], means)
-        ]
-        payload = {
-            "version": 1,
-            "family": family,
-            "inputs": inputs,
-            "sweep": {"kappa": [1.0, 40.0, 7], "omega": [0.0, 1.0, 11]},
-        }
+        payload = sweep_payload(family)
         scenario = scenarios.load_scenario(write_scenario(tmp_path, payload))
         (path,) = scenarios.write_report(scenarios.sweep_report(scenario), tmp_path / "out")
         with open(path, newline="") as fh:
@@ -383,9 +383,6 @@ BAD_SCALARS = {
     "alpha string": _set("inputs", 0, "alpha", "0.5"),
     "alpha bool": _set("inputs", 1, "alpha", True),
     "mean string": _set("inputs", 0, "loc", "mean", ["0.25", 0.25]),
-    "n_max string": _set("n_max", "a"),
-    "n_max fractional": _set("n_max", 5.7),
-    "n_max zero": _set("n_max", 0),
     "sweep steps string": _set("sweep", "kappa", 2, "x"),
     "sweep steps numeric string": _set("sweep", "omega", 2, "3"),
     "sigma1_sq string": _set("sweep", "sigma1_sq", "x"),
@@ -397,7 +394,6 @@ BAD_SCALARS = {
     "sigma1_sq overflows": _set("sweep", "sigma1_sq", 1e300),
     "sweep not an object": _set("sweep", 5),
     "max_iters fractional": _set("solver", "max_iters", 2.5),
-    "seed string": _set("solver", "seed", "x"),
     "version bool": _set("version", True),
     "outputs number": _set("outputs", 5),
 }
@@ -431,14 +427,75 @@ BAD_INPUTS = {
         "poisson_pair.json",
         [_set("inputs", 0, "loc", {"grid": "left.npz"}), _set("inputs", 1, "loc", {"grid": "right.npz"})],
     ),
-    "n_max below pmf support": ("binomial_iid_pair.json", [_set("n_max", 3)]),
-    "n_max for bernoulli": ("two_sensor_bernoulli.json", [_set("n_max", 5)]),
-    "n_max for poisson": ("poisson_pair.json", [_set("n_max", 1)]),
     "required field dropped": ("poisson_pair.json", [_drop("inputs", 1, "loc")]),
     "string for a number": ("poisson_pair.json", [_set("inputs", 0, "lambda", "2.0")]),
     "NaN": ("poisson_pair.json", [_set("inputs", 1, "lambda", float("nan"))]),
     "unknown family": ("two_sensor_bernoulli.json", [_set("family", "multi")]),
 }
+
+
+# Settings that once changed no output, and a combination that still would;
+# each now exits 2 as an unknown field or argument: (family, mutations, extra
+# CLI arguments, text the error line names).
+RETIRED_INPUTS = {
+    "--seed": ("bernoulli", [], ["--seed", "7"], "--seed"),
+    "solver.seed": ("bernoulli", [_set("solver", "seed", 3)], [], "'seed'"),
+    "seed string": ("bernoulli", [_set("solver", "seed", "x")], [], "'seed'"),
+    "solver.mc_samples": ("bernoulli", [_set("solver", "mc_samples", 0)], [], "'mc_samples'"),
+    "n_max for bernoulli": ("bernoulli", [_set("n_max", 5)], [], "'n_max'"),
+    "n_max for poisson": ("poisson", [_set("n_max", 1)], [], "'n_max'"),
+    "n_max at pmf support": ("iid", [_set("n_max", 3)], [], "'n_max'"),
+    "n_max below pmf support": ("iid", [_set("n_max", 2)], [], "'n_max'"),
+    "n_max string": ("iid", [_set("n_max", "a")], [], "'n_max'"),
+    "n_max fractional": ("iid", [_set("n_max", 5.7)], [], "'n_max'"),
+    "n_max zero": ("iid", [_set("n_max", 0)], [], "'n_max'"),
+    "sigma1_sq with det_sigma": (
+        "bernoulli",
+        [_set("sweep", "sigma1_sq", 1.0), _set("sweep", "det_sigma", 0.01)],
+        [],
+        "sigma1_sq and det_sigma",
+    ),
+}
+
+
+# Each optional scenario field, the committed scenario and command it shows
+# a change through, and a value that shows it.
+OPTIONAL_FIELDS = {
+    "omega": ("two_sensor_bernoulli.json", ["fuse", "--mode", "p2"], 0.3),
+    "solver.omega_init": ("binomial_iid_pair.json", ["fuse", "--mode", "consistent"], 0.05),
+    "solver.epsilon": ("binomial_iid_pair.json", ["fuse", "--mode", "consistent"], 0.1),
+    "solver.max_iters": ("binomial_iid_pair.json", ["fuse", "--mode", "consistent"], 1),
+    "solver.omega_clamp": ("binomial_iid_pair.json", ["fuse", "--mode", "consistent"], 0.49),
+    "sweep.sigma1_sq": ("two_sensor_bernoulli.json", ["sweep"], 2.0),
+    "sweep.det_sigma": ("two_sensor_bernoulli.json", ["sweep"], 0.01),
+    "outputs": ("poisson_pair.json", ["fuse", "--mode", "p2"], None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OPTIONAL_FIELDS))
+def test_every_optional_field_changes_an_output(tmp_path, capsys, field):
+    """A field changes the exit code or the files written, against the
+    committed scenario without it (and, for a sweep scale, without the other
+    scale). The outputs directory is the value of ``outputs``, with no --out."""
+    name, argv, value = OPTIONAL_FIELDS[field]
+    *block, key = field.split(".")
+    without = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+    target = without.setdefault(block[0], {}) if block else without
+    for drop in ("sigma1_sq", "det_sigma") if block == ["sweep"] else (key,):
+        target.pop(drop, None)
+    runs = []
+    for tag in ("without", "with"):
+        payload = copy.deepcopy(without)
+        if tag == "with":
+            _set(*block, key, str(tmp_path / tag) if field == "outputs" else value)(payload)
+        path = write_scenario(tmp_path, payload, f"{tag}.json")
+        out = tmp_path / tag
+        code = main([*argv, "--scenario", str(path), *([] if field == "outputs" else ["--out", str(out)])])
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((code, files))
+    capsys.readouterr()
+    assert runs[1][0] != 2
+    assert runs[0] != runs[1]
 
 
 class TestCli:
@@ -479,7 +536,6 @@ class TestCli:
                     {"pmf": [1.0, 0.0], "loc": {"mean": [0.0], "cov": [[1.0]]}},
                     {"pmf": [0.0, 1.0], "loc": {"mean": [0.3], "cov": [[1.0]]}},
                 ],
-                "n_max": 1,
             },
             "disjoint.json",
         )
@@ -568,56 +624,44 @@ class TestCli:
         assert all(np.isfinite(float(row[k])) for k in row if k not in ("family", "mode", "inconsistent"))
         assert float(row["omega_card"]) == 0.5 and float(row[f"{field}_fused"]) == 0.0
 
-    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
-    def test_seed_does_not_change_consistent_output(self, tmp_path, name):
-        blobs = []
-        for seed in ("0", "7"):
-            out = tmp_path / f"seed{seed}"
-            assert main(["fuse", "--scenario", str(SCENARIO_DIR / name), "--mode", "consistent",
-                         "--out", str(out), "--seed", seed]) == 0
-            blobs.append((out / "fuse.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+    def test_iid_pair_with_no_objects_fuses_everywhere(self, tmp_path):
+        payload = sweep_payload("iid", kappa=(1.0, 4.0, 3), omega=(0.0, 1.0, 5))
+        for spec in payload["inputs"]:
+            spec["pmf"] = [1.0]
+        path = write_scenario(tmp_path, payload)
+        for mode in ("p2", "consistent"):
+            assert main(["fuse", "--mode", mode, "--scenario", str(path), "--out", str(tmp_path / mode)]) == 0
+            with open(tmp_path / mode / "fuse.csv", newline="") as fh:
+                assert next(csv.DictReader(fh))["map_fused"] == "0"
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "sweep")]) == 0
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            assert {row["map_omega"] for row in csv.DictReader(fh)} == {"0"}
 
-    def test_seed_override_accepted(self, tmp_path):
-        path = write_scenario(tmp_path, bernoulli_payload(solver={"seed": 1}))
-        scenario = scenarios.load_scenario(path)
-        assert scenario.solver == sf.NewtonConfig()
-        assert main(["fuse", "--scenario", str(path), "--mode", "consistent",
-                     "--out", str(tmp_path / "s"), "--seed", "42"]) == 0
+    @pytest.mark.parametrize("case", sorted(RETIRED_INPUTS))
+    def test_retired_input_exits_2(self, tmp_path, capsys, case):
+        family, mutations, flags, named = RETIRED_INPUTS[case]
+        payload = sweep_payload(family, kappa=(1.0, 4.0, 3), omega=(0.0, 1.0, 5))
+        for mutate in mutations:
+            mutate(payload)
+        path = write_scenario(tmp_path, payload)
+        commands = [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"], ["sweep"]]
+        commands = [[*argv, "--scenario", str(path)] for argv in commands]
+        if flags:
+            commands.append(["reproduce", "ex4"])
+        for index, argv in enumerate(commands):
+            out = tmp_path / f"out{index}"
+            argv = [*argv, "--out", str(out), *flags]
+            if flags:
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv)
+                assert exit_info.value.code == 2
+            else:
+                assert main(argv) == 2
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and named in errors[0], err
+            assert not out.exists()
 
-    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
-    def test_dead_solver_fields_warn_once_and_change_nothing(self, tmp_path, caplog, name):
-        payload = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
-        assert "mc_samples" not in payload.get("solver", {}) and "seed" not in payload.get("solver", {})
-        old = copy.deepcopy(payload)
-        old.setdefault("solver", {}).update(mc_samples=0, seed=3)
-        blobs, warnings = [], []
-        for tag, body in (("new", payload), ("old", old)):
-            caplog.clear()
-            path = write_scenario(tmp_path, body, f"{tag}.json")
-            assert main(["fuse", "--scenario", str(path), "--mode", "consistent",
-                         "--out", str(tmp_path / tag)]) == 0
-            warnings.append([r.getMessage() for r in caplog.records if r.levelname == "WARNING"])
-            blobs.append((tmp_path / tag / "fuse.csv").read_bytes())
-        assert warnings[0] == [] and len(warnings[1]) == 1
-        assert "mc_samples" in warnings[1][0] and "seed" in warnings[1][0]
-        assert blobs[0] == blobs[1]
-
-    def test_seed_flag_is_hidden_warns_and_changes_nothing(self, tmp_path, capsys, caplog):
-        for argv in ([], ["fuse"], ["sweep"], ["reproduce"]):
-            with pytest.raises(SystemExit) as exit_info:
-                main([*argv, "--help"])
-            assert exit_info.value.code == 0
-            assert "--seed" not in capsys.readouterr().out
-        scenario = str(SCENARIO_DIR / "two_sensor_bernoulli.json")
-        blobs, warnings = [], []
-        for tag, extra in (("plain", []), ("seeded", ["--seed", "7"])):
-            caplog.clear()
-            assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path / tag), *extra]) == 0
-            warnings.append([r.getMessage() for r in caplog.records if r.levelname == "WARNING"])
-            blobs.append((tmp_path / tag / "sweep.csv").read_bytes())
-        assert warnings[0] == [] and len(warnings[1]) == 1 and "--seed" in warnings[1][0]
-        assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("case", sorted(BAD_SCALARS))
     def test_bad_scalar_exits_2(self, tmp_path, capsys, case):

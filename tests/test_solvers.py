@@ -173,6 +173,9 @@ class TestNewtonCardinality:
         omega, fused, trace = sf.newton_cardinality(p, p, sf.NewtonConfig())
         assert omega == 0.5 and fused is p
         assert any(flag.startswith("degenerate") for flag in trace.flags)
+        short, padded = sf.CardinalityPmf([0.0, 1.0]), sf.CardinalityPmf([0.0, 1.0, 0.0])
+        for a, b in ((short, padded), (padded, short)):
+            assert sf.newton_cardinality(a, b, sf.NewtonConfig())[1] is padded
 
     def test_single_common_support_point_fuses_to_it(self):
         p_i = sf.CardinalityPmf([0.5, 0.5, 0.0])
