@@ -435,8 +435,8 @@ BAD_INPUTS = {
 
 
 # Settings that once changed no output, and a combination that still would;
-# each now exits 2 as an unknown field or argument: (family, mutations, extra
-# CLI arguments, text the error line names).
+# each now exits 2 as an unknown field or argument: (family or committed
+# scenario, mutations, extra CLI arguments, text the error line names).
 RETIRED_INPUTS = {
     "--seed": ("bernoulli", [], ["--seed", "7"], "--seed"),
     "solver.seed": ("bernoulli", [_set("solver", "seed", 3)], [], "'seed'"),
@@ -456,6 +456,9 @@ RETIRED_INPUTS = {
         "sigma1_sq and det_sigma",
     ),
 }
+for _name in sorted(p.name for p in SCENARIO_DIR.glob("*.json")):
+    RETIRED_INPUTS[f"--seed {_name}"] = (_name, [], ["--seed", "7"], "--seed")
+    RETIRED_INPUTS[f"mc_samples {_name}"] = (_name, [_set("solver", "mc_samples", 0)], [], "'mc_samples'")
 
 
 # Each optional scenario field, the committed scenario and command it shows
@@ -639,8 +642,13 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(RETIRED_INPUTS))
     def test_retired_input_exits_2(self, tmp_path, capsys, case):
-        family, mutations, flags, named = RETIRED_INPUTS[case]
-        payload = sweep_payload(family, kappa=(1.0, 4.0, 3), omega=(0.0, 1.0, 5))
+        source, mutations, flags, named = RETIRED_INPUTS[case]
+        sweep = {"kappa": [1.0, 4.0, 3], "omega": [0.0, 1.0, 5]}
+        if source.endswith(".json"):
+            payload = json.loads((SCENARIO_DIR / source).read_text(encoding="utf-8"))
+            payload.setdefault("sweep", sweep)
+        else:
+            payload = sweep_payload(source, kappa=sweep["kappa"], omega=sweep["omega"])
         for mutate in mutations:
             mutate(payload)
         path = write_scenario(tmp_path, payload)
