@@ -10,8 +10,10 @@ the report's own lines.
 
 Exit codes: 0 success, 2 bad input or inputs that cannot be fused
 together, 3 solver or fusion failure.
-Set SETFUSE_LOG=error|warn|info|debug to control logging. Every argument
-changes what is fused or where it is written; an unknown one exits 2.
+Set SETFUSE_LOG=error|warn|info|debug to control logging; any other value
+warns and runs at warn. Every argument changes what is fused or where it is
+written; an unknown one exits 2. ``--out`` overrides a scenario's
+``outputs``, with a warning.
 """
 
 from __future__ import annotations
@@ -42,8 +44,12 @@ EXIT_SOLVER = 3
 
 
 def _configure_logging() -> None:
-    name = os.environ.get("SETFUSE_LOG", "warn").lower()
-    level = _LOG_LEVELS.get(name, logging.WARNING)
+    name = os.environ.get("SETFUSE_LOG", "warn")
+    level = _LOG_LEVELS.get(name.lower())
+    if level is None:
+        print(f"warning: unknown SETFUSE_LOG value {name!r} (use {', '.join(_LOG_LEVELS)}); running at warn",
+              file=sys.stderr)
+        level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(level)
 
@@ -56,6 +62,9 @@ def _run(args) -> int:
     else:
         scenario = load_scenario(args.scenario)
         out = scenario.out_dir if args.out is None else args.out
+        if args.out is not None and scenario.out_dir is not None:
+            print(f"warning: --out is given, so the scenario's 'outputs' path {scenario.out_dir} is ignored",
+                  file=sys.stderr)
         if out is None:
             raise ScenarioError("no output directory: pass --out or set 'outputs' in the scenario")
         report = fuse_scenario(scenario, args.mode)[1] if args.command == "fuse" else sweep_report(scenario)

@@ -57,13 +57,13 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     - (1-w)^2 sum(c_j d^2 r^2) + w^2 sum(c_i d^2 r^2)),
     Var[q] = sum(1/2 (c_i - c_j)^2 r^2 + c_i c_j d^2 r^3). The frame is kept
     as one (c_i, c_j, d^2) triple of floats per coordinate, and one loop over
-    the coordinates accumulates sum(log s) and the five other sums. The same
-    statements run in Python floats for a scalar weight and broadcast over
-    an array of weights; a scalar weight (a float, a numpy scalar or a 0-d
-    array) gives Python floats. Each term is formed from the ratios c_i r,
-    c_j r and d^2 r, and log s is summed per coordinate, never as the log of
-    a product, so no intermediate under- or overflows at extreme covariance
-    scales.
+    the coordinates accumulates sum(log s), sum(log c_i), sum(log c_j) and
+    the five other sums. The same statements run in Python floats, with
+    ``math.log``, for a scalar weight (a float, a numpy scalar or a 0-d
+    array), and broadcast over an array of weights, with ``np.log``. Each
+    term is formed from the ratios c_i r, c_j r and d^2 r, and log s is
+    summed per coordinate, never as the log of a product, so no
+    intermediate under- or overflows at extreme covariance scales.
     """
     _check_pair(rho_i, rho_j)
     cov_i, cov_j = rho_i.cov, rho_j.cov
@@ -76,20 +76,23 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     delta = to_frame @ (rho_j.mean - rho_i.mean)
     pair = (var_i, var_j, delta, chol @ eigvecs, rho_i.mean)
     frame = list(zip(var_i.tolist(), var_j.tolist(), (delta * delta).tolist()))
-    # summed in the loop's order, so that w = 0 and w = 1 give log z = 0 exactly
-    sum_log_i = sum_log_j = 0.0
-    for c_i, c_j, _ in frame:
-        sum_log_i += np.log(c_i)
-        sum_log_j += np.log(c_j)
 
     def at(w):
+        if isinstance(w, np.ndarray) and w.ndim:
+            log = np.log
+        else:
+            w, log = float(w), math.log
         v = 1.0 - w
-        log_s = mahal = gap = tilt_j = tilt_i = curvature = 0.0
+        log_s = sum_log_i = sum_log_j = mahal = gap = tilt_j = tilt_i = curvature = 0.0
         for c_i, c_j, sq in frame:
             s = v * c_j + w * c_i
             r = 1.0 / s
             a, b, e, g = c_i * r, c_j * r, sq * r, (c_i - c_j) * r
-            log_s += np.log(s)
+            # summed in one order with one log, so that w = 0 and w = 1
+            # give log z = 0 exactly
+            log_s += log(s)
+            sum_log_i += log(c_i)
+            sum_log_j += log(c_j)
             mahal += e
             gap += g
             tilt_j += b * e
@@ -98,9 +101,9 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
         log_z = 0.5 * (w * sum_log_i + v * sum_log_j - log_s - w * v * mahal)
         slope = 0.5 * (sum_log_i - sum_log_j - gap - v * v * tilt_j + w * w * tilt_i)
         # Hoelder guarantees z <= 1; clip roundoff that lands above
-        if isinstance(log_z, np.ndarray):
+        if log is np.log:
             return _Fused(np.minimum(log_z, 0.0), slope, curvature, w, pair)
-        return _Fused(min(float(log_z), 0.0), float(slope), float(curvature), w, pair)
+        return _Fused(min(log_z, 0.0), slope, curvature, w, pair)
 
     return at
 

@@ -95,7 +95,8 @@ class NewtonTrace:
 
 
 class SolverError(RuntimeError):
-    """Raised when Newton iterations exhaust max_iters; carries the trace."""
+    """Raised when Newton iterations exhaust max_iters or meet a non-finite
+    slope or curvature; carries the trace."""
 
     def __init__(self, message: str, trace: NewtonTrace):
         super().__init__(message)
@@ -140,13 +141,25 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
     nondecreasing in w and its sign brackets the stationary point; Newton
     proposals that exit the bracket or fail to shrink |l'| fall back to
     bisection. Returns the weight, the evaluation there (whose ``density()``
-    builds the fused density) and the trace.
+    builds the fused density) and the trace. A recorded slope or curvature
+    that is not finite raises ``SolverError``, with that record last in the
+    trace, since no bracket can be read from it.
     """
+    records = []
+
+    def record(w: float, at) -> None:
+        records.append(TraceRecord(w, -at.log_z, at.slope, at.curvature))
+        if not (math.isfinite(at.slope) and math.isfinite(at.curvature)):
+            raise SolverError(
+                f"weight solver met a non-finite slope or curvature at w = {w:.8g}",
+                NewtonTrace(tuple(records), False, len(records) - 1),
+            )
+
     lo = config.omega_clamp
     hi = 1.0 - config.omega_clamp
     w = min(max(config.omega_init, lo), hi)
     at_w = evaluate(w)
-    records = [TraceRecord(w, -at_w.log_z, at_w.slope, at_w.curvature)]
+    record(w, at_w)
     for iteration in range(1, config.max_iters + 1):
         slope, curvature = at_w.slope, at_w.curvature
         if slope == 0.0 and curvature == 0.0:  # flat: every weight fuses alike
@@ -162,12 +175,13 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
         if not newton_ok:
             cand = 0.5 * (lo + hi)
         at_cand = evaluate(cand)
+        # a NaN slope is no larger, so a NaN candidate is kept and recorded
         if newton_ok and abs(at_cand.slope) > abs(slope):
             cand = 0.5 * (lo + hi)
             at_cand = evaluate(cand)
         step = abs(cand - w)
         w, at_w = cand, at_cand
-        records.append(TraceRecord(w, -at_w.log_z, at_w.slope, at_w.curvature))
+        record(w, at_w)
         if step <= config.epsilon:
             return w, at_w, NewtonTrace(tuple(records), True, iteration)
     raise SolverError(

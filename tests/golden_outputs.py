@@ -19,7 +19,8 @@ line count.
     PYTHONPATH=src python tests/golden_outputs.py
 
 It prints the largest relative change of each file against the stored data,
-then rewrites that data. With ``--check`` it prints the same changes, rewrites
+then rewrites the files that moved by more than ``RTOL`` and keeps the stored
+bytes of the rest. With ``--check`` it prints the same changes, rewrites
 nothing, and exits 1 when any change is above ``RTOL`` (or an exit code,
 stdout, stderr or case moved), so a change can show what would move first.
 """
@@ -136,10 +137,10 @@ def file_change(name: str, old: list[str], new: list[str]) -> float:
     return max((line_change(a, b) for a, b in zip(old, new)), default=0.0)
 
 
-def load(case: str) -> dict:
+def load(case: str, golden: Path = GOLDEN) -> dict:
     """The stored record of one case: argv, exit code, stdout, stderr and files."""
-    record = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))[case]
-    base = GOLDEN / case
+    record = json.loads((golden / "manifest.json").read_text(encoding="utf-8"))[case]
+    base = golden / case
     record["files"] = {
         path.relative_to(base).as_posix(): path.read_text(encoding="utf-8").splitlines()
         for path in sorted(base.rglob("*"))
@@ -167,11 +168,12 @@ def compare(record: dict, files: dict[str, list[str]]) -> dict[str, float]:
     return changes
 
 
-def regenerate(check: bool = False) -> int:
+def regenerate(check: bool = False, golden: Path = GOLDEN) -> int:
     """Run every command and print how its outputs moved against the stored
-    data; then rewrite that data, or with ``check`` leave it as it is. Returns
-    1 when ``check`` finds a move above ``RTOL``, else 0."""
-    path = GOLDEN / "manifest.json"
+    data in ``golden``; then rewrite that data, keeping the stored bytes of
+    every file that moved by ``RTOL`` or less, or with ``check`` leave it as
+    it is. Returns 1 when ``check`` finds a move above ``RTOL``, else 0."""
+    path = golden / "manifest.json"
     stored = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
     manifest = {}
     moved = False
@@ -179,12 +181,14 @@ def regenerate(check: bool = False) -> int:
         for case, argv in commands().items():
             out = Path(tmp) / case
             code, stdout, stderr, files = run(argv, out)
+            changes = {}
             if case not in stored:
                 print(f"{case}: not stored")
                 moved = True
             else:
-                old = load(case)
-                for name, change in compare(old, files).items():
+                old = load(case, golden)
+                changes = compare(old, files)
+                for name, change in changes.items():
                     print(f"{case}/{name}: largest relative change {change:.3g}")
                     moved |= not change <= RTOL
                 for key, new in (("exit", code), ("stdout", stdout), ("stderr", stderr)):
@@ -193,15 +197,20 @@ def regenerate(check: bool = False) -> int:
                         moved = True
             if check:
                 continue
-            shutil.rmtree(GOLDEN / case, ignore_errors=True)
+            base = golden / case
+            kept = {name: (base / name).read_bytes() for name, change in changes.items() if change <= RTOL}
+            shutil.rmtree(base, ignore_errors=True)
             sampled = {}
             for name, lines in files.items():
                 if len("\n".join(lines)) > SAMPLE_ABOVE:
                     sampled[name] = len(lines)
                     lines = sample(lines)
-                target = GOLDEN / case / name
+                target = base / name
                 target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+                if name in kept:
+                    target.write_bytes(kept[name])
+                else:
+                    target.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             manifest[case] = {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr, "sampled": sampled}
     if check:
         return int(moved)

@@ -181,6 +181,22 @@ class TestPairEvaluator:
             row = gaussian._pair(*ill_conditioned_pair(rng, 1e10))(np.array([0.0, 1.0]))
             np.testing.assert_array_equal(row.log_z, [0.0, 0.0])
 
+    def test_endpoints_give_unit_scale_on_random_pairs(self):
+        # np.log and math.log differ in the last bit on about 1 in 10^4
+        # values, and two of these pairs meet such a value: each path must
+        # sum the frame logs with the log it takes of s
+        rng = np.random.default_rng(0)
+        for k in range(3000):
+            dim = 1 + k % 4
+            pair = []
+            for _ in range(2):
+                q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+                cov = q @ np.diag(10.0 ** rng.uniform(-3, 3, dim)) @ q.T
+                pair.append(sf.GaussianDensity(rng.normal(0.0, 3.0, dim), 0.5 * (cov + cov.T)))
+            at = gaussian._pair(*pair)
+            assert at(np.array([0.0, 1.0])).log_z.tolist() == [0.0, 0.0]
+            assert at(0.0).log_z == at(1.0).log_z == 0.0
+
     @pytest.mark.parametrize("cond, tol", [(1e2, 1e-12), (1e6, 1e-9), (1e10, 1e-5)])
     def test_log_z_matches_covariance_form(self, rng, cond, tol):
         for _ in range(60):

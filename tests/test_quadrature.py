@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from conftest import gathered_moments, grid_z_omega, make_gaussian
+from conftest import binomial_pmf, gathered_moments, grid_z_omega, make_gaussian
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -242,11 +242,24 @@ class TestArrayPairProperties:
             assert not fused.probs.flags.writeable
 
 
-def partial_support_pair(case: str, seed: int):
-    """An array pair whose joint support leaves out part of the arrays: the
+def evaluator_case(case: str, seed: int):
+    """An array pair, with a joint support that leaves out part of the
+    arrays (``PARTIAL_SUPPORT``) or that covers them (``FULL_SUPPORT``): the
     evaluator built the way its callers build it, and what the gathered
     oracle needs (both arrays, the cell volume and the extra log term)."""
     rng = np.random.default_rng(seed)
+    if case == "grid positive everywhere":
+        raw = np.exp(rng.normal(0.0, 8.0, (2, 12, 17)))
+        cell = rng.uniform(0.1, 2.0, 2)
+        gi, gj = (sf.GridDensity(np.zeros(2), cell, v / (v.sum() * np.prod(cell))) for v in raw)
+        return (lambda: quadrature.grid_log_moments(gi, gj)), gi.values, gj.values, gi.cell_volume, 0.0
+    if case.startswith("positive pmfs"):
+        p_i, p_j = (sf.CardinalityPmf(r / r.sum()) for r in rng.uniform(0.01, 1.0, (2, 9)))
+        a, b = fusion._common_probs(p_i, p_j)
+        log_extra = np.arange(a.size) * -3.0 if case.endswith("iid extra") else 0.0
+        return (
+            lambda: quadrature.tilted_log_moments(a, b, sf.CardinalityPmf._trusted, log_extra=log_extra)
+        ), a, b, 1.0, log_extra
     if case in ("grid with zero regions", "tail overlap", "one shared cell"):
         if case == "grid with zero regions":
             shape = (12, 17)
@@ -280,16 +293,18 @@ def partial_support_pair(case: str, seed: int):
 
 
 PARTIAL_SUPPORT = ["grid with zero regions", "tail overlap", "one shared cell", "padded pmfs", "iid extra", "iid extra far apart"]
+FULL_SUPPORT = ["grid positive everywhere", "positive pmfs", "positive pmfs iid extra"]
 
 
 class TestWholeArrayEvaluator:
-    """The evaluator works on the whole arrays; on partial joint supports it
-    must give what the gathered sums give."""
+    """The evaluator works on the whole arrays, masking the entries off the
+    joint support only when there are any; either way it must give what the
+    gathered sums give."""
 
-    @pytest.mark.parametrize("case", PARTIAL_SUPPORT)
+    @pytest.mark.parametrize("case", PARTIAL_SUPPORT + FULL_SUPPORT)
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_gathered_oracle(self, case, seed):
-        make, a, b, volume, log_extra = partial_support_pair(case, seed)
+        make, a, b, volume, log_extra = evaluator_case(case, seed)
         evaluate = make()
         joint = (a > 0) & (b > 0)
         for w in (0.07, 0.5, 0.93):
@@ -305,12 +320,22 @@ class TestWholeArrayEvaluator:
 
     @pytest.mark.parametrize("case", PARTIAL_SUPPORT)
     def test_density_read_first_leaves_the_moments(self, case):
-        evaluate = partial_support_pair(case, 0)[0]()
+        evaluate = evaluator_case(case, 0)[0]()
         first = evaluate(0.3)
         density = _values(first.density())
         second = evaluate(0.3)
         assert (first.log_z, first.slope, first.curvature) == (second.log_z, second.slope, second.curvature)
         np.testing.assert_array_equal(density, _values(second.density()))
+
+    def test_curvature_far_from_the_optimum(self):
+        # slope^2 / curvature is about 4e4 here, so E[q^2] - slope^2 loses
+        # about 4e4 eps of the curvature to rounding
+        a, b = (binomial_pmf(200, p).probs for p in (0.01, 0.99))
+        _, slope, curvature, _, _ = gathered_moments(a, b, 0.05)
+        assert slope * slope / curvature >= 1e4
+        fused = quadrature.tilted_log_moments(a, b, sf.CardinalityPmf._trusted)(0.05)
+        assert fused.slope == pytest.approx(slope, rel=1e-10)
+        assert fused.curvature == pytest.approx(curvature, rel=1e-10)
 
     def test_disjoint_pairs_raise(self):
         p_i, p_j = sf.CardinalityPmf([0.5, 0.5]), sf.CardinalityPmf([0.0, 0.0, 0.3, 0.7])

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -697,3 +698,21 @@ class TestCli:
         path = write_scenario(tmp_path, payload)
         assert main(["fuse", "--scenario", str(path), "--mode", "consistent"]) == 0
         assert (tmp_path / "from_scenario" / "fuse.csv").exists()
+
+    def test_out_flag_wins_over_scenario_outputs_with_a_warning(self, tmp_path, capsys):
+        ignored = str(tmp_path / "from_scenario")
+        path = write_scenario(tmp_path, bernoulli_payload(outputs=ignored))
+        assert main(["fuse", "--scenario", str(path), "--mode", "consistent", "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "fuse.csv").exists()
+        assert not (tmp_path / "from_scenario").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning:") and ignored in err[0]
+
+    def test_unknown_log_level_warns_and_runs_at_warn(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SETFUSE_LOG", "verbose")
+        path = write_scenario(tmp_path, bernoulli_payload())
+        assert main(["fuse", "--scenario", str(path), "--mode", "p2", "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning:") and "'verbose'" in err[0]
+        assert all(name in err[0] for name in ("error", "warn", "info", "debug"))
+        assert logging.getLogger("setfuse").level == logging.WARNING

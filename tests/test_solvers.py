@@ -1,12 +1,13 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import setfuse as sf
-from setfuse import fusion, gaussian, quadrature
+from setfuse import fusion, gaussian, quadrature, solvers
 from setfuse.solvers import DEGENERATE_CARD_FLAG, SINGLE_COUNT_FLAG
 from conftest import binomial_pmf, make_gaussian, random_pmf
 
@@ -199,6 +200,21 @@ class TestNewtonCardinality:
             sf.newton_cardinality(p_i, p_j, cfg)
         assert not err.value.trace.converged
         assert len(err.value.trace.records) >= 1
+
+    @pytest.mark.parametrize("nan_below", [1.0, 0.4], ids=["at start", "at a later step"])
+    def test_nan_slope_raises_with_trace(self, nan_below):
+        # a NaN slope compares as neither negative nor larger in size, so
+        # read as a number it would steer the bracket towards the clamp
+        def evaluate(w):
+            slope = math.nan if w < nan_below else 1.0
+            return SimpleNamespace(log_z=-0.1, slope=slope, curvature=1.0)
+
+        with pytest.raises(sf.SolverError, match="non-finite") as err:
+            solvers._newton_weight(evaluate, sf.NewtonConfig())
+        trace = err.value.trace
+        assert not trace.converged
+        assert math.isnan(trace.records[-1].slope)
+        assert all(not math.isnan(record.slope) for record in trace.records[:-1])
 
     def test_exchange_symmetry(self, rng):
         for _ in range(15):
