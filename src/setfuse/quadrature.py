@@ -136,8 +136,15 @@ def discretize_gaussians(
 
     The box spans every input mean plus/minus ``extent_sigmas`` per-axis
     standard deviations, so the truncated mass is negligible at default
-    settings.
+    settings. ``points_per_axis`` must be an integer >= 1 (not a bool) and
+    ``extent_sigmas`` finite and positive; a lattice too coarse to hold unit
+    mass within 1% is rejected by ``GridDensity``.
     """
+    integer = isinstance(points_per_axis, (int, np.integer)) and not isinstance(points_per_axis, bool)
+    if not (integer and points_per_axis >= 1):
+        raise ValueError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
+    if not (math.isfinite(extent_sigmas) and extent_sigmas > 0):
+        raise ValueError(f"extent_sigmas must be finite and positive, got {extent_sigmas!r}")
     if not gaussians:
         raise ValueError("need at least one Gaussian")
     dim = gaussians[0].dim
@@ -150,8 +157,8 @@ def discretize_gaussians(
     hi = np.max([g.mean + extent_sigmas * s for g, s in zip(gaussians, sig)], axis=0)
     cell = (hi - lo) / points_per_axis
     axes = [lo[k] + (np.arange(points_per_axis) + 0.5) * cell[k] for k in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.column_stack([m.ravel() for m in mesh])
+    # the cell centres, one row each, as a view of a coordinate-major array
+    centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
     shape = (points_per_axis,) * dim
     return [
         GridDensity(lo, cell, g.evaluate(centers).reshape(shape)) for g in gaussians

@@ -26,6 +26,17 @@ def make_gaussian(rng, dim=2, mean_scale=1.0, var_lo=0.3, var_hi=1.5):
     return sf.GaussianDensity(mean, 0.5 * (cov + cov.T))
 
 
+def solve_log_density(g, points):
+    """Gaussian log density at the rows of ``points`` by a general solve with
+    the Cholesky factor, on point-major offsets: an oracle for
+    ``GaussianDensity.log_evaluate``."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    chol = np.linalg.cholesky(g.cov)
+    w = np.linalg.solve(chol, (x - g.mean).T)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (g.dim * math.log(2 * math.pi) + logdet + np.sum(w * w, axis=0))
+
+
 def random_pmf(rng, size, min_prob=0.0):
     """Random normalized pmf of the given support size."""
     raw = rng.uniform(min_prob, 1.0, size)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import setfuse as sf
-from conftest import make_gaussian
+from conftest import make_gaussian, solve_log_density
 
 
 class TestCardinalityPmf:
@@ -119,6 +119,106 @@ class TestGridDensity:
         assert np.all((draws >= 0.5) & (draws < 1.0))
         again = grid.sample(np.random.default_rng(3), 200)
         np.testing.assert_array_equal(draws, again)
+
+
+LOCALISATIONS = {
+    "gaussian": sf.GaussianDensity([0.5, -0.25], [[1.0, 0.3], [0.3, 0.5]]),
+    "grid": sf.GridDensity([-1.0, -1.0], [0.5, 0.5], np.full((4, 4), 0.25)),
+}
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", sorted(LOCALISATIONS))
+class TestPointSetContract:
+    """Points are (k, d) or (d,) with finite coordinates; a finite point far
+    away has density 0 and no warning escapes (warnings are errors here)."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [np.zeros((5, 2, 1)), np.zeros((4, 3)), np.zeros((2, 1)), np.zeros(3), 0.0],
+        ids=["5x2x1", "4x3", "2x1", "3", "scalar"],
+    )
+    def test_rejects_points_not_shaped_k_by_d(self, kind, points):
+        with pytest.raises(ValueError, match=r"shaped \(k, 2\) or \(2,\)"):
+            LOCALISATIONS[kind].evaluate(points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, kind, bad):
+        for points in ([[bad, 0.0]], [[0.0, 0.0], [0.0, bad]], [bad, 0.0]):
+            with pytest.raises(ValueError, match="points must be finite"):
+                LOCALISATIONS[kind].evaluate(points)
+
+    @pytest.mark.parametrize(
+        "far", [[1e200, 0.0], [1e300, 0.0], [0.0, -1e300], [-1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+    )
+    def test_far_point_has_zero_density(self, kind, far):
+        density = LOCALISATIONS[kind]
+        values = density.evaluate([far, [0.0, 0.0]])
+        assert values[0] == 0.0 and values[1] > 0.0
+        if kind == "gaussian":
+            assert density.log_evaluate(far)[0] == -math.inf
+
+    def test_single_point_empty_and_batched_rows_agree(self, kind):
+        density = LOCALISATIONS[kind]
+        rows = np.random.default_rng(8).uniform(-1.0, 1.0, (40, 2))
+        batched = density.evaluate(rows)
+        for row, value in zip(rows, batched):
+            single = density.evaluate(row)
+            assert single.shape == (1,)
+            assert single[0] == density.evaluate(row[None, :])[0]
+            # BLAS whitens one column with another kernel than many
+            assert single[0] == pytest.approx(value, rel=8 * EPS, abs=0.0)
+        assert density.evaluate(np.empty((0, 2))).shape == (0,)
+        if kind == "gaussian":
+            assert density.log_evaluate(np.empty((0, 2))).shape == (0,)
+
+
+def _mp_log_density(mpmath, g, points):
+    """Gaussian log density at the rows of ``points`` in mpmath's working
+    precision, on the stored float mean and covariance."""
+    dim = g.dim
+    chol = mpmath.cholesky(mpmath.matrix(g.cov.tolist()))
+    const = dim * mpmath.log(2 * mpmath.pi) + 2 * mpmath.fsum(mpmath.log(chol[i, i]) for i in range(dim))
+    out = []
+    for row in points:
+        delta = mpmath.matrix([mpmath.mpf(float(a)) - mpmath.mpf(float(m)) for a, m in zip(row, g.mean)])
+        w = mpmath.lu_solve(chol, delta)
+        out.append(float(-(const + mpmath.fsum(w[i] ** 2 for i in range(dim))) / 2))
+    return np.array(out)
+
+
+class TestGaussianLogDensity:
+    def test_offset_overflow_gives_log_zero(self):
+        # the offsets overflow to inf, so the whitening meets inf - inf and 0 * inf
+        g = sf.GaussianDensity([-1e308, 1e308], [[1.0, 0.9], [0.9, 1.0]])
+        values = g.log_evaluate([[1.7e308, -1.7e308], [1.7e308, 1.7e308], [-1e308, 1e308]])
+        assert values[:2].tolist() == [-math.inf, -math.inf]
+        assert math.isfinite(values[2])
+
+    def test_no_less_accurate_than_a_solve_with_the_factor(self):
+        """Against a 60-digit reference on the stored mean and covariance,
+        each log density is at most 8 eps sqrt(kappa) (relative to
+        max(|log density|, 1)) less accurate than the solve oracle: about
+        one rounding error passed through the inverse of a factor whose
+        condition number is sqrt(kappa)."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(60)
+        for dim in range(1, 5):
+            for kappa in (1.0, 1e4, 1e8, 0.99e12) if dim > 1 else (1.0,):
+                for _ in range(6):
+                    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+                    eig = 10.0 ** rng.uniform(-3, 3) * np.geomspace(1.0, 1.0 / kappa, dim)
+                    cov = q @ np.diag(eig) @ q.T
+                    g = sf.GaussianDensity(rng.uniform(-1e5, 1e5, dim), 0.5 * (cov + cov.T))
+                    z = rng.standard_normal((8, dim))
+                    z *= rng.uniform(0.0, 8.0, (8, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+                    x = g.mean + z @ np.linalg.cholesky(g.cov).T
+                    with mpmath.workdps(60):
+                        exact = _mp_log_density(mpmath, g, x)
+                    scale = np.maximum(np.abs(exact), 1.0)
+                    error = np.abs(g.log_evaluate(x) - exact) / scale
+                    oracle_error = np.abs(solve_log_density(g, x) - exact) / scale
+                    assert np.all(error <= oracle_error + 8 * EPS * math.sqrt(kappa))
 
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))

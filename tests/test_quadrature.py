@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from conftest import binomial_pmf, gathered_moments, grid_z_omega, make_gaussian
+from conftest import binomial_pmf, gathered_moments, grid_z_omega, make_gaussian, solve_log_density
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -374,3 +374,48 @@ class TestDiscretization:
         g = sf.GaussianDensity(np.zeros(4), np.eye(4))
         with pytest.raises(ValueError, match="3 dimensions"):
             quadrature.discretize_gaussians([g])
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"points_per_axis": 0}, "points_per_axis must be an integer >= 1, got 0"),
+            ({"points_per_axis": -3}, "points_per_axis must be an integer >= 1, got -3"),
+            ({"points_per_axis": 2.5}, "points_per_axis must be an integer >= 1, got 2.5"),
+            ({"points_per_axis": True}, "points_per_axis must be an integer >= 1, got True"),
+            ({"extent_sigmas": math.nan}, "extent_sigmas must be finite and positive, got nan"),
+            ({"extent_sigmas": math.inf}, "extent_sigmas must be finite and positive, got inf"),
+            ({"extent_sigmas": 0.0}, "extent_sigmas must be finite and positive, got 0.0"),
+            ({"extent_sigmas": -1.0}, "extent_sigmas must be finite and positive, got -1.0"),
+            # valid but too coarse: one cell per axis holds the wrong mass
+            ({"points_per_axis": 1}, "grid mass .* too far from 1"),
+        ],
+        ids=["points-0", "points-neg", "points-float", "points-bool", "sigmas-nan", "sigmas-inf",
+             "sigmas-0", "sigmas-neg", "coarse-lattice"],
+    )
+    def test_argument_errors_name_the_argument(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            quadrature.discretize_gaussians([UNIT, SHIFTED], **setting)
+
+    def test_accepts_numpy_integer_sizes(self):
+        gi, _ = quadrature.discretize_gaussians([UNIT, SHIFTED], np.int64(41), np.float64(6.0))
+        assert gi.values.shape == (41, 41)
+
+    @pytest.mark.parametrize("points, dim", [(100, 2), (200, 2), (40, 3)])
+    def test_matches_solve_oracle_on_grid_stream_lattices(self, points, dim):
+        """Pairs like the grid-stream benchmark's: condition numbers up to 40,
+        major variances 0.5-2, means drawn in [-2, 2]^d."""
+        rng = np.random.default_rng([points, dim])
+        for _ in range(3):
+            pair = []
+            for _ in range(2):
+                q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+                kappa = math.exp(rng.uniform(0.0, math.log(40.0)))
+                eig = rng.uniform(0.5, 2.0) * kappa ** -np.linspace(0.0, 1.0, dim)
+                cov = q @ np.diag(eig) @ q.T
+                pair.append(sf.GaussianDensity(rng.uniform(-2.0, 2.0, dim), 0.5 * (cov + cov.T)))
+            for g, grid in zip(pair, quadrature.discretize_gaussians(pair, points)):
+                axes = [grid.origin[k] + (np.arange(points) + 0.5) * grid.cell_size[k] for k in range(dim)]
+                centers = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+                values = np.exp(solve_log_density(g, centers)).reshape(grid.values.shape)
+                expected = sf.GridDensity(grid.origin, grid.cell_size, values).values
+                np.testing.assert_allclose(grid.values, expected, rtol=1e-12, atol=0.0)
