@@ -54,20 +54,23 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
+def _report(args):
+    """Load and compute one command: its ``Report`` and output directory."""
+    if args.command == "reproduce":
+        return experiment_report(args.example), Path("out" if args.out is None else args.out) / args.example
+    scenario = load_scenario(args.scenario)
+    out = scenario.out_dir if args.out is None else args.out
+    if args.out is not None and scenario.out_dir is not None:
+        print(f"warning: --out is given, so the scenario's 'outputs' path {scenario.out_dir} is ignored",
+              file=sys.stderr)
+    if out is None:
+        raise ScenarioError("no output directory: pass --out or set 'outputs' in the scenario")
+    return fuse_scenario(scenario, args.mode)[1] if args.command == "fuse" else sweep_report(scenario), out
+
+
 def _run(args) -> int:
     """Run one command through the stages in the module docstring."""
-    if args.command == "reproduce":
-        report = experiment_report(args.example)
-        out = Path("out" if args.out is None else args.out) / args.example
-    else:
-        scenario = load_scenario(args.scenario)
-        out = scenario.out_dir if args.out is None else args.out
-        if args.out is not None and scenario.out_dir is not None:
-            print(f"warning: --out is given, so the scenario's 'outputs' path {scenario.out_dir} is ignored",
-                  file=sys.stderr)
-        if out is None:
-            raise ScenarioError("no output directory: pass --out or set 'outputs' in the scenario")
-        report = fuse_scenario(scenario, args.mode)[1] if args.command == "fuse" else sweep_report(scenario)
+    report, out = _report(args)
     for line in report.verdicts():
         print(line)
     for path in write_report(report, out):

@@ -334,6 +334,8 @@ class FiniteSet:
             pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
         if pts.ndim != 2:
             raise ValueError("points must form an (n, d) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         _set_frozen(self, points=pts.copy())
 
     @classmethod

@@ -27,8 +27,11 @@ def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
 
 
 class _Fused:
-    """An array pair at one interior weight: ``log_z`` and the shifted terms
-    ``rel`` over the whole array, with their sum ``total``. ``slope`` and
+    """An array pair at one interior weight: ``log_z`` and the terms ``rel``
+    over the whole array, with their sum ``total``. The terms are
+    a^(1-w) b^w as they stand, or, when their sum left the safe range, the
+    same terms divided by the largest; either way they are proportional to
+    the fused values, and only ``log_z`` carries the scale. ``slope`` and
     ``curvature``, the mean and variance of q = log b - log a under the terms
     (the first two w-derivatives of log z_w), are formed together on the
     first read of either, from two dot products: slope = E[q] and
@@ -60,7 +63,16 @@ class _Fused:
     def density(self):
         """``build`` of the normalized terms: unit mass, exactly 0 off the joint support."""
         volume, build = self.pair[2:]
-        return build(self.rel / (self.total * volume))
+        norm = self.total * volume
+        if norm < 1e-300:  # z_w underflows, the terms over their sum do not
+            return build(self.rel / self.total / volume)
+        return build(self.rel / norm)
+
+
+# A plain sum of terms in this range is safe to use: every term within e^36
+# of the largest is then a normal float, and no sum or moment dot product
+# can overflow.
+_LOW_TOTAL, _HIGH_TOTAL = 1e-100, 1e100
 
 
 def tilted_log_moments(
@@ -72,8 +84,12 @@ def tilted_log_moments(
     Both whole arrays are logged once, so each evaluation gathers nothing.
     When both are positive everywhere, that is all; otherwise log a = -inf
     and log b - log a = 0 are stored off the joint support, so the terms
-    there are exactly 0. Terms are shifted by their maximum before
-    exponentiation, so only exp(log_z) may underflow. ``log_extra``, a scalar
+    there are exactly 0. Each evaluation exponentiates the terms as they
+    stand and sums them once. A sum in [``_LOW_TOTAL``, ``_HIGH_TOTAL``] is
+    used as it is; any other (0, inf and NaN included) sends the evaluation
+    to ``_shifted_sum``, which forms the terms again shifted by their
+    maximum, so only exp(log_z) may underflow and nothing overflows.
+    Neither path warns on finite inputs. ``log_extra``, a scalar
     or an array shaped like ``a``, goes into log a alone, since
     (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The log ratio is squared once,
     on the first moment read of any evaluation (see ``_Fused``). ``points``
@@ -103,7 +119,12 @@ def tilted_log_moments(
     def evaluate(omega: float) -> _Fused:
         logs = log_ratio * omega
         logs += log_a
-        log_sum, rel, total = _shifted_sum(logs)
+        with np.errstate(over="ignore"):
+            terms = np.exp(logs, out=logs)
+            total = float(terms.sum())
+        if _LOW_TOTAL <= total <= _HIGH_TOTAL:
+            return _Fused(math.log(total) + log_scale, terms, total, pair)
+        log_sum, rel, total = _shifted_sum(log_ratio * omega + log_a)
         return _Fused(float(log_sum + log_scale), rel, total, pair)
 
     evaluate.points = points

@@ -37,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from setfuse import cli
+from setfuse import cli, scenarios
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -165,6 +165,32 @@ def compare(record: dict, files: dict[str, list[str]]) -> dict[str, float]:
                 continue
             new = sample(new)
         changes[name] = file_change(name, record["files"][name], new)
+    return changes
+
+
+def report(argv: list[str]) -> tuple[scenarios.Report, str]:
+    """The ``Report`` one command computes, in process and without writing,
+    and the directory it would write to, relative to ``{out}``."""
+    places = {"out": "out", "golden": GOLDEN, "scenarios": SCENARIOS}
+    computed, out = cli._report(cli.build_parser().parse_args([arg.format(**places) for arg in argv]))
+    return computed, Path(out).relative_to("out").as_posix()
+
+
+def table_changes(record: dict, computed: scenarios.Report, where: str = ".") -> dict[str, float]:
+    """Largest relative change per table of an in-memory ``Report`` against
+    the files of a stored record under ``where``, its rows formatted as
+    ``write_csv`` writes them, and of its verdicts against ``summary.txt``.
+    A table with no stored file reads inf."""
+    texts = {name: [",".join(header), *(",".join(map(scenarios._format_cell, row)) for row in rows)]
+             for name, header, rows in computed.tables}
+    if computed.checks:
+        texts["summary.txt"] = computed.verdicts()
+    changes = {}
+    for name, lines in texts.items():
+        name = (Path(where) / name).as_posix()
+        if name in record["sampled"]:
+            lines = sample(lines) if len(lines) == record["sampled"][name] else []
+        changes[name] = file_change(name, record["files"][name], lines) if name in record["files"] else math.inf
     return changes
 
 

@@ -1,0 +1,102 @@
+"""Mutation checks: small faults in ``src/`` that named tests must catch.
+
+Each entry of ``MUTANTS`` is ``(file, old text, new text, tests)``: the file
+under ``src/setfuse``, a text that occurs in it exactly once, what replaces
+it, and the test files (or pytest node ids) that must fail once it is
+replaced. For each entry the script copies ``src/``, ``tests/``,
+``scripts/`` and ``pyproject.toml`` into a temporary directory, applies the
+change there and runs the named tests. It first runs every named test on
+the unchanged copy, which must pass. Run from the root of a checkout:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 if any mutant survives (its tests
+still pass), or 2 if the unchanged tests fail or an entry's old text is not
+found exactly once. It is not collected by pytest and is not part of tier-1.
+A change that adds a test adds here the mutant the test kills.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # the plain sum is used whatever its size, so 0 and inf reach the log
+    ("quadrature.py", "if _LOW_TOTAL <= total <= _HIGH_TOTAL:", "if True:", ["tests/test_quadrature.py"]),
+    # the fallback exponentiates the terms without the max shift
+    ("quadrature.py", "    peak = logs.max()\n", "    peak = 0.0\n", ["tests/test_quadrature.py"]),
+    # huge sums stay on the plain path; answers hold, the shifted-call count does not
+    (
+        "quadrature.py",
+        "_LOW_TOTAL, _HIGH_TOTAL = 1e-100, 1e100",
+        "_LOW_TOTAL, _HIGH_TOTAL = 1e-100, 1e300",
+        ["tests/test_quadrature.py"],
+    ),
+    # density() divides by z_w in one step, which underflows on tiny cells
+    (
+        "quadrature.py",
+        "        if norm < 1e-300:",
+        "        if False:",
+        ["tests/test_quadrature.py"],
+    ),
+    # a NaN slope is not rejected, so the bracket reads it as positive
+    (
+        "solvers.py",
+        "if not (math.isfinite(at.slope) and math.isfinite(at.curvature)):",
+        "if not math.isfinite(at.curvature):",
+        ["tests/test_solvers.py"],
+    ),
+]
+
+
+def _copy(into: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests", "scripts"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", into)
+
+
+def _pytest(root: Path, tests: list[str]) -> int:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _copy(root)
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        if _pytest(root, named) != 0:
+            print(f"the unchanged tests fail: {' '.join(named)}")
+            return 2
+        survivors = 0
+        for file, old, new, tests in MUTANTS:
+            path = root / "src" / "setfuse" / file
+            text = path.read_text(encoding="utf-8")
+            label = f"{file}: {old.strip()!r} -> {new.strip()!r}"
+            if text.count(old) != 1:
+                print(f"stale: {label} (old text found {text.count(old)} times)")
+                return 2
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                code = _pytest(root, tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            # 1 is a failed test; any other exit (a usage or collection error) kills nothing
+            killed = code == 1
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} (pytest exit {code}): {label}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return int(survivors > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,14 @@ def test_command_matches_golden_outputs(tmp_path, case):
     assert {name: change for name, change in changes.items() if not change <= golden.RTOL} == {}
 
 
+@pytest.mark.parametrize("case", sorted(case for case in golden.commands() if golden.load(case)["exit"] == 0))
+def test_report_tables_match_golden_outputs(case):
+    # every table a command computes, written or not, matches the stored data
+    record = golden.load(case)
+    changes = golden.table_changes(record, *golden.report(record["argv"]))
+    assert {name: change for name, change in changes.items() if not change <= golden.RTOL} == {}
+
+
 def test_regeneration_keeps_unmoved_bytes(tmp_path, capsys):
     # with no code change every file is within RTOL of its stored data,
     # even one that sits a rounding step off it, so nothing is rewritten

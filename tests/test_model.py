@@ -302,6 +302,13 @@ class TestDensityEval:
         value = sf.rfs_density_eval(f, sf.FiniteSet([[0.2, 0.3], [0.7, 0.9]]))
         assert value == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            sf.FiniteSet([[bad, 0.0]])
+        for empty in (sf.FiniteSet.empty(2), sf.FiniteSet([])):
+            assert empty.size == 0
+
     def test_dimension_mismatch(self):
         f = sf.BernoulliRfs(0.5, UNIT)
         with pytest.raises(ValueError, match="dimension"):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -346,6 +347,88 @@ class TestWholeArrayEvaluator:
         gi, gj = (sf.GridDensity(np.zeros(2), [1.0, 1.0], v) for v in values)
         with pytest.raises(sf.IncompatibleInputs, match="disjoint support"):
             quadrature.grid_log_moments(gi, gj)
+
+
+def _unit_grid(cell, values):
+    cell = np.asarray(cell, dtype=float)
+    return sf.GridDensity(np.zeros(cell.size), cell, values / (values.sum() * np.prod(cell)))
+
+
+def _grid_pair(gi, gj):
+    return partial(quadrature.grid_log_moments, gi, gj), gi.values, gj.values, gi.cell_volume, 0.0
+
+
+def _pmf_pair(a, b, log_extra=0.0):
+    return partial(quadrature.tilted_log_moments, a, b, sf.CardinalityPmf._trusted, log_extra=log_extra), a, b, 1.0, log_extra
+
+
+def regime_case(case: str):
+    """An array pair whose plain sum of terms lies inside the evaluator's
+    range at every weight given (``inside`` true) or outside it at every
+    one: the evaluator built as its callers build it, the oracle's inputs
+    (both arrays, cell volume, extra log term), the weights and ``inside``."""
+    rng = np.random.default_rng(19)
+    if case == "ordinary grid":
+        return *_grid_pair(*quadrature.discretize_gaussians([UNIT, SHIFTED], points_per_axis=40)), (0.07, 0.5, 0.93), True
+    if case == "ordinary pmf":
+        return *_pmf_pair(*(binomial_pmf(35, p).probs for p in (0.98, 0.975))), (0.07, 0.5, 0.93), True
+    if case == "tiny cells, tails overlap":
+        # cell volume 1e-250, peaks near 2e249 and a joint support only
+        # where both are e^-200: the sum is about 1e-86, so z_w, about
+        # 1e-336, underflows
+        raw = np.zeros((2, 30))
+        raw[0, :20] = raw[1, 10:] = math.exp(-200.0)
+        raw[0, :5] = raw[1, 25:] = 2e249
+        return *_grid_pair(*(_unit_grid([1e-250], v) for v in raw)), (0.07, 0.5, 0.93), True
+    if case == "pmfs below the range":
+        # p(0) = 0 and log_extra = n log z with z = 1e-200: the sum is ~1e-200
+        a, b = (np.concatenate(([0.0], r / r.sum())) for r in rng.uniform(0.1, 1.0, (2, 8)))
+        return *_pmf_pair(a, b, np.arange(a.size) * math.log(1e-200)), (0.07, 0.5, 0.93), False
+    if case == "grid above the range":
+        # cell volume 1e-250, so the values are near 1e250
+        raw = np.exp(rng.normal(0.0, 1.0, (2, 20, 20)))
+        return *_grid_pair(*(_unit_grid([1e-125, 1e-125], v) for v in raw)), (0.07, 0.5, 0.93), False
+    # Laplace densities 690 cells apart on one lattice: z_w is about e^-340
+    # at w = 0.5, yet both are positive (above e^-700) on every cell
+    x = np.arange(-10.0, 700.0) + 0.5
+    return *_grid_pair(*(_unit_grid([1.0], np.exp(-abs(x - m))) for m in (0.0, 690.0))), (0.4, 0.5, 0.6), False
+
+
+REGIME_CASES = [
+    "ordinary grid", "ordinary pmf", "tiny cells, tails overlap",
+    "pmfs below the range", "grid above the range", "far-apart grids",
+]
+
+
+class TestEvaluatorRegimes:
+    """The plain sum of terms is used as it is inside [1e-100, 1e100], and
+    ``_shifted_sum`` takes over outside it; both must give the gathered
+    oracle's answers, and the shifted path must run on exactly the sums
+    outside the range."""
+
+    @pytest.mark.parametrize("case", REGIME_CASES)
+    def test_matches_oracle_and_shifts_only_outside_the_range(self, case, monkeypatch):
+        make, a, b, volume, log_extra, weights, inside = regime_case(case)
+        calls = []
+        shifted_sum = quadrature._shifted_sum
+
+        def counted(logs):
+            calls.append(1)
+            return shifted_sum(logs)
+
+        monkeypatch.setattr(quadrature, "_shifted_sum", counted)
+        evaluate = make()
+        for w in weights:
+            log_z, slope, curvature, values, _ = gathered_moments(a, b, w, volume, log_extra)
+            log_total = log_z - math.log(volume)
+            assert (math.log(1e-100) <= log_total <= math.log(1e100)) == inside
+            del calls[:]
+            fused = evaluate(w)
+            assert len(calls) == (0 if inside else 1)
+            assert fused.log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+            assert fused.slope == pytest.approx(slope, rel=1e-10, abs=1e-10)
+            assert fused.curvature == pytest.approx(curvature, rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(_values(fused.density()), values, rtol=1e-12, atol=0)
 
 
 class TestDerivativeIdentity:

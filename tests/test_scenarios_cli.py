@@ -348,6 +348,24 @@ class TestReproduce:
         for path in files:
             assert path.exists()
 
+    def test_ex4_kld_residual_is_accurate(self):
+        # the residual D(f||p_i) - D(f||p_j) is a difference of two
+        # divergences at rounding level, so its digits are checked against
+        # 60-digit arithmetic at the reported weight, not against stored data
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        (_, _, rows), _ = scenarios.experiment_report("ex4").tables
+        for pair, omega_star, _, residual in rows:
+            k, prob_i, prob_j = scenarios.BINOMIAL_PAIRS[pair]
+            a, b = (scenarios._binomial_pmf(k, p).probs for p in (prob_i, prob_j))
+            w = mp.mpf(omega_star)
+            log_a = [mp.log(mp.mpf(float(x))) for x in a]
+            log_ratio = [mp.log(mp.mpf(float(y))) - la for y, la in zip(b, log_a)]
+            terms = [mp.exp(la + w * q) for la, q in zip(log_a, log_ratio)]
+            exact = mp.fsum(t * q for t, q in zip(terms, log_ratio)) / mp.fsum(terms)
+            assert abs(mp.mpf(residual) - exact) < 1e-16, pair
+
     def test_unknown_example_rejected(self):
         with pytest.raises(scenarios.ScenarioError, match="unknown example"):
             scenarios.experiment_report("ex9")
