@@ -23,6 +23,7 @@ import numpy as np
 
 from . import gaussian, quadrature
 from .model import (
+    DISJOINT_SUPPORT,
     BernoulliRfs,
     CardinalityPmf,
     GaussianDensity,
@@ -99,12 +100,26 @@ def iid_cardinality_p2(
 
     The factorized localisation makes the scale sequence geometric,
     z_w(n) = z_w^n. It enters as n log z_w, so neither large counts nor a
-    z_w that flushes to 0 underflow the fused pmf.
+    z_w that flushes to 0 underflow the fused pmf. At log z_w = -inf and an
+    interior weight the rule is its limit as z_w -> 0: all mass on the
+    smallest count of the joint support, with normalizer a(0)^(1-w) b(0)^w
+    when that count is 0 and 0 otherwise.
     """
     _check_omega(omega)
-    if not -math.inf < log_z <= 1e-12:
-        raise ValueError("log scale factor must be finite and <= 0")
-    return _geometric_pmf(p_i, p_j, omega, np.arange(max(p_i.n_max, p_j.n_max) + 1) * log_z)
+    if not log_z <= 1e-12:
+        raise ValueError("log scale factor must be <= 0")
+    if log_z > -math.inf:
+        return _geometric_pmf(p_i, p_j, omega, np.arange(max(p_i.n_max, p_j.n_max) + 1) * log_z)
+    if omega in (0.0, 1.0):
+        return _geometric_pmf(p_i, p_j, omega)
+    a, b = _common_probs(p_i, p_j)
+    joint = np.flatnonzero((a > 0) & (b > 0))
+    if joint.size == 0:
+        raise IncompatibleInputs(DISJOINT_SUPPORT)
+    probs = np.zeros(a.size)
+    probs[joint[0]] = 1.0
+    norm = float(a[0] ** (1.0 - omega) * b[0] ** omega) if joint[0] == 0 else 0.0
+    return CardinalityPmf._trusted(probs), norm
 
 
 def cardinality_emd(

@@ -374,17 +374,12 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
     if isinstance(f, BernoulliRfs):
         if n_max < 1:
             raise ValueError("n_max must be >= 1 for a Bernoulli count")
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0 - f.alpha
-        probs[1] = f.alpha
-        return CardinalityPmf(probs)
-    if n_max < 0:
+        card = CardinalityPmf([1.0 - f.alpha, f.alpha])
+    elif n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if isinstance(f, PoissonRfs):
-        if f.rate == 0.0:
-            probs = np.zeros(n_max + 1)
-            probs[0] = 1.0
-            return CardinalityPmf(probs)
+    elif isinstance(f, PoissonRfs) and f.rate == 0.0:
+        card = CardinalityPmf([1.0])
+    elif isinstance(f, PoissonRfs):
         # Past the mean the tail is summed term by term out to 20 standard
         # deviations, so a tail near the tolerance is decided exactly, where
         # 1 - head sum would lose it to roundoff. Below the mean the tail
@@ -399,58 +394,45 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
             )
         probs = terms[: n_max + 1]
         return CardinalityPmf(probs / probs.sum())
-    if isinstance(f, IidClusterRfs):
+    elif isinstance(f, IidClusterRfs):
         card = f.card
-        return card if card.n_max == n_max else CardinalityPmf._trusted(card.padded(n_max))
-    raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")
-
-
-def _point_density_product(loc: LocalisationDensity, points: np.ndarray) -> float:
-    # sorted before multiplying so the stored point order cannot perturb
-    # the product in the last ulp
-    dens = np.sort(loc.evaluate(points))
-    return float(np.prod(dens))
+    else:
+        raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")
+    return card if card.n_max == n_max else CardinalityPmf._trusted(card.padded(n_max))
 
 
 def rfs_density_eval(f: FiniteSetDistribution, x: FiniteSet) -> float:
     """Set-density value p(|X|) |X|! prod rho(x) for the factorized families."""
     n = x.size
-    if n > 0:
-        loc_dim = f.loc.dim
-        if x.points.shape[1] != loc_dim:
-            raise ValueError("point dimension does not match localisation density")
+    if n > 0 and x.points.shape[1] != f.loc.dim:
+        raise ValueError("point dimension does not match localisation density")
+    # the count weight p(n) n!, with n! (a float overflow past 170) only where p(n) > 0
     if isinstance(f, BernoulliRfs):
-        if n == 0:
-            return 1.0 - f.alpha
-        if n == 1:
-            return f.alpha * float(f.loc.evaluate(x.points)[0])
-        return 0.0
-    if isinstance(f, PoissonRfs):
-        # p(n) n! = exp(-rate) rate^n
-        if f.rate == 0.0:
-            return 1.0 if n == 0 else 0.0
+        weight = (1.0 - f.alpha, f.alpha, 0.0)[min(n, 2)]
+    elif isinstance(f, PoissonRfs):
         weight = math.exp(-f.rate) * f.rate**n
-        if n == 0:
-            return weight
-        return weight * _point_density_product(f.loc, x.points)
-    if isinstance(f, IidClusterRfs):
+    elif isinstance(f, IidClusterRfs):
         p_n = f.card.prob(n)
-        if p_n == 0.0:
-            return 0.0
-        if n == 0:
-            return p_n
-        return p_n * math.factorial(n) * _point_density_product(f.loc, x.points)
-    raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")
+        weight = p_n * math.factorial(n) if p_n > 0.0 else 0.0
+    else:
+        raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")
+    if n == 0 or weight == 0.0:
+        return weight
+    # sorted before multiplying so the stored point order cannot perturb
+    # the product in the last ulp
+    return weight * float(np.prod(np.sort(f.loc.evaluate(x.points))))
 
 
 def validate_normalization(f: FiniteSetDistribution, n_max: int) -> float:
     """Partial sum of the cardinality series; should be close to 1.
 
     Localisation integrals are unity by construction, so the set integral
-    reduces to the cardinality sum.
+    reduces to the cardinality sum. n_max must be >= 0.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if isinstance(f, BernoulliRfs):
-        return (1.0 - f.alpha) + f.alpha
+        return (1.0 - f.alpha) + (f.alpha if n_max >= 1 else 0.0)
     if isinstance(f, PoissonRfs):
         if f.rate == 0.0:
             return 1.0

@@ -8,7 +8,9 @@ density: closed form for Gaussian pairs, one tilted sum for grids and count
 pmfs. The solvers evaluate the same pair evaluators the fusion rules use;
 an evaluation gives only those three numbers, and the fused density is
 built once, by the evaluation at the solved weight. Nothing is sampled and
-nothing underflows, so inputs far apart still converge. Newton iterations
+nothing underflows, so inputs far apart still converge, up to a Gaussian
+pair whose squared separation overflows a float: its slope is not finite,
+and the solver raises ``SolverError``. Newton iterations
 on l' = 0 converge fast; a bisection safeguard on the sign of l' keeps
 iterates inside the interval even from poor starting points. At the
 optimum the divergences from the fused density to the two inputs balance.

@@ -53,6 +53,26 @@ MUTANTS = [
         "if not math.isfinite(at.curvature):",
         ["tests/test_solvers.py"],
     ),
+    # the Poisson count weight loses e^-rate
+    ("model.py", "weight = math.exp(-f.rate) * f.rate**n", "weight = f.rate**n", ["tests/test_model.py"]),
+    # the IID count weight loses n!
+    (
+        "model.py",
+        "weight = p_n * math.factorial(n) if p_n > 0.0 else 0.0",
+        "weight = p_n if p_n > 0.0 else 0.0",
+        ["tests/test_model.py"],
+    ),
+    # the Bernoulli count weights of n = 0 and n = 1 swap
+    ("model.py", "(1.0 - f.alpha, f.alpha, 0.0)", "(f.alpha, 1.0 - f.alpha, 0.0)", ["tests/test_model.py"]),
+    # the Bernoulli partial sum counts n = 1 whatever n_max is
+    (
+        "model.py",
+        "(1.0 - f.alpha) + (f.alpha if n_max >= 1 else 0.0)",
+        "(1.0 - f.alpha) + f.alpha",
+        ["tests/test_model.py"],
+    ),
+    # the z_w -> 0 limit of the IID joint rule puts its mass on count 0
+    ("fusion.py", "    probs[joint[0]] = 1.0\n", "    probs[0] = 1.0\n", ["tests/test_fusion.py"]),
 ]
 
 

@@ -8,6 +8,7 @@ from setfuse import diagnostics, fusion
 from conftest import binomial_pmf, random_pmf
 
 TWO_POINT = sf.CardinalityPmf([0.2, 0.8])
+THREE_POINT = sf.CardinalityPmf([0.2, 0.3, 0.5])
 
 
 class TestDirectCheck:
@@ -264,6 +265,25 @@ class TestPointwiseRatio:
 
 
 class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: fusion.fused_cardinality_p2(THREE_POINT, THREE_POINT, [1.0, 0.5], 0.5),
+             "z_seq must cover every cardinality of the joint support"),
+            (lambda: diagnostics.cardinality_inconsistency_bound(THREE_POINT, THREE_POINT, [1.0, 0.5], 0.5, 1),
+             "z_seq must cover every cardinality of the joint support"),
+            (lambda: diagnostics.pointwise_ratio(THREE_POINT, THREE_POINT, [1.0, 0.5], 0.5, 1),
+             "z_seq must cover the joint support"),
+            (lambda: diagnostics.iid_inconsistency_bound(sf.CardinalityPmf([0.5, 0.0, 0.5]), THREE_POINT, 0.5, 1, 0.5),
+             "bound undefined: both pmfs must be positive at n"),
+        ],
+        ids=["short z_seq in the joint rule", "short z_seq in the bound", "short z_seq in the ratio",
+             "iid bound where a pmf is 0"],
+    )
+    def test_input_the_rule_cannot_use_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_negative_count_rejected(self):
         p_i, p_j = sf.CardinalityPmf([0.2, 0.3, 0.5]), sf.CardinalityPmf([0.3, 0.3, 0.4])
         z_seq = [1.0, 0.5, 0.25]

@@ -255,6 +255,33 @@ class TestIidFusion:
         assert z == 0.0
         assert norm == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "probs_i, probs_j, smallest",
+        [([0.2, 0.5, 0.3], [0.6, 0.1, 0.3], 0), ([0.0, 0.4, 0.6], [0.1, 0.5, 0.2, 0.2], 1)],
+        ids=["joint support from 0", "joint support from 1"],
+    )
+    def test_vanishing_scale_factor_takes_the_limit(self, probs_i, probs_j, smallest):
+        """At log z_w = -inf all mass sits on the smallest joint count, as the
+        finite rule already has it at log z_w = -1e6; the normalizer is
+        p_i(0)^(1-w) p_j(0)^w when that count is 0, and 0 otherwise."""
+        p_i, p_j = sf.CardinalityPmf(probs_i), sf.CardinalityPmf(probs_j)
+        for omega in (0.3, 0.5):
+            card, norm = fusion.iid_cardinality_p2(p_i, p_j, -math.inf, omega)
+            near, near_norm = fusion.iid_cardinality_p2(p_i, p_j, -1e6, omega)
+            np.testing.assert_array_equal(card.probs, near.probs)
+            assert card.probs[smallest] == 1.0
+            assert norm == pytest.approx(near_norm, rel=1e-15, abs=0.0)
+            limit = probs_i[0] ** (1.0 - omega) * probs_j[0] ** omega if smallest == 0 else 0.0
+            assert norm == pytest.approx(limit, rel=1e-15, abs=0.0)
+        assert fusion.iid_cardinality_p2(p_i, p_j, -math.inf, 0.0) == (p_i, 1.0)
+        assert fusion.iid_cardinality_p2(p_i, p_j, -math.inf, 1.0) == (p_j, 1.0)
+
+    @pytest.mark.parametrize("log_z", [math.nan, 0.5, math.inf])
+    def test_nan_or_positive_log_scale_factor_rejected(self, log_z):
+        pmf = sf.CardinalityPmf([0.5, 0.5])
+        with pytest.raises(ValueError, match="log scale factor must be <= 0"):
+            fusion.iid_cardinality_p2(pmf, pmf, log_z, 0.5)
+
     def test_fields_are_named(self):
         far = sf.GaussianDensity([100.0, 0.0], np.eye(2))
         f_i = sf.IidClusterRfs(sf.CardinalityPmf([0.5, 0.5]), UNIT)
@@ -360,6 +387,7 @@ class TestIncompatibleInputs:
             (lambda: fusion.cardinality_emd(*DISJOINT, 0.5), "disjoint support"),
             (lambda: solvers.newton_cardinality(*DISJOINT, sf.NewtonConfig()), "disjoint support"),
             (lambda: diagnostics.iid_inconsistency_threshold(*DISJOINT, 0.5, 0.5), "disjoint support"),
+            (lambda: fusion.iid_cardinality_p2(*DISJOINT, -math.inf, 0.5), "disjoint support"),
             (lambda: DISJOINT[1].padded(1), "truncate"),
             (lambda: fusion.localisation_emd(*GRIDS, 0.5), "disjoint support"),
             (lambda: solvers.newton_localisation(*GRIDS, sf.NewtonConfig()), "disjoint support"),
@@ -368,7 +396,8 @@ class TestIncompatibleInputs:
              "disjoint support"),
         ],
         ids=[
-            "alphas", "fusion supports", "solver supports", "diagnostics supports", "truncation",
+            "alphas", "fusion supports", "solver supports", "diagnostics supports", "vanishing scale supports",
+            "truncation",
             "grid fusion", "grid solver", "grid joint rule", "grid consistent fusion",
         ],
     )

@@ -287,8 +287,74 @@ class TestCardinalityOf:
         pmf = sf.cardinality_of(sf.IidClusterRfs(card, UNIT), 4)
         np.testing.assert_array_equal(pmf.probs, [0.3, 0.7, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "f, n_max, head",
+        [
+            (sf.BernoulliRfs(0.37, UNIT), 1, [0.63, 0.37]),
+            (sf.BernoulliRfs(0.37, UNIT), 3, [0.63, 0.37]),
+            (sf.PoissonRfs(0.0, UNIT), 0, [1.0]),
+            (sf.PoissonRfs(0.0, UNIT), 4, [1.0]),
+            (sf.IidClusterRfs(sf.CardinalityPmf([0.2, 0.0, 0.8]), UNIT), 2, [0.2, 0.0, 0.8]),
+        ],
+        ids=["bernoulli 1", "bernoulli 3", "rate 0 at 0", "rate 0 at 4", "iid ending at n_max"],
+    )
+    def test_pmf_is_the_family_head_padded_with_zeros(self, f, n_max, head):
+        pmf = sf.cardinality_of(f, n_max)
+        expected = np.zeros(n_max + 1)
+        expected[: len(head)] = head
+        np.testing.assert_array_equal(pmf.probs, expected)
+        assert not pmf.probs.flags.writeable
+        if isinstance(f, sf.IidClusterRfs):
+            assert pmf is f.card
+
+
+# Points of one set; the first n rows form the set of size n.
+POINTS = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 1.2]])
+IID_PMF = [0.2, 0.0, 0.8]
+
+
+def unit_density(point):
+    """The standard 2-D normal density, in closed form."""
+    return math.exp(-0.5 * float(point @ point)) / (2.0 * math.pi)
+
 
 class TestDensityEval:
+    @pytest.mark.parametrize(
+        "f, n, count_weight",
+        [
+            (sf.BernoulliRfs(0.8, UNIT), 0, 0.2),
+            (sf.BernoulliRfs(0.8, UNIT), 1, 0.8),
+            (sf.BernoulliRfs(0.8, UNIT), 2, 0.0),
+            (sf.BernoulliRfs(0.0, UNIT), 1, 0.0),
+            (sf.PoissonRfs(2.5, UNIT), 0, math.exp(-2.5)),
+            (sf.PoissonRfs(2.5, UNIT), 1, math.exp(-2.5) * 2.5),
+            (sf.PoissonRfs(2.5, UNIT), 2, math.exp(-2.5) * 2.5**2 / 2 * 2),
+            (sf.PoissonRfs(0.0, UNIT), 0, 1.0),
+            (sf.PoissonRfs(0.0, UNIT), 1, 0.0),
+            (sf.PoissonRfs(0.0, UNIT), 2, 0.0),
+            (sf.IidClusterRfs(sf.CardinalityPmf(IID_PMF), UNIT), 0, IID_PMF[0]),
+            (sf.IidClusterRfs(sf.CardinalityPmf(IID_PMF), UNIT), 1, IID_PMF[1]),
+            (sf.IidClusterRfs(sf.CardinalityPmf(IID_PMF), UNIT), 2, IID_PMF[2] * 2),
+            (sf.IidClusterRfs(sf.CardinalityPmf(IID_PMF), UNIT), 3, 0.0),
+        ],
+        ids=[
+            "bernoulli 0", "bernoulli 1", "bernoulli 2", "alpha 0 at 1",
+            "poisson 0", "poisson 1", "poisson 2", "rate 0 at 0", "rate 0 at 1", "rate 0 at 2",
+            "iid 0", "iid zero probability", "iid 2", "iid past the pmf end",
+        ],
+    )
+    def test_value_is_count_weight_times_point_densities(self, f, n, count_weight):
+        """f(X) = p(n) n! prod rho(x), with p(n) n! written out from the
+        family's parameters in the table."""
+        expected = count_weight * math.prod(unit_density(x) for x in POINTS[:n])
+        value = sf.rfs_density_eval(f, sf.FiniteSet(POINTS[:n]) if n else sf.FiniteSet.empty(2))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_long_set_past_a_short_pmf_is_zero(self):
+        # 171! does not fit a float; a zero count probability never forms it
+        f = sf.IidClusterRfs(sf.CardinalityPmf(IID_PMF), UNIT)
+        assert sf.rfs_density_eval(f, sf.FiniteSet(np.zeros((171, 2)))) == 0.0
+
     def test_bernoulli_cases(self):
         f = sf.BernoulliRfs(0.8, UNIT)
         assert sf.rfs_density_eval(f, sf.FiniteSet.empty(2)) == pytest.approx(0.2)
@@ -327,6 +393,21 @@ class TestDensityEval:
 class TestNormalization:
     def test_bernoulli_exact(self):
         assert sf.validate_normalization(sf.BernoulliRfs(0.37, UNIT), 5) == 1.0
+
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            (sf.BernoulliRfs(0.37, UNIT), 0.63),
+            (sf.PoissonRfs(3.0, UNIT), math.exp(-3.0)),
+            (sf.PoissonRfs(0.0, UNIT), 1.0),
+            (sf.IidClusterRfs(sf.CardinalityPmf([0.2, 0.3, 0.5]), UNIT), 0.2),
+        ],
+        ids=["bernoulli", "poisson", "rate 0", "iid"],
+    )
+    def test_partial_sum_at_zero_and_negative_count_range(self, f, expected):
+        assert sf.validate_normalization(f, 0) == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            sf.validate_normalization(f, -1)
 
     def test_poisson_partial_sum(self):
         total = sf.validate_normalization(sf.PoissonRfs(3.0, UNIT), 40)

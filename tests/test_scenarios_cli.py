@@ -91,6 +91,15 @@ class TestScenarioParsing:
         assert isinstance(scenario.f_i.loc, sf.GridDensity)
         assert scenario.f_i.loc.cell_volume == pytest.approx(0.01)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(scenarios.ScenarioError, match="cannot read scenario file"):
+            scenarios.load_scenario(tmp_path / "missing.json")
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        scenario = scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload()))
+        with pytest.raises(scenarios.ScenarioError, match="unknown mode 'p3'"):
+            scenarios.fuse_scenario(scenario, "p3")
+
     def test_bad_sweep_ranges_rejected(self, tmp_path):
         payload = bernoulli_payload(sweep={"kappa": [0.5, 40.0, 10], "omega": [0.0, 1.0, 5]})
         with pytest.raises(scenarios.ScenarioError, match="kappa"):
@@ -395,26 +404,42 @@ def _set(*keys_and_value):
     return mutate
 
 
-# Scalars of the wrong kind or out of range; each exits 2 at load.
+# Scalars of the wrong kind or out of range; each exits 2 at load, with an
+# error line that holds the text given.
 BAD_SCALARS = {
-    "omega string": _set("omega", "x"),
-    "omega bool": _set("omega", True),
-    "alpha string": _set("inputs", 0, "alpha", "0.5"),
-    "alpha bool": _set("inputs", 1, "alpha", True),
-    "mean string": _set("inputs", 0, "loc", "mean", ["0.25", 0.25]),
-    "sweep steps string": _set("sweep", "kappa", 2, "x"),
-    "sweep steps numeric string": _set("sweep", "omega", 2, "3"),
-    "sigma1_sq string": _set("sweep", "sigma1_sq", "x"),
-    "sigma1_sq zero": _set("sweep", "sigma1_sq", 0),
-    "sigma1_sq negative": _set("sweep", "sigma1_sq", -1.0),
-    "det_sigma negative": _set("sweep", "det_sigma", -1.0),
-    "kappa end below 1": _set("sweep", "kappa", [2.0, 0.5, 3]),
-    "kappa end above condition limit": _set("sweep", "kappa", 1, 1e13),
-    "sigma1_sq overflows": _set("sweep", "sigma1_sq", 1e300),
-    "sweep not an object": _set("sweep", 5),
-    "max_iters fractional": _set("solver", "max_iters", 2.5),
-    "version bool": _set("version", True),
-    "outputs number": _set("outputs", 5),
+    "omega string": (_set("omega", "x"), "omega must be a number, got 'x'"),
+    "omega bool": (_set("omega", True), "omega must be a number, got True"),
+    "omega above 1": (_set("omega", 1.5), "omega must lie in [0, 1]"),
+    "alpha string": (_set("inputs", 0, "alpha", "0.5"), "inputs[0].alpha must be a number, got '0.5'"),
+    "alpha bool": (_set("inputs", 1, "alpha", True), "inputs[1].alpha must be a number, got True"),
+    "mean string": (_set("inputs", 0, "loc", "mean", ["0.25", 0.25]), "inputs[0].loc.mean must be a number"),
+    "grid file missing": (_set("inputs", 0, "loc", {"grid": "missing.npz"}), "cannot load grid density 'missing.npz'"),
+    "sweep steps string": (_set("sweep", "kappa", 2, "x"), "sweep.kappa must be a number, got 'x'"),
+    "sweep steps numeric string": (_set("sweep", "omega", 2, "3"), "sweep.omega must be a number, got '3'"),
+    "sweep range of two": (_set("sweep", "kappa", [1, 2]), "sweep.kappa must be [min, max, steps>=1]"),
+    "sweep omega above 1": (_set("sweep", "omega", [0.5, 1.5, 3]), "sweep.omega values must lie in [0, 1]"),
+    "sigma1_sq string": (_set("sweep", "sigma1_sq", "x"), "sweep.sigma1_sq must be a number, got 'x'"),
+    "sigma1_sq zero": (_set("sweep", "sigma1_sq", 0), "sweep.sigma1_sq must be > 0, got 0"),
+    "sigma1_sq negative": (_set("sweep", "sigma1_sq", -1.0), "sweep.sigma1_sq must be > 0, got -1.0"),
+    "sigma1_sq tiny": (
+        _set("sweep", "sigma1_sq", 1e-200),
+        "invalid sweep covariance at kappa = 1: determinant must be positive",
+    ),
+    "det_sigma negative": (_set("sweep", "det_sigma", -1.0), "sweep.det_sigma must be > 0, got -1.0"),
+    "kappa end below 1": (_set("sweep", "kappa", [2.0, 0.5, 3]), "sweep.kappa values must lie in [1, 1e+12], got 0.5"),
+    "kappa end above condition limit": (
+        _set("sweep", "kappa", 1, 1e13),
+        "sweep.kappa values must lie in [1, 1e+12], got 1e+13",
+    ),
+    "sigma1_sq overflows": (_set("sweep", "sigma1_sq", 1e300), "sweep covariance at kappa = 1 overflows"),
+    "sweep not an object": (_set("sweep", 5), "sweep must be an object"),
+    "max_iters fractional": (_set("solver", "max_iters", 2.5), "solver.max_iters must be an integer, got 2.5"),
+    "omega_clamp above 0.5": (
+        _set("solver", "omega_clamp", 0.7),
+        "invalid solver block: omega_clamp must lie in (0, 0.5)",
+    ),
+    "version bool": (_set("version", True), "unsupported scenario version True"),
+    "outputs number": (_set("outputs", 5), "outputs must be a string"),
 }
 
 
@@ -693,13 +718,14 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_SCALARS))
     def test_bad_scalar_exits_2(self, tmp_path, capsys, case):
         payload = bernoulli_payload(alpha_j=0.6, sweep={"kappa": [1.0, 4.0, 3], "omega": [0.0, 1.0, 5]})
-        BAD_SCALARS[case](payload)
+        mutate, message = BAD_SCALARS[case]
+        mutate(payload)
         path = write_scenario(tmp_path, payload)
         for argv in (["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"], ["sweep"]):
             out = tmp_path / "_".join(argv)
             assert main([*argv, "--scenario", str(path), "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and len(err.splitlines()) == 1, err
+            assert err.startswith("error:") and len(err.splitlines()) == 1 and message in err, err
             assert not out.exists()
 
     def test_sweep_and_reproduce_cli(self, tmp_path):
