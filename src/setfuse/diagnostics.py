@@ -75,8 +75,10 @@ def poisson_inconsistency(
     Triggering guarantees the fused expected count falls below both input
     rates for every mixture weight.
     """
-    if lambda_i <= 0.0 or lambda_j <= 0.0:
-        raise ValueError("rates must be positive")
+    if not (0.0 < lambda_i < math.inf and 0.0 < lambda_j < math.inf):
+        raise ValueError("rates must be positive and finite")
+    if not z_omega >= 0.0:
+        raise ValueError("scale factor must be nonnegative")
     bound = min(lambda_i, lambda_j) / max(lambda_i, lambda_j)
     return bound, z_omega < bound
 

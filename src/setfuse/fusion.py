@@ -5,9 +5,11 @@ per-cardinality localisation scale factors z_w(n); this module implements
 that coupled rule for the Bernoulli, Poisson and IID-cluster families, plus
 the decoupled cardinality-only geometric mean used by the consistent scheme.
 
-Every rule reads log z_w and the fused localisation from one pair evaluator
-picked by ``_localisation_pair``, and fuses count pmfs with the array
-evaluator grids use, ``quadrature.tilted_log_moments``.
+The set rules share one joint path, ``_fuse_p2``: log z_w and the fused
+localisation come from one pair evaluator picked by ``_localisation_pair``,
+and the fused count from the family's rule, written once in the factory
+``_count_rule``. Count pmfs are fused with the array evaluator grids use,
+``quadrature.tilted_log_moments``.
 
 Support convention: fractional powers treat 0^a = 0 for a > 0, so fused
 supports are intersections of the input supports for w in (0, 1). At the
@@ -175,6 +177,36 @@ def _poisson_rate(rate_i: float, rate_j: float, omega: float, log_z: float) -> f
     return rate_i ** (1.0 - omega) * rate_j**omega * math.exp(log_z)
 
 
+def _count_rule(family: type, f_i, f_j, n_max: int | None = None):
+    """Run the count check of ``family`` on f_i, f_j and return its joint
+    count rule: (w, log z_w) -> (fused alpha, rate or count pmf; the IID
+    normalizer, else None). IID pmfs are fused on 0..n_max, or on the
+    longer input's counts when n_max is None."""
+    if family is BernoulliRfs:
+        alpha_i, alpha_j = f_i.alpha, f_j.alpha
+        _check_alphas(alpha_i, alpha_j)
+        return lambda omega, log_z: (_bernoulli_alpha(alpha_i, alpha_j, omega, log_z), None)
+    if family is PoissonRfs:
+        return lambda omega, log_z: (_poisson_rate(f_i.rate, f_j.rate, omega, log_z), None)
+    if n_max is None:
+        p_i, p_j = f_i.card, f_j.card
+    else:
+        p_i, p_j = cardinality_of(f_i, n_max), cardinality_of(f_j, n_max)
+    return lambda omega, log_z: iid_cardinality_p2(p_i, p_j, log_z, omega)
+
+
+def _fuse_p2(family: type, f_i, f_j, omega: float, n_max: int | None = None) -> tuple:
+    """``family``'s joint rule: (family(fused count, fused localisation), z_w,
+    the count rule's second output), or (matching input, 1, 1) at w = 0 or 1."""
+    _check_omega(omega)
+    if omega in (0.0, 1.0):
+        return (f_j if omega == 1.0 else f_i), 1.0, 1.0
+    rule = _count_rule(family, f_i, f_j, n_max)
+    fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
+    count, third = rule(omega, fused.log_z)
+    return family(count, fused.density()), math.exp(fused.log_z), third
+
+
 class BernoulliJoint(NamedTuple):
     fused: BernoulliRfs
     z: float
@@ -195,38 +227,18 @@ class IidJoint(NamedTuple):
 
 def bernoulli_fuse_p2(f_i: BernoulliRfs, f_j: BernoulliRfs, omega: float) -> BernoulliJoint:
     """Joint fusion of two Bernoulli sets: fused object, z_w, fused alpha."""
-    _check_omega(omega)
-    if omega == 0.0:
-        return BernoulliJoint(f_i, 1.0, f_i.alpha)
-    if omega == 1.0:
-        return BernoulliJoint(f_j, 1.0, f_j.alpha)
-    _check_alphas(f_i.alpha, f_j.alpha)
-    fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
-    alpha = _bernoulli_alpha(f_i.alpha, f_j.alpha, omega, fused.log_z)
-    return BernoulliJoint(BernoulliRfs(alpha, fused.density()), math.exp(fused.log_z), alpha)
+    fused, z, _ = _fuse_p2(BernoulliRfs, f_i, f_j, omega)
+    return BernoulliJoint(fused, z, fused.alpha)
 
 
 def poisson_fuse_p2(f_i: PoissonRfs, f_j: PoissonRfs, omega: float) -> PoissonJoint:
     """Joint fusion of two Poisson sets: fused object, z_w, fused rate."""
-    _check_omega(omega)
-    if omega == 0.0:
-        return PoissonJoint(f_i, 1.0, f_i.rate)
-    if omega == 1.0:
-        return PoissonJoint(f_j, 1.0, f_j.rate)
-    fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
-    rate = _poisson_rate(f_i.rate, f_j.rate, omega, fused.log_z)
-    return PoissonJoint(PoissonRfs(rate, fused.density()), math.exp(fused.log_z), rate)
+    fused, z, _ = _fuse_p2(PoissonRfs, f_i, f_j, omega)
+    return PoissonJoint(fused, z, fused.rate)
 
 
 def iid_fuse_p2(f_i: IidClusterRfs, f_j: IidClusterRfs, omega: float, n_max: int) -> IidJoint:
-    """Joint fusion of two IID-cluster sets: fused object, z_w, normalizer."""
-    _check_omega(omega)
-    if omega == 0.0:
-        return IidJoint(f_i, 1.0, 1.0)
-    if omega == 1.0:
-        return IidJoint(f_j, 1.0, 1.0)
-    p_i = cardinality_of(f_i, n_max)
-    p_j = cardinality_of(f_j, n_max)
-    fused = _localisation_pair(f_i.loc, f_j.loc)(omega)
-    card, norm = iid_cardinality_p2(p_i, p_j, fused.log_z, omega)
-    return IidJoint(IidClusterRfs(card, fused.density()), math.exp(fused.log_z), norm)
+    """Joint fusion of two IID-cluster sets: fused object, z_w, normalizer.
+    At interior weights Bernoulli and Poisson sets are fused as IID
+    clusters, with their count pmfs on 0..n_max from ``cardinality_of``."""
+    return IidJoint(*_fuse_p2(IidClusterRfs, f_i, f_j, omega, n_max))

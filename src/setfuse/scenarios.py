@@ -25,23 +25,13 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics, gaussian, quadrature
-from .fusion import (
-    _bernoulli_alpha,
-    _check_alphas,
-    _poisson_rate,
-    bernoulli_fuse_p2,
-    fused_cardinality_p2,
-    iid_cardinality_p2,
-    iid_fuse_p2,
-    poisson_fuse_p2,
-)
+from .fusion import _count_rule, _fuse_p2, fused_cardinality_p2
 from .model import (
     COV_CONDITION_LIMIT,
     BernoulliRfs,
@@ -149,18 +139,22 @@ def _parse_loc(spec, base: Path, where: str):
         raise ScenarioError(f"invalid Gaussian in {where}: {exc}") from exc
 
 
-_COUNT_FIELD = {"bernoulli": "alpha", "poisson": "lambda", "iid": "pmf"}
+# per family: its set type, the scenario field and the set attribute that
+# hold its count parameter, and the column prefix of its count summary
+_FAMILIES = {
+    "bernoulli": (BernoulliRfs, "alpha", "alpha", "alpha"),
+    "poisson": (PoissonRfs, "lambda", "rate", "lambda"),
+    "iid": (IidClusterRfs, "pmf", "card", "map"),
+}
 
 
 def _parse_input(family: str, spec, base: Path, where: str) -> FiniteSetDistribution:
-    field = _COUNT_FIELD[family]
+    rfs, field, _, _ = _FAMILIES[family]
     _check_keys(spec, {field, "loc"}, {field, "loc"}, where)
     loc = _parse_loc(spec["loc"], base, f"{where}.loc")
     try:
         counts = (_array if family == "iid" else _number)(spec[field], f"{where}.{field}")
-        if family == "iid":
-            return IidClusterRfs(CardinalityPmf(counts), loc)
-        return (BernoulliRfs if family == "bernoulli" else PoissonRfs)(counts, loc)
+        return rfs(CardinalityPmf(counts) if family == "iid" else counts, loc)
     except ValueError as exc:
         raise ScenarioError(f"invalid input in {where}: {exc}") from exc
 
@@ -219,7 +213,7 @@ def load_scenario(path) -> Scenario:
     if raw["version"] != SCENARIO_VERSION or isinstance(raw["version"], bool):
         raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
     family = raw["family"]
-    if family not in _COUNT_FIELD:
+    if family not in _FAMILIES:
         raise ScenarioError(f"unknown family {family!r}")
     inputs = raw["inputs"]
     if not (isinstance(inputs, list) and len(inputs) == 2):
@@ -311,15 +305,10 @@ def write_report(report: Report, out_dir) -> list[Path]:
     return paths
 
 
-# column prefix of the count summary each family reports
-_SUMMARY_NAME = {"bernoulli": "alpha", "poisson": "lambda", "iid": "map"}
-
-
-def _count_summary(f: FiniteSetDistribution):
-    """The count summary a report shows: existence probability, rate or MAP count."""
-    if isinstance(f, BernoulliRfs):
-        return f.alpha
-    return f.rate if isinstance(f, PoissonRfs) else f.card.map_estimate()
+def _count_summary(count):
+    """The count summary a report shows of a count parameter: the existence
+    probability or rate itself, or the MAP count of a count pmf."""
+    return count.map_estimate() if isinstance(count, CardinalityPmf) else count
 
 
 def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
@@ -334,22 +323,17 @@ def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
     if mode not in ("p2", "consistent"):
         raise ScenarioError(f"unknown mode {mode!r}")
     f_i, f_j = scenario.f_i, scenario.f_j
+    rfs, _, count, name = _FAMILIES[scenario.family]
     log.info("fusing family=%s mode=%s", scenario.family, mode)
 
     if mode == "consistent":
         result = consistent_fuse(f_i, f_j, scenario.solver)
     else:
         w = scenario.omega
-        if scenario.family == "bernoulli":
-            fused, z, _ = bernoulli_fuse_p2(f_i, f_j, w)
-        elif scenario.family == "poisson":
-            fused, z, _ = poisson_fuse_p2(f_i, f_j, w)
-        else:
-            fused, z, _ = iid_fuse_p2(f_i, f_j, w, max(f_i.card.n_max, f_j.card.n_max))
+        fused, z, _ = _fuse_p2(rfs, f_i, f_j, w)
         result = FusionResult(fused=fused, omega_card=w, omega_loc=(w,), z_values=(z,))
 
-    name = _SUMMARY_NAME[scenario.family]
-    values = tuple(_count_summary(f) for f in (f_i, f_j, result.fused))
+    values = tuple(_count_summary(getattr(f, count)) for f in (f_i, f_j, result.fused))
     inconsistent = bool(values[2] < min(values[0], values[1]))
     result = with_diagnostics(result, {"inconsistent": inconsistent})
     value_cols = (f"{name}_i", f"{name}_j", f"{name}_fused")
@@ -373,20 +357,9 @@ def sweep_report(scenario: Scenario) -> Report:
     if not all(isinstance(f.loc, GaussianDensity) and f.loc.dim == 2 for f in (f_i, f_j)):
         raise ScenarioError("sweep requires 2-D Gaussian localisation inputs")
     sweep = scenario.sweep
-
-    # fused(w, log z_w) -> the family's fused count summary at one cell
-    inputs = (_count_summary(f_i), _count_summary(f_j))
-    if scenario.family == "bernoulli":
-        _check_alphas(*inputs)
-        fused = partial(_bernoulli_alpha, *inputs)
-    elif scenario.family == "poisson":
-        fused = partial(_poisson_rate, *inputs)
-    else:
-        p_i, p_j = f_i.card, f_j.card
-
-        def fused(omega: float, log_z: float) -> int:
-            return iid_cardinality_p2(p_i, p_j, log_z, omega)[0].map_estimate()
-
+    rfs, _, count, name = _FAMILIES[scenario.family]
+    rule = _count_rule(rfs, f_i, f_j)
+    inputs = tuple(_count_summary(getattr(f, count)) for f in (f_i, f_j))
     kappas = sweep.kappa_grid().tolist()
     omegas = sweep.omega_grid()
     log.info("sweeping %d x %d cells", len(kappas), len(omegas))
@@ -395,9 +368,8 @@ def sweep_report(scenario: Scenario) -> Report:
         cov_i, cov_j = sweep.covariances(kappa)
         pair = gaussian._pair(GaussianDensity(f_i.loc.mean, cov_i), GaussianDensity(f_j.loc.mean, cov_j))
         for omega, log_z in zip(omegas.tolist(), pair(omegas).log_z.tolist()):
-            value = fused(omega, log_z)
+            value = _count_summary(rule(omega, log_z)[0])
             rows.append((kappa, omega, math.exp(log_z), *inputs, value, value < min(inputs)))
-    name = _SUMMARY_NAME[scenario.family]
     header = ("kappa", "omega", "z_omega", f"{name}_i", f"{name}_j", f"{name}_omega", "inconsistent")
     return Report([("sweep.csv", header, rows)])
 

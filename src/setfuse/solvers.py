@@ -305,8 +305,8 @@ def poisson_closed_form(lambda_i: float, lambda_j: float) -> PoissonWeight:
     from the larger rate towards the smaller, where r lies in (-1, 0) and
     nothing overflows or cancels, and mirrored to 1 - w for the other order.
     """
-    if lambda_i <= 0.0 or lambda_j <= 0.0:
-        raise ValueError("rates must be positive")
+    if not (0.0 < lambda_i < math.inf and 0.0 < lambda_j < math.inf):
+        raise ValueError("rates must be positive and finite")
     if lambda_i == lambda_j:
         return PoissonWeight(0.5, lambda_i)
     hi, lo = max(lambda_i, lambda_j), min(lambda_i, lambda_j)
@@ -359,41 +359,25 @@ def consistent_fuse(
     if type(f_i) is not type(f_j):
         raise ValueError("cannot fuse distributions from different families")
 
-    omega_loc, fused_loc, z_star, loc_trace = newton_localisation(
-        f_i.loc, f_j.loc, config
-    )
-    flags = list(loc_trace.flags)
+    omega_loc, fused_loc, z_star, loc_trace = newton_localisation(f_i.loc, f_j.loc, config)
     card_trace: Optional[NewtonTrace] = None
-
     if isinstance(f_i, BernoulliRfs):
         _check_alphas(f_i.alpha, f_j.alpha)
-        omega_card, alpha_star, card_flags = _closed_form_count(
-            bernoulli_closed_form, f_i.alpha, f_j.alpha, (0.0, 1.0)
-        )
-        flags.extend(card_flags)
-        fused: FiniteSetDistribution = BernoulliRfs(alpha_star, fused_loc)
-
+        omega_card, count, card_flags = _closed_form_count(bernoulli_closed_form, f_i.alpha, f_j.alpha, (0.0, 1.0))
     elif isinstance(f_i, PoissonRfs):
-        omega_card, rate_star, card_flags = _closed_form_count(poisson_closed_form, f_i.rate, f_j.rate, (0.0,))
-        flags.extend(card_flags)
-        fused = PoissonRfs(rate_star, fused_loc)
-
+        omega_card, count, card_flags = _closed_form_count(poisson_closed_form, f_i.rate, f_j.rate, (0.0,))
     elif isinstance(f_i, IidClusterRfs):
-        omega_card, fused_pmf, card_trace = newton_cardinality(
-            f_i.card, f_j.card, config
-        )
-        flags.extend(card_trace.flags)
-        fused = IidClusterRfs(fused_pmf, fused_loc)
-
+        omega_card, count, card_trace = newton_cardinality(f_i.card, f_j.card, config)
+        card_flags = card_trace.flags
     else:
         raise TypeError(f"unsupported finite-set distribution {type(f_i).__name__}")
 
     return FusionResult(
-        fused=fused,
+        fused=type(f_i)(count, fused_loc),
         omega_card=omega_card,
         omega_loc=(omega_loc,),
         z_values=(z_star,),
-        flags=tuple(dict.fromkeys(flags)),
+        flags=tuple(dict.fromkeys((*loc_trace.flags, *card_flags))),
         card_trace=card_trace,
         loc_trace=loc_trace,
     )

@@ -73,6 +73,36 @@ MUTANTS = [
     ),
     # the z_w -> 0 limit of the IID joint rule puts its mass on count 0
     ("fusion.py", "    probs[joint[0]] = 1.0\n", "    probs[0] = 1.0\n", ["tests/test_fusion.py"]),
+    # the joint path returns the first input at w = 1 too
+    (
+        "fusion.py",
+        "return (f_j if omega == 1.0 else f_i), 1.0, 1.0",
+        "return f_i, 1.0, 1.0",
+        ["tests/test_fusion.py"],
+    ),
+    # the Bernoulli count rule fuses existence beliefs of 0 and 1
+    ("fusion.py", "        _check_alphas(alpha_i, alpha_j)\n", "", ["tests/test_fusion.py"]),
+    # iid_fuse_p2 fuses the count pmfs on their own ranges, whatever n_max asks
+    (
+        "fusion.py",
+        "_fuse_p2(IidClusterRfs, f_i, f_j, omega, n_max)",
+        "_fuse_p2(IidClusterRfs, f_i, f_j, omega)",
+        ["tests/test_fusion.py"],
+    ),
+    # the joint path fuses by the inputs' type, not by the rule that was called
+    (
+        "fusion.py",
+        "    rule = _count_rule(family, f_i, f_j, n_max)\n",
+        "    family = type(f_i)\n    rule = _count_rule(family, f_i, f_j, n_max)\n",
+        ["tests/test_fusion.py"],
+    ),
+    # each sweep cell reports the first input's count instead of the fused one
+    (
+        "scenarios.py",
+        "value = _count_summary(rule(omega, log_z)[0])",
+        "value = inputs[0]",
+        ["tests/test_scenarios_cli.py"],
+    ),
 ]
 
 

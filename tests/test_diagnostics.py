@@ -276,9 +276,15 @@ class TestArgumentRanges:
              "z_seq must cover the joint support"),
             (lambda: diagnostics.iid_inconsistency_bound(sf.CardinalityPmf([0.5, 0.0, 0.5]), THREE_POINT, 0.5, 1, 0.5),
              "bound undefined: both pmfs must be positive at n"),
+            (lambda: diagnostics.poisson_inconsistency(math.nan, 2.0, 0.5), "rates must be positive and finite"),
+            (lambda: diagnostics.poisson_inconsistency(2.0, math.nan, 0.5), "rates must be positive and finite"),
+            (lambda: diagnostics.poisson_inconsistency(math.inf, 2.0, 0.5), "rates must be positive and finite"),
+            (lambda: diagnostics.poisson_inconsistency(2.0, 8.0, math.nan), "scale factor must be nonnegative"),
+            (lambda: diagnostics.poisson_inconsistency(2.0, 8.0, -1.0), "scale factor must be nonnegative"),
         ],
         ids=["short z_seq in the joint rule", "short z_seq in the bound", "short z_seq in the ratio",
-             "iid bound where a pmf is 0"],
+             "iid bound where a pmf is 0", "nan first Poisson rate", "nan second Poisson rate",
+             "infinite Poisson rate", "nan Poisson scale factor", "negative Poisson scale factor"],
     )
     def test_input_the_rule_cannot_use_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):

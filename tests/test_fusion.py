@@ -315,6 +315,40 @@ class TestIidFusion:
             fusion.iid_fuse_p2(f_i, f_j, 0.5, 1)
 
 
+class TestCrossFamilyInputs:
+    """A set rule fuses by the family of the rule that was called, whatever
+    the family of its inputs."""
+
+    @pytest.mark.parametrize(
+        "f_i, f_j, n_max",
+        [
+            (sf.PoissonRfs(2.0, UNIT), sf.PoissonRfs(3.0, sf.GaussianDensity([1.0, 0.5], np.eye(2))), 30),
+            (sf.BernoulliRfs(0.8, UNIT), sf.BernoulliRfs(0.6, sf.GaussianDensity([1.0, 0.5], np.eye(2))), 1),
+        ],
+        ids=["poisson", "bernoulli"],
+    )
+    def test_iid_rule_fuses_other_families_as_iid_clusters(self, f_i, f_j, n_max):
+        as_iid = [sf.IidClusterRfs(sf.cardinality_of(f, n_max), f.loc) for f in (f_i, f_j)]
+        for omega in (0.3, 0.5):
+            joint = fusion.iid_fuse_p2(f_i, f_j, omega, n_max)
+            expected = fusion.iid_fuse_p2(*as_iid, omega, n_max)
+            assert isinstance(joint.fused, sf.IidClusterRfs)
+            np.testing.assert_array_equal(joint.fused.card.probs, expected.fused.card.probs)
+            np.testing.assert_array_equal(joint.fused.loc.mean, expected.fused.loc.mean)
+            np.testing.assert_array_equal(joint.fused.loc.cov, expected.fused.loc.cov)
+            assert (joint.z, joint.normalizer) == (expected.z, expected.normalizer)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    def test_bernoulli_and_poisson_rules_reject_each_others_sets(self, omega):
+        far = sf.GaussianDensity([1.0, 0.5], np.eye(2))
+        poisson = (sf.PoissonRfs(2.0, UNIT), sf.PoissonRfs(3.0, far))
+        bernoulli = (sf.BernoulliRfs(0.8, UNIT), sf.BernoulliRfs(0.6, far))
+        with pytest.raises(AttributeError, match="'PoissonRfs' object has no attribute 'alpha'"):
+            fusion.bernoulli_fuse_p2(*poisson, omega)
+        with pytest.raises(AttributeError, match="'BernoulliRfs' object has no attribute 'rate'"):
+            fusion.poisson_fuse_p2(*bernoulli, omega)
+
+
 class TestLocalisationEmd:
     def test_mixed_representations_rejected(self):
         grid = sf.GridDensity([0.0, 0.0], [0.1, 0.1], np.ones((10, 10)))

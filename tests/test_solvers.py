@@ -279,6 +279,11 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             sf.poisson_closed_form(-1.0, 2.0)
 
+    @pytest.mark.parametrize("rates", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)])
+    def test_poisson_rejects_non_finite_rates(self, rates):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            sf.poisson_closed_form(*rates)
+
     def test_cardinality_solver_agrees_with_bernoulli_closed_form(self, rng):
         for _ in range(100):
             a_i, a_j = rng.uniform(0.05, 0.95, 2)
