@@ -35,11 +35,13 @@ class _Fused(NamedTuple):
     def density(self) -> GaussianDensity:
         """The fused Gaussian at a scalar weight: frame variances
         c_i c_j/s and mean m_i + T (w c_i d/s)."""
-        var_i, var_j, delta, frame, origin = self.pair
+        frame, to_space, origin = self.pair
         w = self.omega
-        s = (1.0 - w) * var_j + w * var_i
-        cov = (frame * (var_i * var_j / s)) @ frame.T
-        return GaussianDensity._trusted(origin + frame @ (w * var_i * delta / s), 0.5 * (cov + cov.T))
+        s = [(1.0 - w) * c_j + w * c_i for c_i, c_j, _ in frame]
+        var = [c_i * c_j / s_k for (c_i, c_j, _), s_k in zip(frame, s)]
+        shift = [w * c_i * d / s_k for (c_i, _, d), s_k in zip(frame, s)]
+        cov = (to_space * var) @ to_space.T
+        return GaussianDensity._trusted(origin + to_space @ shift, 0.5 * (cov + cov.T))
 
 
 def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fused]:
@@ -56,9 +58,9 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     E[q] = 1/2 (sum(log c_i) - sum(log c_j) - sum((c_i - c_j) r)
     - (1-w)^2 sum(c_j d^2 r^2) + w^2 sum(c_i d^2 r^2)),
     Var[q] = sum(1/2 (c_i - c_j)^2 r^2 + c_i c_j d^2 r^3). The frame is kept
-    as one (c_i, c_j, d^2) triple of floats per coordinate, and one loop over
-    the coordinates accumulates sum(log s), sum(log c_i), sum(log c_j) and
-    the five other sums. The same statements run in Python floats, with
+    once, as a (c_i, c_j, d) triple of floats per coordinate; one loop over
+    them squares d and accumulates sum(log s), sum(log c_i), sum(log c_j)
+    and the five other sums. The same statements run in Python floats, with
     ``math.log``, for a scalar weight (a float, a numpy scalar or a 0-d
     array), and broadcast over an array of weights, with ``np.log``. Each
     term is formed from the ratios c_i r, c_j r and d^2 r, and log s is
@@ -74,8 +76,8 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     var_i = ((to_frame @ cov_i) * to_frame).sum(1)
     var_j = ((to_frame @ cov_j) * to_frame).sum(1)
     delta = to_frame @ (rho_j.mean - rho_i.mean)
-    pair = (var_i, var_j, delta, chol @ eigvecs, rho_i.mean)
-    frame = list(zip(var_i.tolist(), var_j.tolist(), (delta * delta).tolist()))
+    frame = list(zip(var_i.tolist(), var_j.tolist(), delta.tolist()))
+    pair = (frame, chol @ eigvecs, rho_i.mean)
 
     def at(w):
         if isinstance(w, np.ndarray) and w.ndim:
@@ -84,10 +86,10 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
             w, log = float(w), math.log
         v = 1.0 - w
         log_s = sum_log_i = sum_log_j = mahal = gap = tilt_j = tilt_i = curvature = 0.0
-        for c_i, c_j, sq in frame:
+        for c_i, c_j, d in frame:
             s = v * c_j + w * c_i
             r = 1.0 / s
-            a, b, e, g = c_i * r, c_j * r, sq * r, (c_i - c_j) * r
+            a, b, e, g = c_i * r, c_j * r, d * d * r, (c_i - c_j) * r
             # summed in one order with one log, so that w = 0 and w = 1
             # give log z = 0 exactly
             log_s += log(s)
@@ -101,9 +103,7 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
         log_z = 0.5 * (w * sum_log_i + v * sum_log_j - log_s - w * v * mahal)
         slope = 0.5 * (sum_log_i - sum_log_j - gap - v * v * tilt_j + w * w * tilt_i)
         # Hoelder guarantees z <= 1; clip roundoff that lands above
-        if log is np.log:
-            return _Fused(np.minimum(log_z, 0.0), slope, curvature, w, pair)
-        return _Fused(min(log_z, 0.0), slope, curvature, w, pair)
+        return _Fused(np.minimum(log_z, 0.0) if log is np.log else min(log_z, 0.0), slope, curvature, w, pair)
 
     return at
 

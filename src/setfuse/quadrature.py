@@ -82,28 +82,27 @@ def tilted_log_moments(
     over the entries where both arrays are positive.
 
     Both whole arrays are logged once, so each evaluation gathers nothing.
-    When both are positive everywhere, that is all; otherwise log a = -inf
-    and log b - log a = 0 are stored off the joint support, so the terms
-    there are exactly 0. Each evaluation exponentiates the terms as they
-    stand and sums them once. A sum in [``_LOW_TOTAL``, ``_HIGH_TOTAL``] is
-    used as it is; any other (0, inf and NaN included) sends the evaluation
-    to ``_shifted_sum``, which forms the terms again shifted by their
-    maximum, so only exp(log_z) may underflow and nothing overflows.
-    Neither path warns on finite inputs. ``log_extra``, a scalar
-    or an array shaped like ``a``, goes into log a alone, since
-    (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The log ratio is squared once,
-    on the first moment read of any evaluation (see ``_Fused``). ``points``
-    counts the joint-support entries; with none, it raises
-    ``IncompatibleInputs``.
+    When log b - log a sums to a finite value, both are positive everywhere
+    and that is all; otherwise log a = -inf and log b - log a = 0 are stored
+    off the joint support, so the terms there are exactly 0. Each
+    evaluation exponentiates the terms as they stand and sums them once. A
+    sum in [``_LOW_TOTAL``, ``_HIGH_TOTAL``] is used as it is; any other (0,
+    inf and NaN included) sends the evaluation to ``_shifted_sum``, which
+    forms the terms again shifted by their maximum, so only exp(log_z) may
+    underflow and nothing overflows. Neither path warns on finite inputs.
+    ``log_extra``, a scalar or an array shaped like ``a``, goes into log a
+    alone, since (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The log ratio is
+    squared once, on the first moment read of any evaluation (see
+    ``_Fused``). ``points`` counts the joint-support entries; with none, it
+    raises ``IncompatibleInputs``.
     """
-    full = a.min() > 0.0 and b.min() > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a = np.log(a)
         log_ratio = np.log(b)
         log_ratio -= log_a
-    if full:
-        points = a.size
-    else:
+        full = math.isfinite(log_ratio.sum())  # +inf and -inf sum to NaN
+    points = a.size
+    if not full:
         off = (a <= 0) | (b <= 0)
         points = off.size - np.count_nonzero(off)
         if not points:
