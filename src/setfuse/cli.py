@@ -8,8 +8,8 @@ Every command loads its scenario (``fuse``, ``sweep``), computes a report,
 prints its check verdicts, writes it, and prints each path written and then
 the report's own lines.
 
-Exit codes: 0 success, 2 bad input or inputs that cannot be fused
-together, 3 solver or fusion failure.
+Exit codes: 0 success, 2 bad input, inputs that cannot be fused together
+or an output path that cannot be written, 3 solver or fusion failure.
 Set SETFUSE_LOG=error|warn|info|debug to control logging; any other value
 warns and runs at warn. Every argument changes what is fused or where it is
 written; an unknown one exits 2. ``--out`` overrides a scenario's
@@ -73,7 +73,12 @@ def _run(args) -> int:
     report, out = _report(args)
     for line in report.verdicts():
         print(line)
-    for path in write_report(report, out):
+    try:
+        paths = write_report(report, out)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    for path in paths:
         print(f"wrote {path}")
     for line in report.lines:
         print(line)

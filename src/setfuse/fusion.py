@@ -13,7 +13,8 @@ and the fused count from the family's rule, written once in the factory
 
 Support convention: fractional powers treat 0^a = 0 for a > 0, so fused
 supports are intersections of the input supports for w in (0, 1). At the
-endpoints w = 0 and w = 1 the corresponding input is returned verbatim.
+endpoints w = 0 and w = 1 the corresponding input is returned verbatim,
+except by ``iid_fuse_p2``, which returns it as an IID cluster on 0..n_max.
 """
 
 from __future__ import annotations
@@ -239,6 +240,10 @@ def poisson_fuse_p2(f_i: PoissonRfs, f_j: PoissonRfs, omega: float) -> PoissonJo
 
 def iid_fuse_p2(f_i: IidClusterRfs, f_j: IidClusterRfs, omega: float, n_max: int) -> IidJoint:
     """Joint fusion of two IID-cluster sets: fused object, z_w, normalizer.
-    At interior weights Bernoulli and Poisson sets are fused as IID
-    clusters, with their count pmfs on 0..n_max from ``cardinality_of``."""
+    Bernoulli and Poisson sets are fused as IID clusters, with their count
+    pmfs on 0..n_max from ``cardinality_of``; at w = 0 or 1 the matching
+    input comes back so, with z_w and normalizer 1."""
+    if omega in (0.0, 1.0):
+        f = f_j if omega == 1.0 else f_i
+        return IidJoint(IidClusterRfs(cardinality_of(f, n_max), f.loc), 1.0, 1.0)
     return IidJoint(*_fuse_p2(IidClusterRfs, f_i, f_j, omega, n_max))

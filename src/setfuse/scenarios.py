@@ -90,6 +90,12 @@ class Scenario:
     sweep: Optional[SweepSpec] = None
     out_dir: Optional[str] = None
 
+    def __post_init__(self):
+        rfs = _FAMILIES[self.family][0] if self.family in _FAMILIES else None
+        if rfs is None or not (isinstance(self.f_i, rfs) and isinstance(self.f_j, rfs)):
+            raise ScenarioError(f"family {self.family!r} does not match the inputs, "
+                                f"{type(self.f_i).__name__} and {type(self.f_j).__name__}")
+
 
 def _check_keys(mapping, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(mapping, dict):

@@ -95,3 +95,14 @@ def gathered_moments(a, b, omega, volume=1.0, log_extra=0.0):
     values = np.zeros(a.shape)
     values[mask] = weights / volume
     return peak + math.log(total) + math.log(volume), slope, curvature, values, int(mask.sum())
+
+
+def check_outcome(call, expected):
+    """``call()`` raises ``expected``, an (exception type, exact message)
+    pair, or returns a value equal to ``expected``."""
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0]) as caught:
+            call()
+        assert str(caught.value) == expected[1]
+    else:
+        assert call() == expected

@@ -96,6 +96,27 @@ MUTANTS = [
         "    family = type(f_i)\n    rule = _count_rule(family, f_i, f_j, n_max)\n",
         ["tests/test_fusion.py"],
     ),
+    # the fused Gaussian's mean is shifted by c_j d / s instead of c_i d / s
+    (
+        "gaussian.py",
+        "shift = [w * c_i * d / s_k for (c_i, _, d), s_k in zip(frame, s)]",
+        "shift = [w * c_j * d / s_k for (_, c_j, d), s_k in zip(frame, s)]",
+        ["tests/test_gaussian.py", "tests/test_fusion.py"],
+    ),
+    # the joint support is read off log a alone, so a zero of b goes unmasked
+    (
+        "quadrature.py",
+        "full = math.isfinite(log_ratio.sum())",
+        "full = math.isfinite(log_a.sum())",
+        ["tests/test_quadrature.py"],
+    ),
+    # an --out that cannot be written exits 3, as a solver failure
+    (
+        "cli.py",
+        "file=sys.stderr)\n        return EXIT_INPUT\n    for path in paths:",
+        "file=sys.stderr)\n        return EXIT_SOLVER\n    for path in paths:",
+        ["tests/test_scenarios_cli.py"],
+    ),
     # each sweep cell reports the first input's count instead of the fused one
     (
         "scenarios.py",

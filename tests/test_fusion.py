@@ -329,7 +329,7 @@ class TestCrossFamilyInputs:
     )
     def test_iid_rule_fuses_other_families_as_iid_clusters(self, f_i, f_j, n_max):
         as_iid = [sf.IidClusterRfs(sf.cardinality_of(f, n_max), f.loc) for f in (f_i, f_j)]
-        for omega in (0.3, 0.5):
+        for omega in (0.0, 0.3, 0.5, 1.0):
             joint = fusion.iid_fuse_p2(f_i, f_j, omega, n_max)
             expected = fusion.iid_fuse_p2(*as_iid, omega, n_max)
             assert isinstance(joint.fused, sf.IidClusterRfs)
@@ -337,6 +337,18 @@ class TestCrossFamilyInputs:
             np.testing.assert_array_equal(joint.fused.loc.mean, expected.fused.loc.mean)
             np.testing.assert_array_equal(joint.fused.loc.cov, expected.fused.loc.cov)
             assert (joint.z, joint.normalizer) == (expected.z, expected.normalizer)
+        for omega, f in ((0.0, as_iid[0]), (1.0, as_iid[1])):
+            joint = fusion.iid_fuse_p2(f_i, f_j, omega, n_max)
+            np.testing.assert_array_equal(joint.fused.card.probs, f.card.probs)
+            assert joint.fused.loc is f.loc and (joint.z, joint.normalizer) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    def test_iid_rule_checks_and_pads_the_count_range_at_every_weight(self, omega):
+        poisson = sf.PoissonRfs(2.0, UNIT)
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            fusion.iid_fuse_p2(poisson, poisson, omega, -5)
+        short = sf.IidClusterRfs(sf.CardinalityPmf([0.4, 0.6]), UNIT)
+        assert fusion.iid_fuse_p2(short, short, omega, 4).fused.card.probs.tolist() == [0.4, 0.6, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
     def test_bernoulli_and_poisson_rules_reject_each_others_sets(self, omega):
@@ -520,7 +532,13 @@ class TestWholeFusionProperties:
         f_i, f_j = pair
         for end, f in ((0.0, f_i), (1.0, f_j)):
             fused, z, _ = joint_rule(f_i, f_j, end)
-            assert fused is f and z == 1.0
+            assert z == 1.0
+            if isinstance(f, sf.IidClusterRfs):  # the input itself, on the joint count range
+                n_max = max(f_i.card.n_max, f_j.card.n_max)
+                np.testing.assert_array_equal(fused.card.probs, f.card.padded(n_max))
+                assert fused.loc is f.loc
+            else:
+                assert fused is f
         try:
             fused, z, value = joint_rule(f_i, f_j, omega)
         except TYPED_ERRORS as exc:

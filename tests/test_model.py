@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import setfuse as sf
-from conftest import make_gaussian, solve_log_density
+from conftest import check_outcome, make_gaussian, solve_log_density
 
 
 class TestCardinalityPmf:
@@ -417,6 +417,48 @@ class TestNormalization:
         raw = rng.uniform(0.1, 1.0, 6)
         f = sf.IidClusterRfs(sf.CardinalityPmf(raw / raw.sum()), UNIT)
         assert abs(sf.validate_normalization(f, 5) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: sf.CardinalityPmf([[0.5, 0.5]]),
+                     (ValueError, "cardinality pmf must be a nonempty 1-D sequence"), id="pmf not 1-D"),
+        pytest.param(lambda: sf.CardinalityPmf([0.3, 0.7, 0.0, 0.0]).padded(1).tolist(), [0.3, 0.7],
+                     id="padded drops a zero tail"),
+        pytest.param(lambda: sf.pmf_kld(sf.CardinalityPmf([0.5, 0.5]), sf.CardinalityPmf([1.0])), math.inf,
+                     id="pmf_kld off the support"),
+        pytest.param(lambda: sf.GaussianDensity([1.0], 2.0).cov.tolist(), [[2.0]], id="scalar covariance"),
+        pytest.param(lambda: sf.GaussianDensity([0.0, 0.0], np.eye(3)),
+                     (ValueError, "mean must be a d-vector and covariance d x d"), id="Gaussian shapes"),
+        pytest.param(lambda: UNIT.sample(np.random.default_rng(0), 0), (ValueError, "count must be >= 1"),
+                     id="Gaussian sample count"),
+        pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1, 0.1], np.ones((10, 10))).sample(
+                         np.random.default_rng(0), 0), (ValueError, "count must be >= 1"), id="grid sample count"),
+        pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1], np.ones((10, 10))),
+                     (ValueError, "origin and cell_size must be d-vectors"), id="grid origin and cell"),
+        pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1, -0.1], np.ones((10, 10))),
+                     (ValueError, "cell sizes must be positive"), id="grid cell size"),
+        pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1, 0.1], np.ones(100)),
+                     (ValueError, "values must have one axis per dimension"), id="grid axes"),
+        pytest.param(lambda: sf.GridDensity([0.0], [0.5], [-1.0, 3.0]),
+                     (ValueError, "grid density values must be nonnegative"), id="grid negative value"),
+        pytest.param(lambda: sf.BernoulliRfs(1.5, UNIT), (ValueError, "existence probability must lie in [0, 1]"),
+                     id="Bernoulli alpha"),
+        pytest.param(lambda: sf.PoissonRfs(-1.0, UNIT), (ValueError, "expected count must be nonnegative"),
+                     id="Poisson rate"),
+        pytest.param(lambda: sf.FiniteSet([1.0, 2.0]), (ValueError, "points must form an (n, d) array"),
+                     id="finite set shape"),
+        pytest.param(lambda: sf.cardinality_of(object(), 3),
+                     (TypeError, "unsupported finite-set distribution object"), id="cardinality_of type"),
+        pytest.param(lambda: sf.rfs_density_eval(object(), sf.FiniteSet.empty(2)),
+                     (TypeError, "unsupported finite-set distribution object"), id="rfs_density_eval type"),
+        pytest.param(lambda: sf.validate_normalization(object(), 3),
+                     (TypeError, "unsupported finite-set distribution object"), id="validate_normalization type"),
+    ],
+)
+def test_rarely_taken_branches(call, expected):
+    check_outcome(call, expected)
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature
-from conftest import binomial_pmf, gathered_moments, grid_z_omega, make_gaussian, solve_log_density
+from conftest import (
+    binomial_pmf, check_outcome, disjoint_grids, gathered_moments, grid_z_omega, make_gaussian, solve_log_density,
+)
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -444,6 +446,20 @@ class TestDerivativeIdentity:
             fd = (fusion.localisation_emd(a, b, w + h)[1]
                   - fusion.localisation_emd(a, b, w - h)[1]) / (2 * h)
             assert identity == pytest.approx(fd, rel=1e-3, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: quadrature.discretize_gaussians([]), (ValueError, "need at least one Gaussian"),
+                     id="no Gaussians"),
+        pytest.param(lambda: quadrature.discretize_gaussians([UNIT, sf.GaussianDensity([0.0], [[1.0]])]),
+                     (ValueError, "Gaussian dimensions do not match"), id="mixed dimensions"),
+        pytest.param(lambda: quadrature.grid_kld(*disjoint_grids()), math.inf, id="grid_kld off the support"),
+    ],
+)
+def test_rarely_taken_branches(call, expected):
+    check_outcome(call, expected)
 
 
 class TestDiscretization:

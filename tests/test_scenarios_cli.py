@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -94,6 +95,14 @@ class TestScenarioParsing:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(scenarios.ScenarioError, match="cannot read scenario file"):
             scenarios.load_scenario(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("family", ["bernoulli", "iid", "multi"])
+    def test_family_that_disagrees_with_the_sets_rejected(self, family):
+        scenario = scenarios.load_scenario(SCENARIO_DIR / "poisson_pair.json")
+        assert dataclasses.replace(scenario, family="poisson") == scenario
+        with pytest.raises(scenarios.ScenarioError,
+                           match=f"family '{family}' does not match the inputs, PoissonRfs and PoissonRfs"):
+            dataclasses.replace(scenario, family=family)
 
     def test_unknown_mode_rejected(self, tmp_path):
         scenario = scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload()))
@@ -639,6 +648,18 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
             assert not (tmp_path / mode / "fuse.csv").exists()
+
+    @pytest.mark.parametrize("command", [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"], ["sweep"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        payload = json.loads((SCENARIO_DIR / "poisson_pair.json").read_text(encoding="utf-8"))
+        payload["sweep"] = {"kappa": [1.0, 4.0, 3], "omega": [0.0, 1.0, 5]}
+        path = write_scenario(tmp_path, payload)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "x"
+        assert main([*command, "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: Not a directory\n" and "Traceback" not in err, err
 
     def test_solver_failure_dumps_trace(self, tmp_path, capsys):
         payload = {

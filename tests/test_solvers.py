@@ -9,7 +9,7 @@ import pytest
 import setfuse as sf
 from setfuse import fusion, gaussian, quadrature, solvers
 from setfuse.solvers import DEGENERATE_CARD_FLAG, SINGLE_COUNT_FLAG
-from conftest import binomial_pmf, make_gaussian, random_pmf
+from conftest import binomial_pmf, check_outcome, make_gaussian, random_pmf
 
 UNIT = sf.GaussianDensity([0.0, 0.0], np.eye(2))
 SHIFTED = sf.GaussianDensity([2.0, 0.0], np.eye(2))
@@ -389,6 +389,22 @@ class TestKldBalanceResidual:
         fused, _ = fusion.localisation_emd(gi, gj, 0.5)
         residual = sf.kld_balance_residual(fused, gi, gj)
         assert residual == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: sf.kld_balance_residual("fused", UNIT, UNIT),
+                     (TypeError, "unsupported density type str"), id="kld_balance_residual type"),
+        pytest.param(lambda: sf.consistent_fuse(SimpleNamespace(loc=UNIT), SimpleNamespace(loc=UNIT),
+                                                sf.NewtonConfig()),
+                     (TypeError, "unsupported finite-set distribution SimpleNamespace"), id="consistent_fuse type"),
+        pytest.param(lambda: sf.FusionResult(sf.PoissonRfs(1.0, UNIT), 1.5, (0.5,), (1.0,)),
+                     (ValueError, "all fusion weights must lie in [0, 1]"), id="FusionResult weights"),
+    ],
+)
+def test_rarely_taken_branches(call, expected):
+    check_outcome(call, expected)
 
 
 class TestConsistentFuse:
