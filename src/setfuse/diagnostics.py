@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from . import quadrature
-from .fusion import _check_omega, _common_probs, cardinality_emd
-from .model import DISJOINT_SUPPORT, CardinalityPmf, IncompatibleInputs
+from .fusion import _check_omega, _common_probs, _joint_counts, cardinality_emd
+from .model import CardinalityPmf
 
 
 def is_cardinality_inconsistent(
@@ -83,13 +83,6 @@ def poisson_inconsistency(
     return bound, z_omega < bound
 
 
-def _joint_counts(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The counts where both pmfs are positive, and each pmf there."""
-    a, b = _common_probs(p_i, p_j)
-    ns = ((a > 0) & (b > 0)).nonzero()[0]
-    return ns, a[ns], b[ns]
-
-
 def _log_iid_normalizer(ns: np.ndarray, a: np.ndarray, b: np.ndarray, omega: float, z_omega: float) -> float:
     """log of sum_n a(n)^(1-w) b(n)^w z^n over the joint-support counts ns
     (a and b hold the pmfs there), or -inf when no term survives. n log z
@@ -147,8 +140,6 @@ def iid_inconsistency_threshold(
     if not 0.0 <= z_omega < 1.0:
         raise ValueError("threshold requires z_omega = 0 or z_omega in (0, 1)")
     ns, a, b = _joint_counts(p_i, p_j)
-    if ns.size == 0:
-        raise IncompatibleInputs(DISJOINT_SUPPORT)
     if z_omega == 0.0:
         return float(ns[0])
     geo = a ** (1.0 - omega) * b**omega

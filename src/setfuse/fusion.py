@@ -55,6 +55,16 @@ def _common_probs(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray,
     return a, b
 
 
+def _joint_counts(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts where both pmfs are positive, and each pmf there; with
+    none, raises ``IncompatibleInputs``."""
+    a, b = _common_probs(p_i, p_j)
+    ns = ((a > 0) & (b > 0)).nonzero()[0]
+    if ns.size == 0:
+        raise IncompatibleInputs(DISJOINT_SUPPORT)
+    return ns, a[ns], b[ns]
+
+
 def _geometric_pmf(
     p_i: CardinalityPmf, p_j: CardinalityPmf, omega: float, log_extra: float | np.ndarray = 0.0
 ) -> tuple[CardinalityPmf, float]:
@@ -115,13 +125,10 @@ def iid_cardinality_p2(
         return _geometric_pmf(p_i, p_j, omega, np.arange(max(p_i.n_max, p_j.n_max) + 1) * log_z)
     if omega in (0.0, 1.0):
         return _geometric_pmf(p_i, p_j, omega)
-    a, b = _common_probs(p_i, p_j)
-    joint = np.flatnonzero((a > 0) & (b > 0))
-    if joint.size == 0:
-        raise IncompatibleInputs(DISJOINT_SUPPORT)
-    probs = np.zeros(a.size)
-    probs[joint[0]] = 1.0
-    norm = float(a[0] ** (1.0 - omega) * b[0] ** omega) if joint[0] == 0 else 0.0
+    ns, a, b = _joint_counts(p_i, p_j)
+    probs = np.zeros(max(p_i.n_max, p_j.n_max) + 1)
+    probs[ns[0]] = 1.0
+    norm = float(a[0] ** (1.0 - omega) * b[0] ** omega) if ns[0] == 0 else 0.0
     return CardinalityPmf._trusted(probs), norm
 
 

@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import diagnostics, gaussian, quadrature
-from .fusion import _count_rule, _fuse_p2, fused_cardinality_p2
+from . import diagnostics, gaussian
+from .fusion import _count_rule, _fuse_p2, _localisation_pair, fused_cardinality_p2
 from .model import (
     COV_CONDITION_LIMIT,
     BernoulliRfs,
@@ -227,11 +227,9 @@ def load_scenario(path) -> Scenario:
     base = path.parent
     f_i = _parse_input(family, inputs[0], base, "inputs[0]")
     f_j = _parse_input(family, inputs[1], base, "inputs[1]")
-    if type(f_i.loc) is not type(f_j.loc):
-        raise ScenarioError("inputs must share a localisation representation (Gaussian or grid)")
     try:
-        (quadrature._check_aligned if isinstance(f_i.loc, GridDensity) else gaussian._check_pair)(f_i.loc, f_j.loc)
-    except ValueError as exc:
+        _localisation_pair(f_i.loc, f_j.loc)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"inputs do not form a localisation pair: {exc}") from exc
     omega = _number(raw.get("omega", 0.5), "omega")
     if not 0.0 <= omega <= 1.0:
