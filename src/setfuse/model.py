@@ -251,6 +251,11 @@ class GridDensity:
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_size))
 
+    def log_evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The log of ``evaluate``: -inf off the lattice and on zero cells."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.evaluate(points))
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Density at each row of ``points`` (see ``_point_rows``); 0 off the
         lattice."""
@@ -401,26 +406,43 @@ def cardinality_of(f: FiniteSetDistribution, n_max: int) -> CardinalityPmf:
     return card if card.n_max == n_max else CardinalityPmf._trusted(card.padded(n_max))
 
 
-def rfs_density_eval(f: FiniteSetDistribution, x: FiniteSet) -> float:
-    """Set-density value p(|X|) |X|! prod rho(x) for the factorized families."""
+def _log(value: float) -> float:
+    """log of a nonnegative float, with log 0 = -inf."""
+    return math.log(value) if value > 0.0 else -math.inf
+
+
+def rfs_log_density(f: FiniteSetDistribution, x: FiniteSet) -> float:
+    """log of the set density p(|X|) |X|! prod rho(x) for the factorized
+    families, -inf where the density is 0: the log count weight plus the
+    points' log densities, summed by ``math.fsum``. That sum is correctly
+    rounded, so the stored point order cannot move the result."""
     n = x.size
     if n > 0 and x.points.shape[1] != f.loc.dim:
         raise ValueError("point dimension does not match localisation density")
-    # the count weight p(n) n!, with n! (a float overflow past 170) only where p(n) > 0
     if isinstance(f, BernoulliRfs):
-        weight = (1.0 - f.alpha, f.alpha, 0.0)[min(n, 2)]
+        log_weight = _log((1.0 - f.alpha, f.alpha, 0.0)[min(n, 2)])
     elif isinstance(f, PoissonRfs):
-        weight = math.exp(-f.rate) * f.rate**n
+        log_weight = -f.rate + (n * _log(f.rate) if n else 0.0)  # 0 log 0 = 0
     elif isinstance(f, IidClusterRfs):
-        p_n = f.card.prob(n)
-        weight = p_n * math.factorial(n) if p_n > 0.0 else 0.0
+        log_weight = _log(f.card.prob(n)) + math.lgamma(n + 1.0)
     else:
         raise TypeError(f"unsupported finite-set distribution {type(f).__name__}")
-    if n == 0 or weight == 0.0:
-        return weight
-    # sorted before multiplying so the stored point order cannot perturb
-    # the product in the last ulp
-    return weight * float(np.prod(np.sort(f.loc.evaluate(x.points))))
+    if n == 0 or log_weight == -math.inf:
+        return log_weight
+    return log_weight + math.fsum(f.loc.log_evaluate(x.points))
+
+
+def rfs_density_eval(f: FiniteSetDistribution, x: FiniteSet) -> float:
+    """Set-density value p(|X|) |X|! prod rho(x), the exp of
+    ``rfs_log_density``. A value past the float range (a log above about
+    709.78) raises ``OverflowError``; ``rfs_log_density`` still gives its log."""
+    log_density = rfs_log_density(f, x)
+    try:
+        return math.exp(log_density)
+    except OverflowError:
+        raise OverflowError(
+            f"set density e^{log_density:.17g} exceeds the float range; use rfs_log_density"
+        ) from None
 
 
 def validate_normalization(f: FiniteSetDistribution, n_max: int) -> float:

@@ -53,16 +53,20 @@ MUTANTS = [
         "if not math.isfinite(at.curvature):",
         ["tests/test_solvers.py"],
     ),
-    # the Poisson count weight loses e^-rate
-    ("model.py", "weight = math.exp(-f.rate) * f.rate**n", "weight = f.rate**n", ["tests/test_model.py"]),
-    # the IID count weight loses n!
+    # the Poisson log count weight loses -rate
+    ("model.py", "log_weight = -f.rate + (n * _log(f.rate)", "log_weight = (n * _log(f.rate)", ["tests/test_model.py"]),
+    # the Poisson log count weight forms 0 log 0 at rate 0 and n = 0, a NaN
+    ("model.py", "(n * _log(f.rate) if n else 0.0)", "n * _log(f.rate)", ["tests/test_model.py"]),
+    # the IID log count weight loses log n!
     (
         "model.py",
-        "weight = p_n * math.factorial(n) if p_n > 0.0 else 0.0",
-        "weight = p_n if p_n > 0.0 else 0.0",
+        "_log(f.card.prob(n)) + math.lgamma(n + 1.0)",
+        "_log(f.card.prob(n))",
         ["tests/test_model.py"],
     ),
-    # the Bernoulli count weights of n = 0 and n = 1 swap
+    # the grid log density is log1p of the cell value, not its log
+    ("model.py", "return np.log(self.evaluate(points))", "return np.log1p(self.evaluate(points))", ["tests/test_model.py"]),
+    # the Bernoulli log count weights of n = 0 and n = 1 swap
     ("model.py", "(1.0 - f.alpha, f.alpha, 0.0)", "(f.alpha, 1.0 - f.alpha, 0.0)", ["tests/test_model.py"]),
     # the Bernoulli partial sum counts n = 1 whatever n_max is
     (
@@ -72,7 +76,14 @@ MUTANTS = [
         ["tests/test_model.py"],
     ),
     # the z_w -> 0 limit of the IID joint rule puts its mass on count 0
-    ("fusion.py", "    probs[joint[0]] = 1.0\n", "    probs[0] = 1.0\n", ["tests/test_fusion.py"]),
+    ("fusion.py", "    probs[ns[0]] = 1.0\n", "    probs[0] = 1.0\n", ["tests/test_fusion.py"]),
+    # pmfs with no common count reach the joint-count readers, which index an empty array
+    (
+        "fusion.py",
+        "    if ns.size == 0:\n        raise IncompatibleInputs(DISJOINT_SUPPORT)\n    return ns",
+        "    return ns",
+        ["tests/test_fusion.py", "tests/test_diagnostics.py"],
+    ),
     # the joint path returns the first input at w = 1 too
     (
         "fusion.py",
@@ -116,6 +127,29 @@ MUTANTS = [
         "file=sys.stderr)\n        return EXIT_INPUT\n    for path in paths:",
         "file=sys.stderr)\n        return EXIT_SOLVER\n    for path in paths:",
         ["tests/test_scenarios_cli.py"],
+    ),
+    # two densities count as one when their first stored arrays (mean, or grid origin) agree
+    (
+        "solvers.py",
+        "all(map(np.array_equal, vars(a).values(), vars(b).values()))",
+        "np.array_equal(*(next(iter(vars(f).values())) for f in (a, b)))",
+        ["tests/test_solvers.py", "tests/test_fusion.py"],
+    ),
+    # a pair that cannot be evaluated together loads, and fails only when fused
+    ("scenarios.py", "        _localisation_pair(f_i.loc, f_j.loc)\n", "        pass\n", ["tests/test_scenarios_cli.py"]),
+    # a solver block may no longer set omega_clamp
+    (
+        "scenarios.py",
+        '{"omega_init", "epsilon", "max_iters", "omega_clamp"}',
+        '{"omega_init", "epsilon", "max_iters"}',
+        ["tests/test_scenarios_cli.py"],
+    ),
+    # ex2's per-count bounds move by 1e-11, past the golden tolerance
+    (
+        "scenarios.py",
+        "diagnostics.iid_inconsistency_bound(p_i, p_j, 0.5, n, float(z)),",
+        "diagnostics.iid_inconsistency_bound(p_i, p_j, 0.5, n, float(z)) + 1e-11,",
+        ["tests/test_golden.py"],
     ),
     # each sweep cell reports the first input's count instead of the fused one
     (

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -155,8 +156,7 @@ class TestPointSetContract:
         density = LOCALISATIONS[kind]
         values = density.evaluate([far, [0.0, 0.0]])
         assert values[0] == 0.0 and values[1] > 0.0
-        if kind == "gaussian":
-            assert density.log_evaluate(far)[0] == -math.inf
+        assert density.log_evaluate(far)[0] == -math.inf
 
     def test_single_point_empty_and_batched_rows_agree(self, kind):
         density = LOCALISATIONS[kind]
@@ -169,8 +169,7 @@ class TestPointSetContract:
             # BLAS whitens one column with another kernel than many
             assert single[0] == pytest.approx(value, rel=8 * EPS, abs=0.0)
         assert density.evaluate(np.empty((0, 2))).shape == (0,)
-        if kind == "gaussian":
-            assert density.log_evaluate(np.empty((0, 2))).shape == (0,)
+        assert density.log_evaluate(np.empty((0, 2))).shape == (0,)
 
 
 def _mp_log_density(mpmath, g, points):
@@ -308,6 +307,9 @@ class TestCardinalityOf:
             assert pmf is f.card
 
 
+# pi to 60 digits, for the 50-digit references
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
 # Points of one set; the first n rows form the set of size n.
 POINTS = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 1.2]])
 IID_PMF = [0.2, 0.0, 0.8]
@@ -379,6 +381,50 @@ class TestDensityEval:
         f = sf.BernoulliRfs(0.5, UNIT)
         with pytest.raises(ValueError, match="dimension"):
             sf.rfs_density_eval(f, sf.FiniteSet([[1.0, 2.0, 3.0]]))
+
+    @pytest.mark.parametrize(
+        "f, n, log_exact",
+        [
+            # all mass at n = 200: 200! (2 pi)^-200, about 1.8e215
+            (sf.IidClusterRfs(sf.CardinalityPmf(np.eye(201)[200]), UNIT), 200,
+             lambda: Decimal(math.factorial(200)).ln() - 200 * (2 * PI_50).ln()),
+            # rate 2.5 at 800 points: e^-2.5 (2.5 / (2 pi))^800, a subnormal about 5.3e-322
+            (sf.PoissonRfs(2.5, UNIT), 800, lambda: -Decimal("2.5") + 800 * (Decimal("2.5") / (2 * PI_50)).ln()),
+        ],
+        ids=["iid 200 points", "poisson 800 points"],
+    )
+    def test_large_sets_against_50_digit_values(self, f, n, log_exact):
+        """Sets on the mean of the unit Gaussian, whose count weight or
+        product leaves the float range before the set density does."""
+        x = sf.FiniteSet(np.zeros((n, 2)))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = log_exact()
+            value = float(exact.exp())
+        assert abs(sf.rfs_log_density(f, x) - float(exact)) <= 1e-13 * abs(float(exact))
+        if value >= sys.float_info.min:
+            assert sf.rfs_density_eval(f, x) == pytest.approx(value, rel=1e-12, abs=0.0)
+        else:  # a subnormal holds few bits: within one step of the rounded value
+            assert abs(sf.rfs_density_eval(f, x) - value) <= 5e-324
+
+    def test_density_past_the_float_range_raises(self):
+        f = sf.IidClusterRfs(sf.CardinalityPmf(np.eye(301)[300]), UNIT)
+        x = sf.FiniteSet(np.zeros((300, 2)))
+        log_density = sf.rfs_log_density(f, x)
+        assert log_density == pytest.approx(math.lgamma(301) - 300 * math.log(2 * math.pi), rel=1e-14)
+        with pytest.raises(OverflowError, match="exceeds the float range; use rfs_log_density"):
+            sf.rfs_density_eval(f, x)
+
+    @pytest.mark.parametrize(
+        "f, n",
+        [(sf.BernoulliRfs(1.0, UNIT), 0), (sf.BernoulliRfs(0.8, UNIT), 2), (sf.PoissonRfs(0.0, UNIT), 3),
+         (sf.IidClusterRfs(sf.CardinalityPmf(IID_PMF), UNIT), 1),
+         (sf.IidClusterRfs(sf.CardinalityPmf([0.0, 1.0]), sf.GridDensity([0.0, 0.0], [0.5, 0.5], np.eye(2)[::-1] * 2)), 1)],
+        ids=["alpha 1 at 0", "bernoulli 2", "rate 0 at 3", "iid zero probability", "grid zero cell"],
+    )
+    def test_zero_density_has_log_minus_inf(self, f, n):
+        x = sf.FiniteSet(np.full((n, 2), 0.75))
+        assert sf.rfs_log_density(f, x) == -math.inf and sf.rfs_density_eval(f, x) == 0.0
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     def test_permutation_invariance_is_bitwise(self, n, seed):

@@ -625,16 +625,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("case", ["representation", "dimension", "misaligned"])
+    @pytest.mark.parametrize("case", ["representation", "dimension", "misaligned", "disjoint"])
     def test_unpaired_localisations_exit_2(self, tmp_path, capsys, case):
+        """A pair that cannot be evaluated together fails at load."""
         for name, origin in (("a.npz", [0.0, 0.0]), ("b.npz", [0.05, 0.0])):
             np.savez(tmp_path / name, origin=np.array(origin), cell_size=np.array([0.1, 0.1]),
                      values=np.ones((10, 10)))
+        for name, grid in zip(("left.npz", "right.npz"), disjoint_grids()):
+            np.savez(tmp_path / name, origin=grid.origin, cell_size=grid.cell_size, values=grid.values)
         gauss_2d = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
-        locs = {
-            "representation": (gauss_2d, {"grid": "a.npz"}),
-            "dimension": (gauss_2d, {"mean": [0.0, 0.0, 0.0], "cov": np.eye(3).tolist()}),
-            "misaligned": ({"grid": "a.npz"}, {"grid": "b.npz"}),
+        locs, reason = {
+            "representation": ((gauss_2d, {"grid": "a.npz"}), "must share a representation"),
+            "dimension": ((gauss_2d, {"mean": [0.0, 0.0, 0.0], "cov": np.eye(3).tolist()}),
+                          "Gaussian dimensions do not match"),
+            "misaligned": (({"grid": "a.npz"}, {"grid": "b.npz"}), "misaligned grids"),
+            "disjoint": (({"grid": "left.npz"}, {"grid": "right.npz"}), "disjoint supports"),
         }[case]
         payload = {
             "version": 1,
@@ -642,11 +647,13 @@ class TestCli:
             "inputs": [{"alpha": 0.8, "loc": locs[0]}, {"alpha": 0.7, "loc": locs[1]}],
         }
         path = write_scenario(tmp_path, payload)
+        with pytest.raises(scenarios.ScenarioError, match=f"inputs do not form a localisation pair: .*{reason}"):
+            scenarios.load_scenario(path)
         for mode in ("p2", "consistent"):
             assert main(["fuse", "--scenario", str(path), "--mode", mode,
                          "--out", str(tmp_path / mode)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "Traceback" not in err
+            assert err.startswith("error: inputs do not form a localisation pair") and len(err.splitlines()) == 1
             assert not (tmp_path / mode / "fuse.csv").exists()
 
     @pytest.mark.parametrize("command", [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"], ["sweep"]])
