@@ -57,9 +57,11 @@ def _common_probs(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray,
 
 def _joint_counts(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The counts where both pmfs are positive, and each pmf there; with
-    none, raises ``IncompatibleInputs``."""
-    a, b = _common_probs(p_i, p_j)
-    ns = ((a > 0) & (b > 0)).nonzero()[0]
+    none, raises ``IncompatibleInputs``. Only the common count range can
+    hold one."""
+    a, b = p_i.probs, p_j.probs
+    k = min(a.size, b.size)
+    ns = ((a[:k] > 0) & (b[:k] > 0)).nonzero()[0]
     if ns.size == 0:
         raise IncompatibleInputs(DISJOINT_SUPPORT)
     return ns, a[ns], b[ns]

@@ -240,7 +240,8 @@ class GridDensity:
         lattice of ``like``. The array is taken over, not copied or
         renormalized."""
         self = object.__new__(cls)
-        _set_frozen(self, origin=like.origin, cell_size=like.cell_size, values=values)
+        vars(self).update(origin=like.origin, cell_size=like.cell_size)  # read-only already
+        _set_frozen(self, values=values)
         return self
 
     @property
@@ -249,7 +250,8 @@ class GridDensity:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.cell_size))
+        # bitwise float(np.prod(cell_size)): both multiply left to right
+        return math.prod(self.cell_size.tolist())
 
     def log_evaluate(self, points: np.ndarray) -> np.ndarray:
         """The log of ``evaluate``: -inf off the lattice and on zero cells."""

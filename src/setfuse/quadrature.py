@@ -17,10 +17,10 @@ from .model import DISJOINT_SUPPORT, GaussianDensity, GridDensity, IncompatibleI
 
 
 def _check_aligned(rho_i: GridDensity, rho_j: GridDensity) -> None:
-    same = (
-        rho_i.values.shape == rho_j.values.shape
-        and (abs(rho_i.origin - rho_j.origin) <= 1e-12).all()
-        and (abs(rho_i.cell_size - rho_j.cell_size) <= 1e-12 * rho_j.cell_size).all()
+    # compared as Python floats: a NaN or inf - inf difference is misaligned
+    lattices = zip(rho_i.origin.tolist(), rho_j.origin.tolist(), rho_i.cell_size.tolist(), rho_j.cell_size.tolist())
+    same = rho_i.values.shape == rho_j.values.shape and all(
+        abs(o_i - o_j) <= 1e-12 and abs(c_i - c_j) <= 1e-12 * c_j for o_i, o_j, c_i, c_j in lattices
     )
     if not same:
         raise ValueError("misaligned grids: origin, cell size and extent must match")

@@ -23,8 +23,6 @@ import numbers
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from . import gaussian, quadrature
 from .fusion import _bernoulli_alpha, _check_alphas, _check_omega, _common_probs, _localisation_pair, _poisson_rate
 from .model import (
@@ -149,21 +147,22 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
     """
     records = []
 
-    def record(w: float, at) -> None:
-        records.append(TraceRecord(w, -at.log_z, at.slope, at.curvature))
-        if not (math.isfinite(at.slope) and math.isfinite(at.curvature)):
+    def record(w: float, at) -> tuple[float, float]:
+        slope, curvature = at.slope, at.curvature
+        records.append(TraceRecord(w, -at.log_z, slope, curvature))
+        if not (math.isfinite(slope) and math.isfinite(curvature)):
             raise SolverError(
                 f"weight solver met a non-finite slope or curvature at w = {w:.8g}",
                 NewtonTrace(tuple(records), False, len(records) - 1),
             )
+        return slope, curvature
 
     lo = config.omega_clamp
     hi = 1.0 - config.omega_clamp
     w = min(max(config.omega_init, lo), hi)
     at_w = evaluate(w)
-    record(w, at_w)
+    slope, curvature = record(w, at_w)
     for iteration in range(1, config.max_iters + 1):
-        slope, curvature = at_w.slope, at_w.curvature
         if slope == 0.0 and curvature == 0.0:  # flat: every weight fuses alike
             return w, at_w, NewtonTrace(tuple(records), True, iteration - 1)
         if slope < 0.0:
@@ -183,7 +182,7 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
             at_cand = evaluate(cand)
         step = abs(cand - w)
         w, at_w = cand, at_cand
-        record(w, at_w)
+        slope, curvature = record(w, at_w)
         if step <= config.epsilon:
             return w, at_w, NewtonTrace(tuple(records), True, iteration)
     raise SolverError(
@@ -194,7 +193,9 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
 
 def _same_localisation(a: LocalisationDensity, b: LocalisationDensity) -> bool:
     """One representation, with every stored array equal."""
-    return type(a) is type(b) and all(map(np.array_equal, vars(a).values(), vars(b).values()))
+    return type(a) is type(b) and all(
+        x.shape == y.shape and (x == y).all() for x, y in zip(vars(a).values(), vars(b).values())
+    )
 
 
 def chernoff_objective(
@@ -235,7 +236,7 @@ def newton_cardinality(
     the finite joint support. A joint support of one count fuses to that
     count at weight 0.5, flagged ``SINGLE_COUNT_FLAG``."""
     a, b = _common_probs(p_i, p_j)
-    if np.array_equal(a, b):
+    if (a == b).all():  # one count range, so one shape
         # the longer input spans the count range the other paths fuse over
         trace = NewtonTrace((), True, 0, (DEGENERATE_CARD_FLAG,))
         return 0.5, p_i if p_i.n_max >= p_j.n_max else p_j, trace
