@@ -115,20 +115,22 @@ def iid_cardinality_p2(
 
     The factorized localisation makes the scale sequence geometric,
     z_w(n) = z_w^n. It enters as n log z_w, so neither large counts nor a
-    z_w that flushes to 0 underflow the fused pmf. At log z_w = -inf and an
-    interior weight the rule is its limit as z_w -> 0: all mass on the
-    smallest count of the joint support, with normalizer a(0)^(1-w) b(0)^w
-    when that count is 0 and 0 otherwise.
+    z_w that flushes to 0 underflow the fused pmf. At an interior weight and
+    a log z_w so far below 0 that n_max log z_w overflows (-inf included),
+    the rule is its limit as z_w -> 0, which it then equals in floats: all
+    mass on the smallest count of the joint support, with normalizer
+    a(0)^(1-w) b(0)^w when that count is 0 and 0 otherwise.
     """
     _check_omega(omega)
     if not log_z <= 1e-12:
         raise ValueError("log scale factor must be <= 0")
-    if log_z > -math.inf:
-        return _geometric_pmf(p_i, p_j, omega, np.arange(max(p_i.n_max, p_j.n_max) + 1) * log_z)
+    n_max = max(p_i.n_max, p_j.n_max)
+    if n_max * log_z > -math.inf:
+        return _geometric_pmf(p_i, p_j, omega, np.arange(n_max + 1) * log_z)
     if omega in (0.0, 1.0):
         return _geometric_pmf(p_i, p_j, omega)
     ns, a, b = _joint_counts(p_i, p_j)
-    probs = np.zeros(max(p_i.n_max, p_j.n_max) + 1)
+    probs = np.zeros(n_max + 1)
     probs[ns[0]] = 1.0
     norm = float(a[0] ** (1.0 - omega) * b[0] ** omega) if ns[0] == 0 else 0.0
     return CardinalityPmf._trusted(probs), norm

@@ -66,6 +66,17 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     term is formed from the ratios c_i r, c_j r and d^2 r, and log s is
     summed per coordinate, never as the log of a product, so no
     intermediate under- or overflows at extreme covariance scales.
+
+    The d^2 terms can overflow: at every weight d^2 r is at most
+    d^2 / min(c_i, c_j). When that passes 2^960, the loop also runs on d
+    and c_i - c_j times 2^-p, with 2^p above every
+    |d| / sqrt(min(c_i, c_j)). Nothing overflows there, and the slope and
+    curvature come out divided by 2^2p, which keeps the Newton step and
+    the sign of the slope. An evaluation whose plain slope or curvature is
+    not finite takes the scaled one instead: its log z_w is the d^2 term
+    scaled back, -inf where that overflows and 0 at w = 0 and w = 1.
+    Every other evaluation is the plain one. ``density()`` works from d as
+    it is.
     """
     _check_pair(rho_i, rho_j)
     cov_i, cov_j = rho_i.cov, rho_j.cov
@@ -78,6 +89,36 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     delta = to_frame @ (rho_j.mean - rho_i.mean)
     frame = list(zip(var_i.tolist(), var_j.tolist(), delta.tolist()))
     pair = (frame, chol @ eigvecs, rho_i.mean)
+    plain = _sums(frame, pair, 0)
+    # d^2 r <= d^2 / min(c_i, c_j) at every weight: below 2^960, the plain
+    # sums overflow only where w(1-w) < 2^-64
+    if max([d * d / min(c_i, c_j) for c_i, c_j, d in frame]) <= 2.0**960:
+        return plain
+    p = 1 + max(math.frexp(d)[1] - math.frexp(math.sqrt(min(c_i, c_j)))[1] for c_i, c_j, d in frame)
+    scaled = _sums(frame, pair, p)
+
+    def at(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fused = plain(w)
+            # log z_w is NaN only where the slope is too (0 * inf in both)
+            ok = np.isfinite(fused.slope) & np.isfinite(fused.curvature)
+            if ok.all():
+                return fused
+            if not ok.shape:
+                return scaled(w)
+            far = scaled(w)
+            return _Fused(*(np.where(ok, x, y) for x, y in zip(fused[:3], far[:3])), fused.omega, pair)
+
+    return at
+
+
+def _sums(frame: list, pair: tuple, p: int) -> Callable[..., _Fused]:
+    """The evaluator of ``_pair`` on d and c_i - c_j times 2^-p, which gives
+    the slope and curvature divided by 2^2p; p = 0 is the plain one."""
+    terms, shrink, grow = frame, 1.0, 1.0
+    if p:
+        terms = [(c_i, c_j, math.ldexp(d, -p)) for c_i, c_j, d in frame]
+        shrink, grow = math.ldexp(1.0, -p), math.ldexp(1.0, min(p, 1023))
 
     def at(w):
         if isinstance(w, np.ndarray) and w.ndim:
@@ -86,10 +127,10 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
             w, log = float(w), math.log
         v = 1.0 - w
         log_s = sum_log_i = sum_log_j = mahal = gap = tilt_j = tilt_i = curvature = 0.0
-        for c_i, c_j, d in frame:
+        for c_i, c_j, d in terms:
             s = v * c_j + w * c_i
             r = 1.0 / s
-            a, b, e, g = c_i * r, c_j * r, d * d * r, (c_i - c_j) * r
+            a, b, e, g = c_i * r, c_j * r, d * d * r, (c_i - c_j) * r * shrink
             # summed in one order with one log, so that w = 0 and w = 1
             # give log z = 0 exactly
             log_s += log(s)
@@ -100,8 +141,9 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
             tilt_j += b * e
             tilt_i += a * e
             curvature += 0.5 * g * g + a * b * e
-        log_z = 0.5 * (w * sum_log_i + v * sum_log_j - log_s - w * v * mahal)
-        slope = 0.5 * (sum_log_i - sum_log_j - gap - v * v * tilt_j + w * w * tilt_i)
+        # at p = 0 every scale factor is 1.0, which leaves the bits alone
+        log_z = 0.5 * (w * sum_log_i + v * sum_log_j - log_s - w * v * mahal * grow * grow)
+        slope = 0.5 * ((sum_log_i - sum_log_j) * shrink * shrink - gap * shrink - v * v * tilt_j + w * w * tilt_i)
         # Hoelder guarantees z <= 1; clip roundoff that lands above
         return _Fused(np.minimum(log_z, 0.0) if log is np.log else min(log_z, 0.0), slope, curvature, w, pair)
 

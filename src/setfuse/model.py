@@ -223,8 +223,10 @@ class GridDensity:
         vals = np.asarray(self.values, dtype=float)
         if origin.ndim != 1 or cell.shape != origin.shape:
             raise ValueError("origin and cell_size must be d-vectors")
-        if np.any(cell <= 0):
-            raise ValueError("cell sizes must be positive")
+        if not np.isfinite(origin).all():
+            raise ValueError("origin must be finite")
+        if not ((cell > 0) & (cell < np.inf)).all():  # NaN fails both
+            raise ValueError("cell sizes must be positive and finite")
         if vals.ndim != origin.size:
             raise ValueError("values must have one axis per dimension")
         if np.any(vals < 0):

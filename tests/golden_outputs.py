@@ -4,9 +4,10 @@ The commands are ``fuse`` on each committed scenario in both modes,
 ``sweep`` on the two-sensor scenario, ``reproduce ex1..ex4``, and ``fuse``
 or ``sweep`` on the edge scenarios under ``tests/golden/scenarios/``: an
 existence belief of 0, IID pmfs with one joint count, IID pmfs with no
-joint count (exit 2), IID pmfs with no objects, and four inputs that exit
-2 (a retired ``n_max``, a retired ``solver.seed``, both sweep scales, and
-a string rate). For each, ``tests/golden/manifest.json`` holds its
+joint count (exit 2), IID pmfs with no objects, an IID pair and a
+Bernoulli sweep whose means are 1e200 apart, and four inputs that exit 2
+(a retired ``n_max``, a retired ``solver.seed``, both sweep scales, and a
+string rate). For each, ``tests/golden/manifest.json`` holds its
 arguments, exit code, stdout and stderr (paths written as ``{out}``,
 ``{golden}`` and ``{scenarios}``), and ``tests/golden/<case>/`` holds
 every file it writes. Files above ``SAMPLE_ABOVE`` bytes keep only their
@@ -64,7 +65,8 @@ def commands() -> dict[str, list[str]]:
     edge = {"bernoulli_alpha_zero": ("consistent",), "iid_single_joint_count": ("p2", "consistent"),
             "iid_disjoint_supports": ("p2", "consistent"), "iid_no_objects": ("p2", "consistent"),
             "retired_n_max": ("p2",), "retired_solver_seed": ("consistent",), "string_rate": ("p2",),
-            "two_sweep_scales": ("sweep",)}
+            "two_sweep_scales": ("sweep",), "iid_far_apart": ("p2", "consistent"),
+            "bernoulli_far_apart_sweep": ("sweep",)}
     for name, modes in edge.items():
         scenario = ["--scenario", f"{{golden}}/scenarios/{name}.json"]
         for mode in modes:

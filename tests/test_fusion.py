@@ -453,10 +453,12 @@ class TestIncompatibleInputs:
         assert isinstance(info.value, ValueError)
 
 
-# Offsets between the two localisation means: overlapping, far apart, and
-# so far apart that z_w underflows to 0 (near-disjoint).
-OFFSETS = (0.0, 2.0, 12.0, 150.0)
-TYPED_ERRORS = (sf.IncompatibleInputs, sf.SolverError)
+# (offset between the two localisation means, covariance scale): overlapping,
+# far apart, so far apart that z_w underflows to 0 (near-disjoint), the 1e154
+# control, and four pairs whose d^2 / s overflows a float
+SEPARATIONS = ((0.0, 1.0), (2.0, 1.0), (12.0, 1.0), (150.0, 1.0),
+               (1e154, 1.0), (1.4e154, 1.0), (1e200, 1.0), (1e300, 1.0), (1e5, 1e-300))
+TYPED_ERRORS = (sf.IncompatibleInputs,)
 
 
 @st.composite
@@ -465,12 +467,13 @@ def gaussian_set_pairs(draw):
     (1 to 3). IID pmfs of different lengths have zero counts, so some pairs
     share no count."""
     family = draw(st.sampled_from(["bernoulli", "poisson", "iid"]))
-    offset = draw(st.sampled_from(OFFSETS))
+    offset, scale = draw(st.sampled_from(SEPARATIONS))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     dim = int(rng.integers(1, 4))
     loc_i, loc_j = (make_gaussian(rng, dim=dim, var_lo=0.1, var_hi=2.0) for _ in range(2))
     direction = rng.standard_normal(dim)
-    loc_j = sf.GaussianDensity(loc_j.mean + offset * direction / np.linalg.norm(direction), loc_j.cov)
+    loc_i = sf.GaussianDensity(loc_i.mean, loc_i.cov * scale)
+    loc_j = sf.GaussianDensity(loc_j.mean + offset * direction / np.linalg.norm(direction), loc_j.cov * scale)
     if family == "bernoulli":
         return tuple(sf.BernoulliRfs(a, loc) for a, loc in zip(rng.uniform(0.01, 0.99, 2), (loc_i, loc_j)))
     if family == "poisson":

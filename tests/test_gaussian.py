@@ -309,6 +309,55 @@ class TestFiftyDigitOracle:
         self.check(np.zeros(2), np.array([1e154, 0.0]), np.ones(2), np.full(2, 4.0), 0.3)
 
 
+# (offset along the first axis, covariance scale): the 1e154 control, whose
+# d^2 / s fits a float, and four pairs past it
+FAR_APART = [(1e154, 1.0), (1.4e154, 1.0), (1e200, 1.0), (1e300, 1.0), (1e5, 1e-300)]
+
+
+class TestFarApartPairs:
+    """d^2 / s near or past the float range: z_w is 0 inside (0, 1) and 1
+    at its ends, the slope and curvature stay finite, and the solver finds
+    the weight that balances the two d^2 terms, with no warning. On the
+    control, weights up to 0.3 are evaluated as before and 0.9 overflows
+    the plain sums."""
+
+    @staticmethod
+    def pair(offset, scale, var_j=(1.0, 1.0)):
+        return (sf.GaussianDensity([0.0, 0.0], np.eye(2) * scale),
+                sf.GaussianDensity([offset, 0.0], np.diag(var_j) * scale))
+
+    @pytest.mark.parametrize("offset, scale", FAR_APART)
+    def test_evaluations(self, offset, scale):
+        at = gaussian._pair(*self.pair(offset, scale, (4.0, 1.0)))
+        ws = np.array([0.0, 1e-6, 0.3, 0.5, 0.9, 1.0])
+        row = at(ws)
+        cells = [at(float(w)) for w in ws]
+        for k, cell in enumerate(cells):
+            assert all(type(v) is float for v in cell[:3])
+            assert row.log_z[k] == cell.log_z
+            assert math.isfinite(cell.slope) and cell.curvature > 0.0
+            np.testing.assert_allclose([row.slope[k], row.curvature[k]], cell[1:3], rtol=1e-14)
+        assert cells[0].log_z == cells[-1].log_z == 0.0
+        assert all(math.exp(cell.log_z) == 0.0 for cell in cells[1:-1])
+        # the d^2 terms balance at w = 2/3 (see test_solved_weight)
+        assert [cell.slope > 0.0 for cell in cells] == [False] * 4 + [True] * 2
+
+    @pytest.mark.parametrize("offset, scale", FAR_APART)
+    def test_solved_weight(self, offset, scale):
+        config = sf.NewtonConfig(epsilon=1e-10)
+        w, fused, z, trace = solvers.newton_localisation(*self.pair(offset, scale), config)
+        assert (w, z) == (0.5, 0.0) and trace.converged
+        assert np.isfinite(fused.mean).all() and np.isfinite(fused.cov).all()
+        # the d^2 term w(1-w) d^2 / ((1-w) c_j + w c_i), with c_i = 1 and c_j = 4
+        w, _, z, _ = solvers.newton_localisation(*self.pair(offset, scale, (4.0, 1.0)), config)
+        assert w == pytest.approx(2.0 / 3.0, abs=1e-9) and z == 0.0
+
+    def test_consistent_fusion(self):
+        f_i, f_j = (sf.BernoulliRfs(alpha, loc) for alpha, loc in zip((0.8, 0.6), self.pair(1.4e154, 1.0)))
+        result = solvers.consistent_fuse(f_i, f_j, sf.NewtonConfig())
+        assert result.omega_loc == (0.5,) and result.z_values == (0.0,)
+
+
 class TestKld:
     def test_self_divergence_is_zero(self, rng):
         g = make_gaussian(rng)

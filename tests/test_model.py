@@ -484,7 +484,15 @@ class TestNormalization:
         pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1], np.ones((10, 10))),
                      (ValueError, "origin and cell_size must be d-vectors"), id="grid origin and cell"),
         pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1, -0.1], np.ones((10, 10))),
-                     (ValueError, "cell sizes must be positive"), id="grid cell size"),
+                     (ValueError, "cell sizes must be positive and finite"), id="grid cell size"),
+        pytest.param(lambda: sf.GridDensity([math.nan, 0.0], [0.1, 0.1], np.ones((10, 10))),
+                     (ValueError, "origin must be finite"), id="grid NaN origin"),
+        pytest.param(lambda: sf.GridDensity([0.0, -math.inf], [0.1, 0.1], np.ones((10, 10))),
+                     (ValueError, "origin must be finite"), id="grid infinite origin"),
+        pytest.param(lambda: sf.GridDensity([0.0, 0.0], [math.nan, 0.1], np.ones((10, 10))),
+                     (ValueError, "cell sizes must be positive and finite"), id="grid NaN cell size"),
+        pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1, math.inf], np.ones((10, 10))),
+                     (ValueError, "cell sizes must be positive and finite"), id="grid infinite cell size"),
         pytest.param(lambda: sf.GridDensity([0.0, 0.0], [0.1, 0.1], np.ones(100)),
                      (ValueError, "values must have one axis per dimension"), id="grid axes"),
         pytest.param(lambda: sf.GridDensity([0.0], [0.5], [-1.0, 3.0]),

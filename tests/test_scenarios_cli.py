@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -654,6 +655,22 @@ class TestCli:
                          "--out", str(tmp_path / mode)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: inputs do not form a localisation pair") and len(err.splitlines()) == 1
+            assert not (tmp_path / mode / "fuse.csv").exists()
+
+    @pytest.mark.parametrize("origin, cell, reason", [
+        ([math.nan, 0.0], [0.1, 0.1], "origin must be finite"),
+        ([math.inf, 0.0], [0.1, 0.1], "origin must be finite"),
+        ([0.0, 0.0], [0.1, math.nan], "cell sizes must be positive and finite"),
+    ])
+    def test_non_finite_lattice_exits_2(self, tmp_path, capsys, origin, cell, reason):
+        """A grid file whose lattice is not finite is rejected by name, at load."""
+        np.savez(tmp_path / "bad.npz", origin=np.array(origin), cell_size=np.array(cell), values=np.ones((10, 10)))
+        grid = {"grid": "bad.npz"}
+        path = write_scenario(tmp_path, {"version": 1, "family": "bernoulli",
+                                         "inputs": [{"alpha": 0.8, "loc": grid}, {"alpha": 0.7, "loc": grid}]})
+        for mode in ("p2", "consistent"):
+            assert main(["fuse", "--scenario", str(path), "--mode", mode, "--out", str(tmp_path / mode)]) == 2
+            assert capsys.readouterr().err == f"error: cannot load grid density 'bad.npz': {reason}\n"
             assert not (tmp_path / mode / "fuse.csv").exists()
 
     @pytest.mark.parametrize("command", [["fuse", "--mode", "p2"], ["fuse", "--mode", "consistent"], ["sweep"]])
