@@ -9,7 +9,8 @@ prints its check verdicts, writes it, and prints each path written and then
 the report's own lines.
 
 Exit codes: 0 success, 2 bad input, inputs that cannot be fused together
-or an output path that cannot be written, 3 solver or fusion failure.
+or an output path that cannot be written, 3 solver failure. Any other
+exception is a bug and shows its traceback.
 Set SETFUSE_LOG=error|warn|info|debug to control logging; any other value
 warns and runs at warn. Every argument changes what is fused or where it is
 written; an unknown one exits 2. ``--out`` overrides a scenario's
@@ -124,9 +125,6 @@ def main(argv=None) -> int:
                 f"slope={record.slope:.8e} curvature={record.curvature:.8e}",
                 file=sys.stderr,
             )
-        return EXIT_SOLVER
-    except (ValueError, TypeError) as exc:
-        print(f"fusion error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -219,7 +219,7 @@ def load_scenario(path) -> Scenario:
     if raw["version"] != SCENARIO_VERSION or isinstance(raw["version"], bool):
         raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
     family = raw["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ScenarioError(f"unknown family {family!r}")
     inputs = raw["inputs"]
     if not (isinstance(inputs, list) and len(inputs) == 2):

@@ -10,6 +10,8 @@ from setfuse import quadrature
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# the search run of tests/test_cli_fuzz.py: pytest --hypothesis-profile=cli-fuzz
+settings.register_profile("cli-fuzz", settings.get_profile("default"), max_examples=4000)
 settings.load_profile("default")
 
 
