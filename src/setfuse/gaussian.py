@@ -14,7 +14,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import GaussianDensity
+from .model import GaussianDensity, IncompatibleInputs
+
+PAIR_LIMIT = 1e300
 
 
 def _check_pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> None:
@@ -33,13 +35,14 @@ class _Fused(NamedTuple):
     pair: tuple
 
     def density(self) -> GaussianDensity:
-        """The fused Gaussian at a scalar weight: frame variances
-        c_i c_j/s and mean m_i + T (w c_i d/s)."""
+        """The fused Gaussian at a scalar weight, r = 1/s: frame variances
+        min(c_i, c_j) (max(c_i, c_j) r), a ratio in [1, 1/min(w, 1-w)], and
+        mean m_i + T (w (c_i r) d), so no product overflows or underflows."""
         frame, to_space, origin = self.pair
         w = self.omega
-        s = [(1.0 - w) * c_j + w * c_i for c_i, c_j, _ in frame]
-        var = [c_i * c_j / s_k for (c_i, c_j, _), s_k in zip(frame, s)]
-        shift = [w * c_i * d / s_k for (c_i, _, d), s_k in zip(frame, s)]
+        r = [1.0 / ((1.0 - w) * c_j + w * c_i) for c_i, c_j, _ in frame]
+        var = [min(c_i, c_j) * (max(c_i, c_j) * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]
+        shift = [w * (c_i * r_k) * d for (c_i, _, d), r_k in zip(frame, r)]
         cov = (to_space * var) @ to_space.T
         return GaussianDensity._trusted(origin + to_space @ shift, 0.5 * (cov + cov.T))
 
@@ -76,10 +79,15 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     not finite takes the scaled one instead: its log z_w is the d^2 term
     scaled back, -inf where that overflows and 0 at w = 0 and w = 1.
     Every other evaluation is the plain one. ``density()`` works from d as
-    it is.
+    it is. A mean coordinate or covariance entry past PAIR_LIMIT, where the
+    frame's products overflow, raises ``IncompatibleInputs``.
     """
     _check_pair(rho_i, rho_j)
     cov_i, cov_j = rho_i.cov, rho_j.cov
+    # an SPD covariance peaks on its diagonal
+    held = [*rho_i.mean.tolist(), *rho_j.mean.tolist(), *cov_i.diagonal().tolist(), *cov_j.diagonal().tolist()]
+    if max(map(abs, held)) > PAIR_LIMIT:
+        raise IncompatibleInputs(f"Gaussian means and covariances must lie within {PAIR_LIMIT:g} to be fused")
     chol = np.linalg.cholesky(cov_i / cov_i.trace() + cov_j / cov_j.trace())
     whiten = np.linalg.inv(chol)
     eigvecs = np.linalg.eigh(whiten @ cov_i @ whiten.T)[1]

@@ -27,7 +27,8 @@ COV_CONDITION_LIMIT = 1e12
 class IncompatibleInputs(ValueError):
     """Inputs that are each valid but cannot be fused or evaluated together:
     existence beliefs of 0 and 1, count pmfs or grids with no common support,
-    or a count range that would cut off positive probability."""
+    a count range that would cut off positive probability, or a Gaussian
+    pair with an entry past ``gaussian.PAIR_LIMIT``."""
 
 
 DISJOINT_SUPPORT = "inputs have disjoint supports: no point where both are positive"
@@ -142,14 +143,14 @@ class GaussianDensity:
         scale = np.abs(c).max()
         if not (np.isfinite(m).all() and math.isfinite(scale)):
             raise ValueError("mean and covariance must be finite")
-        if scale > 0 and np.abs(c - c.T).max() > 1e-12 * scale:
+        if scale > 0 and np.abs(0.5 * c - 0.5 * c.T).max() > 0.5e-12 * scale:
             raise ValueError("covariance must be symmetric")
         eig = np.linalg.eigvalsh(c)
         if eig[0] <= 0:
             raise ValueError("covariance must be positive definite")
         if eig[-1] / eig[0] > COV_CONDITION_LIMIT:
             raise ValueError("covariance condition number exceeds 1e12")
-        _set_frozen(self, mean=m.copy(), cov=0.5 * (c + c.T))
+        _set_frozen(self, mean=m.copy(), cov=0.5 * c + 0.5 * c.T)
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianDensity":

@@ -202,6 +202,8 @@ def _parse_sweep(spec) -> SweepSpec:
         except OverflowError as exc:
             raise ScenarioError(f"sweep covariance at kappa = {end:g} overflows") from exc
         except ValueError as exc:
+            if not (sweep.det_sigma or sweep.sigma1_sq**2 / end) >= sys.float_info.min:
+                raise ScenarioError(f"sweep covariance at kappa = {end:g} underflows") from exc
             raise ScenarioError(f"invalid sweep covariance at kappa = {end:g}: {exc}") from exc
     return sweep
 

@@ -40,7 +40,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 COMMANDS = (("fuse", "--mode", "p2"), ("fuse", "--mode", "consistent"), ("sweep",))
 FLOAT_MAX = sys.float_info.max
 # the largest mean coordinate and covariance entry drawn
-SCALE_MAX = 1e150
+SCALE_MAX = FLOAT_MAX
 EDGES = (0.0, 1e-300, 1.0, 1e154, 1.4e154, 1e200, 1e300, 1e308, FLOAT_MAX)
 TEXT_COLUMNS = ("family", "mode", "pair", "inconsistent")
 

@@ -358,6 +358,63 @@ class TestFarApartPairs:
         assert result.omega_loc == (0.5,) and result.z_values == (0.0,)
 
 
+class TestTopOfFloatRange:
+    """Pairs near the top of the float range fuse to finite Gaussians, with
+    no warning, or raise ``IncompatibleInputs`` naming the pair limit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("scale_i, scale_j, w", [(1e60, 1e297, 0.4), (5e267, 1e-102, 0.7)])
+    def test_fused_variance_is_formed_from_ratios(self, dim, scale_i, scale_j, w):
+        # c_i c_j overflows, or c_j / s underflows; 1 / ((1-w)/c_i + w/c_j) does neither
+        rho_i = sf.GaussianDensity(np.zeros(dim), np.eye(dim) * scale_i)
+        rho_j = sf.GaussianDensity(np.zeros(dim), np.eye(dim) * scale_j)
+        fused, _ = fusion.localisation_emd(rho_i, rho_j, w)
+        expected = 1.0 / ((1.0 - w) / scale_i + w / scale_j)
+        np.testing.assert_allclose(fused.cov, np.eye(dim) * expected, rtol=1e-14, atol=0.0)
+
+    def test_fused_mean_is_formed_from_ratios(self):
+        # w c_i d overflows; the mean, 0.8e310 / (0.2e51 + 0.8e10), does not
+        rho_i = sf.GaussianDensity([0.0, 0.0], np.eye(2) * 1e10)
+        rho_j = sf.GaussianDensity([1e300, 0.0], np.eye(2) * 1e51)
+        fused, _ = fusion.localisation_emd(rho_i, rho_j, 0.8)
+        assert fused.mean[0] == pytest.approx(4e259, rel=1e-14)
+        assert abs(fused.mean[1]) <= 1e-14 * fused.mean[0]
+
+    def test_consistent_fusion_gives_a_finite_density(self):
+        f_i = sf.PoissonRfs(2.0, sf.GaussianDensity([0.0, 0.0], np.eye(2) * 1e60))
+        f_j = sf.PoissonRfs(3.0, sf.GaussianDensity([0.0, 0.0], np.eye(2) * 1e297))
+        result = solvers.consistent_fuse(f_i, f_j, sf.NewtonConfig())
+        w = result.omega_loc[0]
+        expected = 1.0 / ((1.0 - w) * 1e-60 + w * 1e-297)
+        np.testing.assert_allclose(result.fused.loc.cov, np.eye(2) * expected, rtol=1e-14, atol=0.0)
+
+    def test_covariance_near_the_float_maximum_is_stored(self):
+        assert sf.GaussianDensity([0.0], [[1e308]]).cov.tolist() == [[1e308]]
+        cov = np.array([[1e308, 5e307], [5e307, 1e308]])
+        assert (sf.GaussianDensity([0.0, 0.0], cov).cov == cov).all()
+        with pytest.raises(ValueError, match="symmetric"):
+            sf.GaussianDensity([0.0, 0.0], [[1e308, 1e308], [-1e308, 1e308]])
+
+    @pytest.mark.parametrize("mean_j, scale", [
+        ((1e308, 0.0), 1.0),
+        ((-1e301, 0.0), 1.0),
+        ((0.0, 0.0), 1e308),
+        ((0.0, 0.0), 1.1e300),
+    ])
+    def test_pair_past_the_limit_raises(self, mean_j, scale):
+        rho_i = sf.GaussianDensity([0.0, 0.0], np.eye(2))
+        rho_j = sf.GaussianDensity(mean_j, np.eye(2) * scale)
+        for pair in ((rho_i, rho_j), (rho_j, rho_i)):
+            with pytest.raises(sf.IncompatibleInputs, match="within 1e\\+300"):
+                gaussian._pair(*pair)
+
+    def test_pair_at_the_limit_fuses(self):
+        rho_i = sf.GaussianDensity([-1e300, 0.0], np.eye(2) * 1e300)
+        rho_j = sf.GaussianDensity([1e300, 0.0], np.diag([1e300, 1e290]))
+        fused, z = fusion.localisation_emd(rho_i, rho_j, 0.5)
+        assert np.isfinite(fused.mean).all() and np.isfinite(fused.cov).all() and 0.0 <= z <= 1.0
+
+
 class TestKld:
     def test_self_divergence_is_zero(self, rng):
         g = make_gaussian(rng)

@@ -431,10 +431,8 @@ BAD_SCALARS = {
     "sigma1_sq string": (_set("sweep", "sigma1_sq", "x"), "sweep.sigma1_sq must be a number, got 'x'"),
     "sigma1_sq zero": (_set("sweep", "sigma1_sq", 0), "sweep.sigma1_sq must be > 0, got 0"),
     "sigma1_sq negative": (_set("sweep", "sigma1_sq", -1.0), "sweep.sigma1_sq must be > 0, got -1.0"),
-    "sigma1_sq tiny": (
-        _set("sweep", "sigma1_sq", 1e-200),
-        "invalid sweep covariance at kappa = 1: determinant must be positive",
-    ),
+    "sigma1_sq tiny": (_set("sweep", "sigma1_sq", 1e-200), "sweep covariance at kappa = 1 underflows"),
+    "det_sigma tiny": (_set("sweep", "det_sigma", 5e-324), "sweep covariance at kappa = 4 underflows"),
     "det_sigma negative": (_set("sweep", "det_sigma", -1.0), "sweep.det_sigma must be > 0, got -1.0"),
     "kappa end below 1": (_set("sweep", "kappa", [2.0, 0.5, 3]), "sweep.kappa values must lie in [1, 1e+12], got 0.5"),
     "kappa end above condition limit": (
@@ -485,6 +483,15 @@ BAD_INPUTS = {
     "string for a number": ("poisson_pair.json", [_set("inputs", 0, "lambda", "2.0")]),
     "NaN": ("poisson_pair.json", [_set("inputs", 1, "lambda", float("nan"))]),
     "unknown family": ("two_sensor_bernoulli.json", [_set("family", "multi")]),
+    "family list": ("two_sensor_bernoulli.json", [_set("family", ["bernoulli"])]),
+    "covariances past the pair limit": (
+        "poisson_pair.json",
+        [_set("inputs", k, "loc", "cov", [[1e308, 0.0], [0.0, 1e308]]) for k in (0, 1)],
+    ),
+    "means past the pair limit": (
+        "two_sensor_bernoulli.json",
+        [_set("inputs", 0, "loc", "mean", [1e308, 0.0]), _set("inputs", 1, "loc", "mean", [-1e308, 0.0])],
+    ),
 }
 
 
