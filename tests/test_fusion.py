@@ -525,9 +525,13 @@ class TestWholeFusionProperties:
         assert swapped.omega_loc[0] == pytest.approx(1.0 - result.omega_loc[0], abs=1e-6)
         assert_finite(result.fused)
         assert 0.0 <= result.z_values[0] <= 1.0 + 1e-12
-        p_i, p_j = fusion._common_probs(*(sf.CardinalityPmf(count_pmf(f)) for f in (f_i, f_j)))
+        pmfs = [sf.CardinalityPmf(count_pmf(f)) for f in (f_i, f_j)]
+        p_i, p_j = fusion._common_probs(*pmfs)
         fused = count_pmf(result.fused)
         assert np.all(fused >= np.minimum(p_i, p_j) * (1.0 - 1e-12))
+        # the counts are fused at the weight the result reports
+        at_weight = fusion.cardinality_emd(*pmfs, result.omega_card)[0]
+        np.testing.assert_allclose(fused, at_weight.padded(fused.size - 1), rtol=1e-9, atol=1e-12)
 
     @given(pair=gaussian_set_pairs(), omega=st.floats(0.01, 0.99))
     @settings(max_examples=40)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import setfuse as sf
-from setfuse import scenarios
+from setfuse import cli, scenarios
 from setfuse.cli import main
 from setfuse.solvers import SINGLE_COUNT_FLAG
 from conftest import binomial_pmf, disjoint_grids
@@ -691,6 +691,18 @@ class TestCli:
         assert main([*command, "--scenario", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out}: Not a directory\n" and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"), TypeError("boom")])
+    def test_any_other_exception_escapes_with_its_traceback(self, tmp_path, monkeypatch, exc):
+        """Exit 2 and 3 stand for typed errors only; a ValueError or
+        TypeError from the library is a bug and is not mapped to an exit."""
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "fuse_scenario", fail)
+        path = write_scenario(tmp_path, bernoulli_payload())
+        with pytest.raises(type(exc), match="boom"):
+            main(["fuse", "--mode", "p2", "--scenario", str(path), "--out", str(tmp_path / "o")])
 
     def test_solver_failure_dumps_trace(self, tmp_path, capsys):
         payload = {
