@@ -41,7 +41,7 @@ class _Fused(NamedTuple):
         frame, to_space, origin = self.pair
         w = self.omega
         r = [1.0 / ((1.0 - w) * c_j + w * c_i) for c_i, c_j, _ in frame]
-        var = [min(c_i, c_j) * (max(c_i, c_j) * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]
+        var = [c_i * (c_j * r_k) if c_i < c_j else c_j * (c_i * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]
         shift = [w * (c_i * r_k) * d for (c_i, _, d), r_k in zip(frame, r)]
         cov = (to_space * var) @ to_space.T
         return GaussianDensity._trusted(origin + to_space @ shift, 0.5 * (cov + cov.T))
@@ -79,16 +79,16 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     not finite takes the scaled one instead: its log z_w is the d^2 term
     scaled back, -inf where that overflows and 0 at w = 0 and w = 1.
     Every other evaluation is the plain one. ``density()`` works from d as
-    it is. A mean coordinate or covariance entry past PAIR_LIMIT, where the
+    it is. A mean coordinate or covariance trace past PAIR_LIMIT, where the
     frame's products overflow, raises ``IncompatibleInputs``.
     """
     _check_pair(rho_i, rho_j)
     cov_i, cov_j = rho_i.cov, rho_j.cov
-    # an SPD covariance peaks on its diagonal
-    held = [*rho_i.mean.tolist(), *rho_j.mean.tolist(), *cov_i.diagonal().tolist(), *cov_j.diagonal().tolist()]
-    if max(map(abs, held)) > PAIR_LIMIT:
-        raise IncompatibleInputs(f"Gaussian means and covariances must lie within {PAIR_LIMIT:g} to be fused")
-    chol = np.linalg.cholesky(cov_i / cov_i.trace() + cov_j / cov_j.trace())
+    # summed as Python floats, so a trace past the float range is inf with no warning
+    tr_i, tr_j = sum(cov_i.diagonal().tolist()), sum(cov_j.diagonal().tolist())
+    if max(tr_i, tr_j, *map(abs, rho_i.mean.tolist() + rho_j.mean.tolist())) > PAIR_LIMIT:
+        raise IncompatibleInputs(f"Gaussian means and covariance traces must lie within {PAIR_LIMIT:g} to be fused")
+    chol = np.linalg.cholesky(cov_i / tr_i + cov_j / tr_j)
     whiten = np.linalg.inv(chol)
     eigvecs = np.linalg.eigh(whiten @ cov_i @ whiten.T)[1]
     to_frame = eigvecs.T @ whiten

@@ -28,7 +28,7 @@ class IncompatibleInputs(ValueError):
     """Inputs that are each valid but cannot be fused or evaluated together:
     existence beliefs of 0 and 1, count pmfs or grids with no common support,
     a count range that would cut off positive probability, or a Gaussian
-    pair with an entry past ``gaussian.PAIR_LIMIT``."""
+    pair with a mean or covariance trace past ``gaussian.PAIR_LIMIT``."""
 
 
 DISJOINT_SUPPORT = "inputs have disjoint supports: no point where both are positive"

@@ -214,7 +214,7 @@ MUTANTS = [
     (
         "gaussian.py",
         "        r = [1.0 / ((1.0 - w) * c_j + w * c_i) for c_i, c_j, _ in frame]\n"
-        "        var = [min(c_i, c_j) * (max(c_i, c_j) * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]\n"
+        "        var = [c_i * (c_j * r_k) if c_i < c_j else c_j * (c_i * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]\n"
         "        shift = [w * (c_i * r_k) * d for (c_i, _, d), r_k in zip(frame, r)]\n",
         "        s = [(1.0 - w) * c_j + w * c_i for c_i, c_j, _ in frame]\n"
         "        var = [c_i * c_j / s_k for (c_i, c_j, _), s_k in zip(frame, s)]\n"
@@ -224,7 +224,7 @@ MUTANTS = [
     # the fused variance is formed as c_i (c_j r), whose ratio underflows when c_j << c_i
     (
         "gaussian.py",
-        "var = [min(c_i, c_j) * (max(c_i, c_j) * r_k) for",
+        "var = [c_i * (c_j * r_k) if c_i < c_j else c_j * (c_i * r_k) for",
         "var = [c_i * (c_j * r_k) for",
         ["tests/test_gaussian.py"],
     ),
@@ -242,8 +242,8 @@ MUTANTS = [
     # Gaussian pairs past the pair limit are fused, and their frame overflows
     (
         "gaussian.py",
-        "    if max(map(abs, held)) > PAIR_LIMIT:\n        raise IncompatibleInputs(",
-        "    if False:\n        raise IncompatibleInputs(",
+        "if max(tr_i, tr_j, *map(abs, rho_i.mean.tolist() + rho_j.mean.tolist())) > PAIR_LIMIT:",
+        "if False:",
         ["tests/test_gaussian.py", "tests/test_scenarios_cli.py"],
     ),
     # a sweep scale that underflows is reported as one that overflows

@@ -209,7 +209,9 @@ def ranges(low, high, steps):
     return st.tuples(ends.map(sorted), st.integers(1, steps)).map(lambda t: [*t[0], t[1]])
 
 
-sweep_scales = st.one_of(st.sampled_from((1e-200, 1e-160, 1e150, 1e200)), st.floats(1e-3, 1e3), st.floats(1e-300, 1e300))
+sweep_scales = st.one_of(
+    st.sampled_from((1e-200, 1e-160, 1e150, 1e200)), st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)
+)
 BLOCKS = {
     "omega": unit_weights,
     "solver": st.fixed_dictionaries({}, optional={

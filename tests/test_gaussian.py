@@ -360,7 +360,8 @@ class TestFarApartPairs:
 
 class TestTopOfFloatRange:
     """Pairs near the top of the float range fuse to finite Gaussians, with
-    no warning, or raise ``IncompatibleInputs`` naming the pair limit."""
+    no warning, or raise ``IncompatibleInputs`` naming the pair limit on
+    mean coordinates and covariance traces."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("scale_i, scale_j, w", [(1e60, 1e297, 0.4), (5e267, 1e-102, 0.7)])
@@ -399,7 +400,7 @@ class TestTopOfFloatRange:
         ((1e308, 0.0), 1.0),
         ((-1e301, 0.0), 1.0),
         ((0.0, 0.0), 1e308),
-        ((0.0, 0.0), 1.1e300),
+        ((0.0, 0.0), 6e299),
     ])
     def test_pair_past_the_limit_raises(self, mean_j, scale):
         rho_i = sf.GaussianDensity([0.0, 0.0], np.eye(2))
@@ -409,8 +410,8 @@ class TestTopOfFloatRange:
                 gaussian._pair(*pair)
 
     def test_pair_at_the_limit_fuses(self):
-        rho_i = sf.GaussianDensity([-1e300, 0.0], np.eye(2) * 1e300)
-        rho_j = sf.GaussianDensity([1e300, 0.0], np.diag([1e300, 1e290]))
+        rho_i = sf.GaussianDensity([-1e300, 0.0], np.eye(2) * 5e299)
+        rho_j = sf.GaussianDensity([1e300, 0.0], np.diag([9.99e299, 1e289]))
         fused, z = fusion.localisation_emd(rho_i, rho_j, 0.5)
         assert np.isfinite(fused.mean).all() and np.isfinite(fused.cov).all() and 0.0 <= z <= 1.0
 
