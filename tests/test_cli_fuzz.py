@@ -43,30 +43,22 @@ EDGES = (0.0, 1e-300, 1.0, 1e154, 1.4e154, 1e200, 1e300, 1e308, FLOAT_MAX)
 TEXT_COLUMNS = ("family", "mode", "inconsistent")
 
 
-def _fused_pmfs(scenario, fused):
-    """The count pmfs of the two inputs and of the fused set, on one count
-    range: a Bernoulli existence as [1 - alpha, alpha], an IID pmf padded
-    with zeros. None for Poisson sets, whose pmfs are not materialised."""
-    if scenario.family == "bernoulli":
-        return [np.array([1.0 - f.alpha, f.alpha]) for f in (scenario.f_i, scenario.f_j, fused)]
-    if scenario.family == "iid":
-        n_max = max(f.card.n_max for f in (scenario.f_i, scenario.f_j, fused))
-        return [f.card.padded(n_max) for f in (scenario.f_i, scenario.f_j, fused)]
-    return None
-
-
 def check_consistent(scenario, fused):
-    """The fused count pmf is not below both inputs at any count. A Poisson
-    pmf is unimodal in its rate at every count, so there it is enough that
-    the fused rate lies between the input rates."""
-    pmfs = _fused_pmfs(scenario, fused)
-    if pmfs is None:
+    """The fused count pmf is not below both inputs at any count: a
+    Bernoulli existence as [1 - alpha, alpha], IID pmfs padded to one count
+    range. A Poisson pmf is unimodal in its rate at every count, so there it
+    is enough that the fused rate lies between the input rates."""
+    sets = (scenario.f_i, scenario.f_j, fused)
+    if scenario.family == "poisson":
         rates = (scenario.f_i.rate, scenario.f_j.rate)
         assert min(rates) <= fused.rate <= max(rates), (rates, fused.rate)
         return
-    p_i, p_j, p_f = pmfs
-    below = p_f < np.minimum(p_i, p_j) * (1.0 - 1e-12)
-    assert not below.any(), (p_i, p_j, p_f)
+    if scenario.family == "bernoulli":
+        p_i, p_j, p_f = (np.array([1.0 - f.alpha, f.alpha]) for f in sets)
+    else:
+        n_max = max(f.card.n_max for f in sets)
+        p_i, p_j, p_f = (f.card.padded(n_max) for f in sets)
+    assert not (p_f < np.minimum(p_i, p_j) * (1.0 - 1e-12)).any(), (p_i, p_j, p_f)
 
 
 def check_csvs(out: Path) -> None:
