@@ -13,10 +13,15 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import GaussianDensity, IncompatibleInputs
 
 PAIR_LIMIT = 1e300
+
+
+def _factorisation_failed(err, flag):
+    raise LinAlgError("Gaussian pair frame: factorisation failed")
 
 
 def _check_pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> None:
@@ -44,7 +49,9 @@ class _Fused(NamedTuple):
         var = [c_i * (c_j * r_k) if c_i < c_j else c_j * (c_i * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]
         shift = [w * (c_i * r_k) * d for (c_i, _, d), r_k in zip(frame, r)]
         cov = (to_space * var) @ to_space.T
-        return GaussianDensity._trusted(origin + to_space @ shift, 0.5 * (cov + cov.T))
+        cov += cov.T
+        cov *= 0.5
+        return GaussianDensity._trusted(origin + to_space @ shift, cov)
 
 
 def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fused]:
@@ -54,6 +61,15 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     L L' = C_i/tr C_i + C_j/tr C_j (the scaling keeps both frame variances
     accurate however the covariances differ) and the eigenvectors U of
     L^-1 C_i L^-T give the frame T = L U, with T^-1 C_k T^-T = diag(c_k).
+    L, L^-1 and U come from the LAPACK kernels that ``np.linalg.cholesky``,
+    ``inv`` and ``eigh`` wrap, the gufuncs ``cholesky_lo``, ``inv`` and
+    ``eigh_lo``, called with the wrappers' signature and error state: the
+    same kernels on the same inputs give the same bits, and a failed
+    factorisation raises ``LinAlgError`` as before. The inputs are known to
+    be square float arrays, and on these small matrices the wrappers' own
+    checks and error-state switches cost more than the kernels: on a 2x2
+    matrix the three wrappers took 13.4-13.9 us and the three kernels in
+    one error state 5.4-6.6 us (x86-64, numpy 2.4).
     With d = T^-1 (m_j - m_i), s = (1-w) c_j + w c_i and r = 1/s, log z_w
     and its w-derivatives, the mean and variance of q = log rho_j - log rho_i
     under the fused Gaussian, are sums over the frame:
@@ -88,9 +104,10 @@ def _pair(rho_i: GaussianDensity, rho_j: GaussianDensity) -> Callable[..., _Fuse
     tr_i, tr_j = sum(cov_i.diagonal().tolist()), sum(cov_j.diagonal().tolist())
     if max(tr_i, tr_j, *map(abs, rho_i.mean.tolist() + rho_j.mean.tolist())) > PAIR_LIMIT:
         raise IncompatibleInputs(f"Gaussian means and covariance traces must lie within {PAIR_LIMIT:g} to be fused")
-    chol = np.linalg.cholesky(cov_i / tr_i + cov_j / tr_j)
-    whiten = np.linalg.inv(chol)
-    eigvecs = np.linalg.eigh(whiten @ cov_i @ whiten.T)[1]
+    with np.errstate(call=_factorisation_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        chol = _umath_linalg.cholesky_lo(cov_i / tr_i + cov_j / tr_j, signature="d->d")
+        whiten = _umath_linalg.inv(chol, signature="d->d")
+        eigvecs = _umath_linalg.eigh_lo(whiten @ cov_i @ whiten.T, signature="d->dd")[1]
     to_frame = eigvecs.T @ whiten
     var_i = ((to_frame @ cov_i) * to_frame).sum(1)
     var_j = ((to_frame @ cov_j) * to_frame).sum(1)

@@ -143,9 +143,12 @@ class GaussianDensity:
         scale = np.abs(c).max()
         if not (np.isfinite(m).all() and math.isfinite(scale)):
             raise ValueError("mean and covariance must be finite")
-        if scale > 0 and np.abs(0.5 * c - 0.5 * c.T).max() > 0.5e-12 * scale:
+        if scale == 0:
+            raise ValueError("covariance must be positive definite")
+        if np.abs(0.5 * c - 0.5 * c.T).max() > 0.5e-12 * scale:
             raise ValueError("covariance must be symmetric")
-        eig = np.linalg.eigvalsh(c)
+        # on c / scale, so that no eigenvalue overflows and both checks are scale-free
+        eig = np.linalg.eigvalsh(c / scale)
         if eig[0] <= 0:
             raise ValueError("covariance must be positive definite")
         if eig[-1] / eig[0] > COV_CONDITION_LIMIT:

@@ -260,6 +260,36 @@ MUTANTS = [
         "_bernoulli_alpha(alpha_i, alpha_j, 1.0 - omega, 0.0), clamped)",
         ["tests/test_fusion.py"],
     ),
+    # the eigenvalue checks run on c, whose larger eigenvalue overflows near the float maximum
+    (
+        "model.py",
+        "eig = np.linalg.eigvalsh(c / scale)",
+        "eig = np.linalg.eigvalsh(c)",
+        ["tests/test_gaussian.py", "tests/test_scenarios_cli.py"],
+    ),
+    # the scaled evaluator shrinks c_i - c_j by 2^(1-p), not 2^-p
+    (
+        "gaussian.py",
+        "shrink, grow = math.ldexp(1.0, -p),",
+        "shrink, grow = math.ldexp(2.0, -p),",
+        ["tests/test_gaussian.py"],
+    ),
+    # the grid divergence is clipped at 1, not at 0
+    ("quadrature.py", "return max(val, 0.0)", "return max(val, 1.0)", ["tests/test_quadrature.py"]),
+    # the frame's eigenvectors are read from the upper triangle, which moves their last bits
+    (
+        "gaussian.py",
+        "_umath_linalg.eigh_lo(",
+        "_umath_linalg.eigh_up(",
+        ["tests/test_gaussian.py::TestFrameBuild"],
+    ),
+    # a failed factorisation gives NaNs, not LinAlgError
+    (
+        "gaussian.py",
+        'call=_factorisation_failed, invalid="call"',
+        'call=_factorisation_failed, invalid="ignore"',
+        ["tests/test_gaussian.py::TestFrameBuild"],
+    ),
 ]
 
 # Mutants no test can kill, each with the reason; they run and are reported,

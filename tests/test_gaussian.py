@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -248,6 +249,98 @@ class TestPairEvaluator:
             )
 
 
+def _public_frame(rho_i, rho_j):
+    """The pair frame built through the public ``np.linalg`` wrappers: the
+    (c_i, c_j, d) triples and the map T back to space."""
+    cov_i, cov_j = rho_i.cov, rho_j.cov
+    tr_i, tr_j = sum(cov_i.diagonal().tolist()), sum(cov_j.diagonal().tolist())
+    chol = np.linalg.cholesky(cov_i / tr_i + cov_j / tr_j)
+    whiten = np.linalg.inv(chol)
+    eigvecs = np.linalg.eigh(whiten @ cov_i @ whiten.T)[1]
+    to_frame = eigvecs.T @ whiten
+    var_i = ((to_frame @ cov_i) * to_frame).sum(1)
+    var_j = ((to_frame @ cov_j) * to_frame).sum(1)
+    delta = to_frame @ (rho_j.mean - rho_i.mean)
+    return list(zip(var_i.tolist(), var_j.tolist(), delta.tolist())), chol @ eigvecs
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestFrameBuild:
+    """``_pair`` calls LAPACK's kernels directly; its frame, evaluations and
+    fused density equal, bit for bit, those of a build through the public
+    ``np.linalg`` wrappers and of the fused density symmetrised as
+    0.5 (C + C')."""
+
+    WEIGHTS = (1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6)
+
+    @staticmethod
+    def random_pair(rng):
+        dim = int(rng.integers(1, 5))
+        scale = 10.0 ** rng.uniform(-150, 150)
+        covs = []
+        for _ in range(2):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            eig = np.exp(rng.uniform(0.0, math.log(0.99e12), dim)) * (scale * 10.0 ** rng.uniform(-3, 3))
+            covs.append(0.5 * ((q * eig) @ q.T + ((q * eig) @ q.T).T))
+        # offsets from about one to far past 2^480 standard deviations
+        offset = rng.standard_normal(dim) * math.sqrt(scale) * 10.0 ** rng.uniform(0, 200)
+        mean = rng.uniform(-1, 1, dim) * math.sqrt(scale)
+        return sf.GaussianDensity(mean, covs[0]), sf.GaussianDensity(mean + offset, covs[1])
+
+    @staticmethod
+    def reference(frame, pair, w):
+        """log z_w, slope and curvature as ``_pair`` documents them: the plain
+        sums, or the scaled ones where those are not finite past 2^960."""
+        fused = gaussian._sums(frame, pair, 0)(w)
+        if max(d * d / min(c_i, c_j) for c_i, c_j, d in frame) <= 2.0**960:
+            return fused
+        if math.isfinite(fused.slope) and math.isfinite(fused.curvature):
+            return fused
+        p = 1 + max(math.frexp(d)[1] - math.frexp(math.sqrt(min(c_i, c_j)))[1] for c_i, c_j, d in frame)
+        return gaussian._sums(frame, pair, p)(w)
+
+    @staticmethod
+    def reference_density(frame, to_space, origin, w):
+        r = [1.0 / ((1.0 - w) * c_j + w * c_i) for c_i, c_j, _ in frame]
+        var = [min(c_i, c_j) * (max(c_i, c_j) * r_k) for (c_i, c_j, _), r_k in zip(frame, r)]
+        shift = [w * (c_i * r_k) * d for (c_i, _, d), r_k in zip(frame, r)]
+        cov = (to_space * var) @ to_space.T
+        return origin + to_space @ shift, 0.5 * (cov + cov.T)
+
+    def test_matches_the_public_wrappers_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        far = 0
+        for _ in range(300):
+            rho_i, rho_j = self.random_pair(rng)
+            at = gaussian._pair(rho_i, rho_j)
+            frame, to_space = _public_frame(rho_i, rho_j)
+            pair = (frame, to_space, rho_i.mean)
+            got_frame, got_to_space, origin = at(0.5).pair
+            assert _same_bits(got_frame, frame) and _same_bits(got_to_space, to_space)
+            assert origin is rho_i.mean
+            far += max(d * d / min(c_i, c_j) for c_i, c_j, d in frame) > 2.0**960
+            for w in self.WEIGHTS:
+                fused, expected = at(w), self.reference(frame, pair, w)
+                assert all(_same_bits(x, y) for x, y in zip(fused[:3], expected[:3])), (rho_i, rho_j, w)
+                density = fused.density()
+                mean, cov = self.reference_density(frame, to_space, rho_i.mean, w)
+                assert _same_bits(density.mean, mean) and _same_bits(density.cov, cov), (rho_i, rho_j, w)
+        # both evaluators are pinned
+        assert 30 <= far <= 270
+
+    def test_factorisation_failure_raises_linalg_error(self):
+        # a covariance that bypasses the checks: the trace-scaled sum is not positive definite
+        rho_i = sf.GaussianDensity._trusted(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                gaussian._pair(rho_i, UNIT)
+
+
 def _exact_diagonal_pair(var_i, var_j, offset, w):
     """log z_w, slope and curvature of a pair with diagonal covariances
     var_i and var_j and means ``offset`` apart, in ``decimal`` at 50 digits,
@@ -352,6 +445,26 @@ class TestFarApartPairs:
         w, _, z, _ = solvers.newton_localisation(*self.pair(offset, scale, (4.0, 1.0)), config)
         assert w == pytest.approx(2.0 / 3.0, abs=1e-9) and z == 0.0
 
+    # the first pair's d^2 / min(c_i, c_j) is 2^959.8, just below the threshold
+    # at which _pair builds the scaled evaluator; on the second, the
+    # c_i - c_j terms are not lost beside the d^2 ones
+    @pytest.mark.parametrize("offset", [2.0**479.9, 3.0])
+    def test_scaled_sums_are_the_plain_ones_over_4_to_the_p(self, offset):
+        rho_i = sf.GaussianDensity([0.0, 0.0], np.diag([1.0, 3.0]))
+        rho_j = sf.GaussianDensity([offset, -1.0], np.diag([4.0, 0.5]))
+        pair = gaussian._pair(rho_i, rho_j)(0.5).pair
+        frame = pair[0]
+        assert max(d * d / min(c_i, c_j) for c_i, c_j, d in frame) < 2.0**960
+        p = 1 + max(math.frexp(d)[1] - math.frexp(math.sqrt(min(c_i, c_j)))[1] for c_i, c_j, d in frame)
+        plain, scaled = gaussian._sums(frame, pair, 0), gaussian._sums(frame, pair, p)
+        ws = np.array([1e-6, 0.3, 0.5, 0.9, 1.0 - 1e-6])
+        for w in [*ws, ws]:
+            expected, got = plain(w), scaled(w)
+            assert np.isfinite(expected.slope).all() and np.isfinite(got.slope).all()
+            np.testing.assert_allclose(np.ldexp(got.slope, 2 * p), expected.slope, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(np.ldexp(got.curvature, 2 * p), expected.curvature, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(got.log_z, expected.log_z, rtol=1e-15, atol=0.0)
+
     def test_consistent_fusion(self):
         f_i, f_j = (sf.BernoulliRfs(alpha, loc) for alpha, loc in zip((0.8, 0.6), self.pair(1.4e154, 1.0)))
         result = solvers.consistent_fuse(f_i, f_j, sf.NewtonConfig())
@@ -395,6 +508,16 @@ class TestTopOfFloatRange:
         assert (sf.GaussianDensity([0.0, 0.0], cov).cov == cov).all()
         with pytest.raises(ValueError, match="symmetric"):
             sf.GaussianDensity([0.0, 0.0], [[1e308, 1e308], [-1e308, 1e308]])
+
+    def test_covariance_whose_eigenvalue_overflows_is_accepted(self):
+        # condition number 19; its larger eigenvalue, 1.9e308, is past the float range
+        cov = np.array([[1e308, 9e307], [9e307, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = sf.GaussianDensity([0.0, 0.0], cov)
+        assert (rho.cov == cov).all()
+        with pytest.raises(sf.IncompatibleInputs, match="within 1e\\+300"):
+            gaussian._pair(rho, UNIT)
 
     @pytest.mark.parametrize("mean_j, scale", [
         ((1e308, 0.0), 1.0),

@@ -608,6 +608,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: inputs have disjoint supports" in err
 
+    def test_covariance_whose_eigenvalue_overflows_exits_2_at_the_pair_limit(self, tmp_path, capsys):
+        # condition number 19, so the covariance is accepted; its trace, 2e308, is past the pair limit
+        payload = bernoulli_payload()
+        payload["inputs"][0]["loc"]["cov"] = [[1e308, 9e307], [9e307, 1e308]]
+        path = write_scenario(tmp_path, payload)
+        for mode in ("p2", "consistent"):
+            assert main(["fuse", "--scenario", str(path), "--mode", mode, "--out", str(tmp_path / mode)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: inputs do not form a localisation pair: Gaussian means and covariance "
+                                  "traces must lie within 1e+300"), err
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, literal):
         payload = {
