@@ -2,15 +2,17 @@
 
     setfuse fuse --scenario s.json --mode p2|consistent --out dir
     setfuse sweep --scenario s.json --out dir
-    setfuse reproduce ex1|ex2|ex3|ex4 --out dir
+    setfuse reproduce ex1|ex2|ex3|ex4 [...] --out dir
 
-Every command loads its scenario (``fuse``, ``sweep``), computes a report,
-prints its check verdicts, writes it, and prints each path written and then
-the report's own lines.
+Every command loads its scenario (``fuse``, ``sweep``), computes a report
+(one per example for ``reproduce``, each written under ``dir/exN``), prints
+its check verdicts, writes it, and prints each path written and then the
+report's own lines.
 
-Exit codes: 0 success, 2 bad input, inputs that cannot be fused together
-or an output path that cannot be written, 3 solver failure. Any other
-exception is a bug and shows its traceback.
+Exit codes: 0 success, 1 a check printed FAIL (after every file is
+written), 2 bad input, inputs that cannot be fused together or an output
+path that cannot be written, 3 solver failure. Any other exception is a
+bug and shows its traceback.
 Set SETFUSE_LOG=error|warn|info|debug to control logging; any other value
 warns and runs at warn. Every argument changes what is fused or where it is
 written; an unknown one exits 2. ``--out`` overrides a scenario's
@@ -40,6 +42,7 @@ _LOG_LEVELS = {
 }
 
 EXIT_OK = 0
+EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
@@ -55,10 +58,11 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
-def _report(args):
-    """Load and compute one command: its ``Report`` and output directory."""
+def _reports(args) -> list:
+    """Load and compute one command: a ``Report`` and output directory per example or scenario."""
     if args.command == "reproduce":
-        return experiment_report(args.example), Path("out" if args.out is None else args.out) / args.example
+        out = Path("out" if args.out is None else args.out)
+        return [(experiment_report(example), out / example) for example in args.example]
     scenario = load_scenario(args.scenario)
     out = scenario.out_dir if args.out is None else args.out
     if args.out is not None and scenario.out_dir is not None:
@@ -66,24 +70,26 @@ def _report(args):
               file=sys.stderr)
     if out is None:
         raise ScenarioError("no output directory: pass --out or set 'outputs' in the scenario")
-    return fuse_scenario(scenario, args.mode)[1] if args.command == "fuse" else sweep_report(scenario), out
+    return [(fuse_scenario(scenario, args.mode)[1] if args.command == "fuse" else sweep_report(scenario), out)]
 
 
 def _run(args) -> int:
     """Run one command through the stages in the module docstring."""
-    report, out = _report(args)
-    for line in report.verdicts():
-        print(line)
-    try:
-        paths = write_report(report, out)
-    except OSError as exc:
-        print(f"error: cannot write {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INPUT
-    for path in paths:
-        print(f"wrote {path}")
-    for line in report.lines:
-        print(line)
-    return EXIT_OK
+    failed = False
+    for report, out in _reports(args):
+        for line in report.verdicts():
+            print(line)
+        failed |= not all(ok for _, ok, _ in report.checks)
+        try:
+            paths = write_report(report, out)
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT
+        for path in paths:
+            print(f"wrote {path}")
+        for line in report.lines:
+            print(line)
+    return EXIT_CHECK if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", parents=[common], help="run the scenario's (kappa, omega) sweep")
     sweep.add_argument("--scenario", required=True, help="scenario JSON path")
 
-    rep = sub.add_parser("reproduce", parents=[common], help="rebuild a built-in experiment")
-    rep.add_argument("example", choices=EXAMPLE_IDS)
+    rep = sub.add_parser("reproduce", parents=[common], help="rebuild built-in experiments")
+    rep.add_argument("example", nargs="+", choices=EXAMPLE_IDS)
 
     return parser
 

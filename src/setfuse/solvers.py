@@ -139,11 +139,12 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
     evaluate(w) gives log z, l' and l'' as ``log_z``, ``slope`` and
     ``curvature``, with l = log z. l'' is a variance, so l' is
     nondecreasing in w and its sign brackets the stationary point; Newton
-    proposals that exit the bracket or fail to shrink |l'| fall back to
-    bisection. Returns the weight, the evaluation there (whose ``density()``
-    builds the fused density) and the trace. A recorded slope or curvature
-    that is not finite raises ``SolverError``, with that record last in the
-    trace, since no bracket can be read from it.
+    proposals that exit the bracket, step more than half the step before
+    last, or fail to shrink |l'| fall back to bisection. Returns the weight,
+    the evaluation there (whose ``density()`` builds the fused density) and
+    the trace. A recorded slope or curvature that is not finite raises
+    ``SolverError``, with that record last in the trace, since no bracket
+    can be read from it.
     """
     records = []
 
@@ -162,6 +163,7 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
     w = min(max(config.omega_init, lo), hi)
     at_w = evaluate(w)
     slope, curvature = record(w, at_w)
+    before_last = step = math.inf
     for iteration in range(1, config.max_iters + 1):
         if slope == 0.0 and curvature == 0.0:  # flat: every weight fuses alike
             return w, at_w, NewtonTrace(tuple(records), True, iteration - 1)
@@ -172,7 +174,7 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
         newton_ok = curvature > 0.0
         if newton_ok:
             cand = w - slope / curvature
-            newton_ok = lo <= cand <= hi
+            newton_ok = lo <= cand <= hi and abs(cand - w) <= 0.5 * before_last
         if not newton_ok:
             cand = 0.5 * (lo + hi)
         at_cand = evaluate(cand)
@@ -180,7 +182,7 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
         if newton_ok and abs(at_cand.slope) > abs(slope):
             cand = 0.5 * (lo + hi)
             at_cand = evaluate(cand)
-        step = abs(cand - w)
+        before_last, step = step, abs(cand - w)
         w, at_w = cand, at_cand
         slope, curvature = record(w, at_w)
         if step <= config.epsilon:

@@ -174,7 +174,7 @@ def report(argv: list[str]) -> tuple[scenarios.Report, str]:
     """The ``Report`` one command computes, in process and without writing,
     and the directory it would write to, relative to ``{out}``."""
     places = {"out": "out", "golden": GOLDEN, "scenarios": SCENARIOS}
-    computed, out = cli._report(cli.build_parser().parse_args([arg.format(**places) for arg in argv]))
+    ((computed, out),) = cli._reports(cli.build_parser().parse_args([arg.format(**places) for arg in argv]))
     return computed, Path(out).relative_to("out").as_posix()
 
 

@@ -126,10 +126,12 @@ MUTANTS = [
     # an --out that cannot be written exits 3, as a solver failure
     (
         "cli.py",
-        "file=sys.stderr)\n        return EXIT_INPUT\n    for path in paths:",
-        "file=sys.stderr)\n        return EXIT_SOLVER\n    for path in paths:",
+        "file=sys.stderr)\n            return EXIT_INPUT\n        for path in paths:",
+        "file=sys.stderr)\n            return EXIT_SOLVER\n        for path in paths:",
         ["tests/test_scenarios_cli.py"],
     ),
+    # a reproduction check that prints FAIL still exits 0
+    ("cli.py", "return EXIT_CHECK if failed else EXIT_OK", "return EXIT_OK", ["tests/test_scenarios_cli.py"]),
     # two densities count as one when their first stored arrays (mean, or grid origin) agree
     (
         "solvers.py",
@@ -289,6 +291,41 @@ MUTANTS = [
         'call=_factorisation_failed, invalid="call"',
         'call=_factorisation_failed, invalid="ignore"',
         ["tests/test_gaussian.py::TestFrameBuild"],
+    ),
+    # a Newton step longer than half the step before last is taken, so a
+    # solve on an exponential-like slope creeps about 0.01 per step
+    (
+        "solvers.py",
+        "newton_ok = lo <= cand <= hi and abs(cand - w) <= 0.5 * before_last",
+        "newton_ok = lo <= cand <= hi",
+        ["tests/test_solvers.py::TestNewtonLocalisation::test_creeping_grid_pair_converges"],
+    ),
+    # a Newton candidate whose |l'| grows is kept instead of bisected
+    (
+        "solvers.py",
+        "        if newton_ok and abs(at_cand.slope) > abs(slope):\n"
+        "            cand = 0.5 * (lo + hi)\n"
+        "            at_cand = evaluate(cand)\n",
+        "",
+        ["tests/test_solvers.py::TestNewtonLocalisation::test_newton_step_that_grows_the_slope_is_rejected"],
+    ),
+    # the default weight clamp doubles
+    ("solvers.py", "omega_clamp: float = 1e-6", "omega_clamp: float = 2e-6", ["tests/test_solvers.py"]),
+    # an all-zero covariance is scaled by its largest entry, 0 / 0
+    (
+        "model.py",
+        '        if scale == 0:\n            raise ValueError("covariance must be positive definite")\n',
+        "",
+        ["tests/test_model.py::TestGaussianDensity"],
+    ),
+    # the sweep determinant is sigma1_sq^3 / kappa
+    ("scenarios.py", "det = self.sigma1_sq**2 / kappa", "det = self.sigma1_sq**3 / kappa", ["tests/test_scenarios_cli.py"]),
+    # the underflow test multiplies by the kappa end instead of dividing
+    (
+        "scenarios.py",
+        "(sweep.det_sigma or sweep.sigma1_sq**2 / end)",
+        "(sweep.det_sigma or sweep.sigma1_sq**2 * end)",
+        ["tests/test_scenarios_cli.py"],
     ),
 ]
 

@@ -81,9 +81,11 @@ def check_csvs(out: Path) -> None:
 def check_run(path: Path, tmp: Path) -> list[int]:
     """Run each command on the scenario at ``path`` and check its outcome:
     exit 0, 2 or 3; exit 2 with one ``error:`` line and no file written;
-    exit 3 only with ``solver error:``; no Python warning and no traceback;
-    on exit 0, finite CSV numbers, weights in [0, 1] and, in consistent
-    mode, fused counts that never drop below both inputs. Any exception
+    exit 3 only with ``solver error:``, and only from a scenario whose
+    solver block sets a field (the default solver always finishes); no
+    Python warning and no traceback; on exit 0, finite CSV numbers,
+    weights in [0, 1] and, in consistent mode, fused counts that never drop
+    below both inputs. Any exception
     other than the typed ones escapes ``cli.main`` and fails the test.
     Returns the exit codes."""
     codes = []
@@ -110,6 +112,7 @@ def check_run(path: Path, tmp: Path) -> list[int]:
             assert not out.exists()
         elif code == 3:
             assert err.startswith("solver error:"), err
+            assert json.loads(path.read_text(encoding="utf-8")).get("solver"), err
         else:
             assert err == "", err
             check_csvs(out)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -65,6 +66,14 @@ class TestGaussianDensity:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError, match="positive definite"):
             sf.GaussianDensity([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_rejects_zero_covariance_without_a_warning(self):
+        # scaled by its largest entry, an all-zero covariance would be 0 / 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="positive definite"):
+                sf.GaussianDensity([0, 0], np.zeros((2, 2)))
+        assert not caught, [str(w.message) for w in caught]
 
     def test_rejects_non_finite_parameters(self):
         with pytest.raises(ValueError, match="finite"):

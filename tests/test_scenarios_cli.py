@@ -4,16 +4,13 @@ import dataclasses
 import json
 import logging
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import setfuse as sf
-from setfuse import cli, scenarios
+from setfuse import cli, gaussian, scenarios
 from setfuse.cli import main
 from setfuse.solvers import SINGLE_COUNT_FLAG
 from conftest import binomial_pmf, disjoint_grids
@@ -161,6 +158,21 @@ class TestRunSweep:
             row = next(csv.DictReader(fh))
         assert float(row["z_omega"]) == pytest.approx(1.0, abs=1e-12)
         assert float(row["alpha_omega"]) == pytest.approx(0.8, abs=1e-12)
+
+    def test_sigma1_sq_sets_the_determinant(self, tmp_path):
+        # det Sigma = sigma1_sq^2 / kappa, with both axes rotated 45 degrees
+        payload = bernoulli_payload(sweep={"kappa": [1.0, 8.0, 3], "omega": [0.0, 1.0, 3], "sigma1_sq": 3.0})
+        sweep = scenarios.load_scenario(write_scenario(tmp_path, payload)).sweep
+        for kappa in sweep.kappa_grid():
+            expected = [gaussian.make_rotated_covariance(kappa, 9.0 / kappa, phi) for phi in (math.pi / 4, -math.pi / 4)]
+            np.testing.assert_array_equal(sweep.covariances(kappa), expected)
+
+    def test_scale_underflowing_at_the_top_kappa_is_named(self, tmp_path):
+        # 1e-158 squared is 1e-316, a valid determinant at kappa = 1 that
+        # rounds to 0 at kappa = 1e12
+        sweep = {"kappa": [1.0, 1e12, 3], "omega": [0.0, 1.0, 3], "sigma1_sq": 1e-158}
+        with pytest.raises(scenarios.ScenarioError, match=r"^sweep covariance at kappa = 1e\+12 underflows$"):
+            scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload(sweep=sweep)))
 
     def test_bytes_identical_across_runs_and_workers(self, tmp_path):
         payload = bernoulli_payload(
@@ -389,16 +401,33 @@ class TestReproduce:
         with pytest.raises(scenarios.ScenarioError, match="unknown example"):
             scenarios.experiment_report("ex9")
 
-    def test_reproduce_all_script_passes_every_check(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "reproduce_all.py"), "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        verdicts = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")]
+    def test_reproduce_every_example_passes_every_check(self, tmp_path, capsys):
+        # one run of all four prints and writes what four single runs do
+        alone, every = tmp_path / "alone", tmp_path / "every"
+        stdout = []
+        for example in scenarios.EXAMPLE_IDS:
+            assert main(["reproduce", example, "--out", str(alone)]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert main(["reproduce", *scenarios.EXAMPLE_IDS, "--out", str(every)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.replace(str(every), str(alone)) == "".join(stdout)
+        verdicts = [line.split()[0] for line in printed.splitlines() if line.startswith(("PASS", "FAIL"))]
         assert verdicts == ["PASS"] * 22
+        files = sorted(path.relative_to(alone) for path in alone.glob("*/*"))
+        assert files == sorted(path.relative_to(every) for path in every.glob("*/*"))
+        for name in files:
+            assert (every / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_failed_check_exits_1_after_every_file_is_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(scenarios.EXPECTED_OMEGA_CARD, "low", 0.9)
+        assert main(["reproduce", "ex4", "ex3", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL low pair optimal weight matches reference")
+        assert sum(line.startswith("PASS") for line in lines) == 12
+        wrote = sorted(Path(line.removeprefix("wrote ")) for line in lines if line.startswith("wrote "))
+        assert wrote == sorted(tmp_path.glob("ex*/*")) and {path.parent.name for path in wrote} == {"ex3", "ex4"}
+        assert failed[0] in (tmp_path / "ex4" / "summary.txt").read_text(encoding="utf-8").splitlines()
 
 
 def _set(*keys_and_value):

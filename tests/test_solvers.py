@@ -149,6 +149,42 @@ class TestNewtonLocalisation:
         assert trace.converged
         assert 0.0 < omega < 1.0
 
+    def test_default_clamp_bounds_the_start(self):
+        # a start at an end of [0, 1] moves in to the default clamp, 1e-6
+        for start, first in ((0.0, 1e-6), (1.0, 1.0 - 1e-6)):
+            _, _, _, trace = sf.newton_localisation(UNIT, SHIFTED, sf.NewtonConfig(omega_init=start))
+            assert trace.converged and trace.records[0].omega == first
+
+    def test_creeping_grid_pair_converges(self):
+        # one shared cell holds the mass; on every other joint cell q is
+        # about -99, so l' < 0 at every weight with l'' / |l'| near 99, and
+        # each plain Newton step moves w by about 0.01: 50 of them end at
+        # w = 0.9974. A Newton step longer than half the step before last
+        # bisects instead.
+        rho_i = sf.GridDensity([1000.0], [624.1], [1.6e-3, 1e-40, 1e-45, 0.0, 1e-42])
+        rho_j = sf.GridDensity([1000.0], [624.1], [1.6e-3, 1e-83, 1e-88, 0.0, 1e-85])
+        omega, _, _, trace = sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig())
+        assert trace.converged and trace.iterations <= 20
+        assert 1.0 - 1e-4 < omega < 1.0
+        assert all(record.slope < 0.0 for record in trace.records)
+
+    def test_newton_step_that_grows_the_slope_is_rejected(self):
+        # from w = 0.5 the Newton step lands at w = 0.91, where |l'| is
+        # larger; that evaluation is dropped unrecorded and w bisects to 0.75
+        evaluate = solvers._localisation_pair(sf.GaussianDensity([0.0], [[1.0]]), sf.GaussianDensity([1.0], [[25.0]]))
+        weights = []
+
+        def recording(w):
+            weights.append(w)
+            return evaluate(w)
+
+        omega, _, trace = solvers._newton_weight(recording, sf.NewtonConfig())
+        iterates = [record.omega for record in trace.records]
+        assert weights == [0.5, pytest.approx(0.9104364801320559, rel=1e-9), *iterates[1:]]
+        expected = [0.5, 0.7499995, 0.7340946065575147, 0.7331741072498846, 0.7331713280358202]
+        assert iterates == pytest.approx(expected, rel=1e-9)
+        assert omega == iterates[-1] and trace.iterations == 4
+
     def test_mixed_representation_rejected(self):
         grid = quadrature.discretize_gaussians([UNIT])[0]
         with pytest.raises(TypeError, match="share a representation"):
