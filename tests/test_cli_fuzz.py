@@ -85,9 +85,8 @@ def check_run(path: Path, tmp: Path) -> list[int]:
     solver block sets a field (the default solver always finishes); no
     Python warning and no traceback; on exit 0, finite CSV numbers,
     weights in [0, 1] and, in consistent mode, fused counts that never drop
-    below both inputs. Any exception
-    other than the typed ones escapes ``cli.main`` and fails the test.
-    Returns the exit codes."""
+    below both inputs. Any exception other than the typed ones escapes
+    ``cli.main`` and fails the test. Returns the exit codes."""
     codes = []
     for index, argv in enumerate(COMMANDS):
         out = tmp / f"out{index}"
