@@ -183,12 +183,51 @@ class GaussianDensity:
         warning.
         """
         x = _point_rows(points, self.dim)
+
+        def squares(inv_chol):
+            w = inv_chol @ np.subtract(x.T, self.mean[:, None], order="C")
+            return np.einsum("ij,ij->j", w, w)
+
+        return self._log_density(squares)
+
+    def _log_evaluate_lattice(self, axes: list[np.ndarray]) -> np.ndarray:
+        """``log_evaluate`` at every point of the lattice whose coordinate k
+        runs over ``axes[k]``, shaped (len(axes[0]), ..., len(axes[d-1])).
+
+        The inverse Cholesky factor is lower-triangular, so whitened
+        coordinate r, sum over k <= r of inv_chol[r, k] (a_k - m_k), is a
+        broadcast sum of per-axis vectors and spans axes 0..r only. No point
+        is stored: only coordinate d-1 and the sum of squares span the whole
+        lattice.
+        """
+        dim = self.dim
+
+        def squares(inv_chol):
+            # offset k as a column over axis k, broadcast against the later axes
+            offsets = [
+                np.subtract(axis, m).reshape((-1,) + (1,) * (dim - 1 - k))
+                for k, (axis, m) in enumerate(zip(axes, self.mean))
+            ]
+            maha = 0.0
+            for r in range(dim):
+                w = inv_chol[r, 0] * offsets[0]
+                for k in range(1, r + 1):
+                    w = w + inv_chol[r, k] * offsets[k]
+                w *= w
+                w += maha
+                maha = w
+            return maha
+
+        return self._log_density(squares)
+
+    def _log_density(self, squares) -> np.ndarray:
+        """-1/2 (squares(inverse Cholesky factor) + d log 2 pi + log det):
+        the log density from its squared Mahalanobis distances. Overflow
+        in ``squares`` is silent, and a NaN there, which only an overflow
+        gives (inf - inf or 0 * inf), reads +inf."""
         chol = np.linalg.cholesky(self.cov)
         with np.errstate(over="ignore", invalid="ignore"):
-            delta = np.subtract(x.T, self.mean[:, None], order="C")
-            w = np.linalg.inv(chol) @ delta
-            maha = np.einsum("ij,ij->j", w, w)
-            # only an overflow gives NaN here (inf - inf or 0 * inf)
+            maha = squares(np.linalg.inv(chol))
             maha[np.isnan(maha)] = np.inf
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         maha += self.dim * math.log(2 * math.pi) + logdet
@@ -235,7 +274,7 @@ class GridDensity:
             raise ValueError("values must have one axis per dimension")
         if np.any(vals < 0):
             raise ValueError("grid density values must be nonnegative")
-        mass = float(vals.sum()) * float(np.prod(cell))
+        mass = float(vals.sum()) * math.prod(cell.tolist())
         if not abs(mass - 1.0) <= GRID_MASS_TOL:  # also rejects NaN and inf
             raise ValueError(f"grid mass {mass!r} too far from 1 to renormalize")
         _set_frozen(self, origin=origin, cell_size=cell, values=vals / mass)

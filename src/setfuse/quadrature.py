@@ -93,8 +93,10 @@ def tilted_log_moments(
     ``log_extra``, a scalar or an array shaped like ``a``, goes into log a
     alone, since (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The log ratio is
     squared once, on the first moment read of any evaluation (see
-    ``_Fused``). ``points`` counts the joint-support entries; with none, it
-    raises ``IncompatibleInputs``.
+    ``_Fused``). With no ``log_extra`` the arrays are taken to hold at most
+    unit mass (volume times sum), so Hoelder's inequality bounds z_w by 1,
+    and ``log_z`` is clipped at 0 against rounding. ``points`` counts the
+    joint-support entries; with none, it raises ``IncompatibleInputs``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a = np.log(a)
@@ -109,8 +111,10 @@ def tilted_log_moments(
             raise IncompatibleInputs(DISJOINT_SUPPORT)
         log_a[off] = -np.inf
         log_ratio[off] = 0.0
+    log_cap = 0.0
     if isinstance(log_extra, np.ndarray) or log_extra:
         log_a += log_extra
+        log_cap = math.inf
     log_scale = math.log(volume)
     # q, q^2 (squared on the first moment read), the cell volume and build
     pair = [log_ratio, None, volume, build]
@@ -122,9 +126,9 @@ def tilted_log_moments(
             terms = np.exp(logs, out=logs)
             total = float(terms.sum())
         if _LOW_TOTAL <= total <= _HIGH_TOTAL:
-            return _Fused(math.log(total) + log_scale, terms, total, pair)
+            return _Fused(min(math.log(total) + log_scale, log_cap), terms, total, pair)
         log_sum, rel, total = _shifted_sum(log_ratio * omega + log_a)
-        return _Fused(float(log_sum + log_scale), rel, total, pair)
+        return _Fused(min(float(log_sum + log_scale), log_cap), rel, total, pair)
 
     evaluate.points = points
     return evaluate
@@ -158,7 +162,8 @@ def discretize_gaussians(
     standard deviations, so the truncated mass is negligible at default
     settings. ``points_per_axis`` must be an integer >= 1 (not a bool) and
     ``extent_sigmas`` finite and positive; a lattice too coarse to hold unit
-    mass within 1% is rejected by ``GridDensity``.
+    mass within 1%, or whose box or cell volume passes the float range, is
+    rejected by ``GridDensity``, with no warning.
     """
     integer = isinstance(points_per_axis, (int, np.integer)) and not isinstance(points_per_axis, bool)
     if not (integer and points_per_axis >= 1):
@@ -173,16 +178,17 @@ def discretize_gaussians(
     if any(g.dim != dim for g in gaussians):
         raise ValueError("Gaussian dimensions do not match")
     sig = [np.sqrt(np.diag(g.cov)) for g in gaussians]
-    lo = np.min([g.mean - extent_sigmas * s for g, s in zip(gaussians, sig)], axis=0)
-    hi = np.max([g.mean + extent_sigmas * s for g, s in zip(gaussians, sig)], axis=0)
-    cell = (hi - lo) / points_per_axis
-    axes = [lo[k] + (np.arange(points_per_axis) + 0.5) * cell[k] for k in range(dim)]
-    # the cell centres, one row each, as a view of a coordinate-major array
-    centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
-    shape = (points_per_axis,) * dim
-    return [
-        GridDensity(lo, cell, g.evaluate(centers).reshape(shape)) for g in gaussians
-    ]
+    # a box past the float range is left to GridDensity's lattice checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.min([g.mean - extent_sigmas * s for g, s in zip(gaussians, sig)], axis=0)
+        hi = np.max([g.mean + extent_sigmas * s for g, s in zip(gaussians, sig)], axis=0)
+        cell = (hi - lo) / points_per_axis
+        axes = [lo[k] + (np.arange(points_per_axis) + 0.5) * cell[k] for k in range(dim)]
+    grids = []
+    for g in gaussians:
+        log_values = g._log_evaluate_lattice(axes)
+        grids.append(GridDensity(lo, cell, np.exp(log_values, out=log_values)))
+    return grids
 
 
 def grid_kld(p: GridDensity, q: GridDensity) -> float:

@@ -353,6 +353,17 @@ def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
     return result, Report([("fuse.csv", header, [row])], lines=[line])
 
 
+def _sweep_pair(scenario: Scenario, kappa: float) -> tuple[GaussianDensity, GaussianDensity]:
+    """The Gaussian pair of a sweep at one kappa: the input means with the
+    sweep's covariances, symmetrised as the public constructor does but not
+    checked again. Both frame variances are monotone in kappa, so the
+    checks at the two kappa ends cover every row."""
+    covs = scenario.sweep.covariances(kappa)
+    return tuple(
+        GaussianDensity._trusted(f.loc.mean, 0.5 * c + 0.5 * c.T) for f, c in zip((scenario.f_i, scenario.f_j), covs)
+    )
+
+
 def sweep_report(scenario: Scenario) -> Report:
     """The report of ``sweep``: sweep.csv, one row per (kappa, omega) cell
     in grid order. One pair evaluation per kappa covers its omega row; the
@@ -371,8 +382,7 @@ def sweep_report(scenario: Scenario) -> Report:
     log.info("sweeping %d x %d cells", len(kappas), len(omegas))
     rows = []
     for kappa in kappas:
-        cov_i, cov_j = sweep.covariances(kappa)
-        pair = gaussian._pair(GaussianDensity(f_i.loc.mean, cov_i), GaussianDensity(f_j.loc.mean, cov_j))
+        pair = gaussian._pair(*_sweep_pair(scenario, kappa))
         for omega, log_z in zip(omegas.tolist(), pair(omegas).log_z.tolist()):
             value = _count_summary(rule(omega, log_z)[0])
             rows.append((kappa, omega, math.exp(log_z), *inputs, value, value < min(inputs)))
@@ -530,14 +540,10 @@ def _reproduce_ex3() -> Report:
     scenario = two_sensor_scenario()
     sweep = scenario.sweep
     kappas = sweep.kappa_grid()
-    m_i, m_j = TWO_SENSOR_MEANS
     rows = []
     solved = {}
     for kappa in kappas:
-        cov_i, cov_j = sweep.covariances(float(kappa))
-        omega_star, fused, z_star, trace = newton_localisation(
-            GaussianDensity(m_i, cov_i), GaussianDensity(m_j, cov_j), scenario.solver
-        )
+        omega_star, fused, z_star, trace = newton_localisation(*_sweep_pair(scenario, float(kappa)), scenario.solver)
         rows.append((float(kappa), omega_star, trace.iterations, z_star))
         solved[float(kappa)] = (omega_star, fused)
     emd_rows = []

@@ -318,6 +318,41 @@ MUTANTS = [
         "",
         ["tests/test_model.py::TestGaussianDensity"],
     ),
+    # the lattice whitening reads the inverse Cholesky factor transposed
+    (
+        "model.py",
+        "                w = inv_chol[r, 0] * offsets[0]\n"
+        "                for k in range(1, r + 1):\n"
+        "                    w = w + inv_chol[r, k] * offsets[k]\n",
+        "                w = inv_chol[0, r] * offsets[0]\n"
+        "                for k in range(1, r + 1):\n"
+        "                    w = w + inv_chol[k, r] * offsets[k]\n",
+        ["tests/test_quadrature.py::TestDiscretization"],
+    ),
+    # an overflow's NaN squared distance stays NaN, so a lattice point where
+    # two whitened terms overflow with opposite signs reads NaN, not 0
+    (
+        "model.py",
+        "            maha[np.isnan(maha)] = np.inf\n",
+        "",
+        ["tests/test_quadrature.py::TestDiscretization::test_overflowing_lattices_are_rejected"],
+    ),
+    # the grid mass multiplies the cell sizes with np.prod, which warns on overflow
+    (
+        "model.py",
+        "mass = float(vals.sum()) * math.prod(cell.tolist())",
+        "mass = float(vals.sum()) * float(np.prod(cell))",
+        ["tests/test_model.py", "tests/test_quadrature.py::TestDiscretization"],
+    ),
+    # a discretisation box past the float range warns before it is rejected
+    (
+        "quadrature.py",
+        '    with np.errstate(over="ignore", invalid="ignore"):\n        lo = np.min(',
+        "    if True:\n        lo = np.min(",
+        ["tests/test_quadrature.py::TestDiscretization"],
+    ),
+    # grid z_w is not clipped at 1, so identical grids read 1 + 4 eps
+    ("quadrature.py", "    log_cap = 0.0\n", "    log_cap = math.inf\n", ["tests/test_quadrature.py::TestGridZ"]),
     # the sweep determinant is sigma1_sq^3 / kappa
     ("scenarios.py", "det = self.sigma1_sq**2 / kappa", "det = self.sigma1_sq**3 / kappa", ["tests/test_scenarios_cli.py"]),
     # the underflow test multiplies by the kappa end instead of dividing

@@ -62,8 +62,8 @@ def check_consistent(scenario, fused):
 
 
 def check_csvs(out: Path) -> None:
-    """Every CSV cell but the text columns is a finite number, and every
-    weight lies in [0, 1]."""
+    """Every CSV cell but the text columns is a finite number, every weight
+    lies in [0, 1], and every z_omega is at most 1."""
     for path in out.rglob("*.csv"):
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -75,6 +75,8 @@ def check_csvs(out: Path) -> None:
                 assert math.isfinite(value), (path.name, column, cell)
                 if column.startswith("omega"):
                     assert 0.0 <= value <= 1.0, (path.name, column, cell)
+                if column == "z_omega":
+                    assert value <= 1.0, (path.name, column, cell)
             assert row.get("inconsistent", "false") in ("true", "false")
 
 
@@ -84,9 +86,10 @@ def check_run(path: Path, tmp: Path) -> list[int]:
     exit 3 only with ``solver error:``, and only from a scenario whose
     solver block sets a field (the default solver always finishes); no
     Python warning and no traceback; on exit 0, finite CSV numbers,
-    weights in [0, 1] and, in consistent mode, fused counts that never drop
-    below both inputs. Any exception other than the typed ones escapes
-    ``cli.main`` and fails the test. Returns the exit codes."""
+    weights in [0, 1], z_omega at most 1 and, in consistent mode, fused
+    counts that never drop below both inputs. Any exception other than the
+    typed ones escapes ``cli.main`` and fails the test. Returns the exit
+    codes."""
     codes = []
     for index, argv in enumerate(COMMANDS):
         out = tmp / f"out{index}"

@@ -117,6 +117,11 @@ class TestGridDensity:
             with pytest.raises(ValueError, match="grid mass"):
                 sf.GridDensity([0.0], [0.1], vals)
 
+    def test_overflowing_cell_volume_is_a_mass_error(self):
+        # the volume is an overflow, not a warning: the mass check rejects it
+        with pytest.raises(ValueError, match="grid mass inf too far from 1"):
+            sf.GridDensity([0.0, 0.0], [1e200, 1e200], np.ones((2, 2)))
+
     def test_evaluate_inside_and_outside(self):
         grid = sf.GridDensity([0.0, 0.0], [0.5, 0.5], np.full((2, 2), 1.0))
         assert grid.evaluate([[0.25, 0.25]])[0] == pytest.approx(1.0)

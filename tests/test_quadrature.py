@@ -26,6 +26,15 @@ class TestGridZ:
         gi, _ = gaussian_grids
         assert grid_z_omega(gi, gi, 0.4) == pytest.approx(1.0, abs=1e-9)
 
+    def test_log_z_is_at_most_zero_without_an_extra_term(self):
+        """Ten cells of 0.1 at density 1 sum to 1 + 4 eps; Hoelder's bound
+        z_w <= 1 clips log z_w at 0. An extra log term is not clipped."""
+        g = sf.GridDensity([0.0], [0.1], np.full(10, 1.0))
+        for w in (0.3, 0.5):
+            assert quadrature.grid_log_moments(g, g)(w).log_z == 0.0
+        with_extra = quadrature.tilted_log_moments(g.values, g.values, None, g.cell_volume, log_extra=1.0)
+        assert with_extra(0.5).log_z == pytest.approx(1.0, rel=1e-15)
+
     def test_endpoint_weight(self, gaussian_grids):
         gi, gj = gaussian_grids
         assert grid_z_omega(gi, gj, 1.0) == pytest.approx(1.0, abs=1e-9)
@@ -487,19 +496,50 @@ class TestDiscretization:
             ({"extent_sigmas": -1.0}, "extent_sigmas must be finite and positive, got -1.0"),
             # valid but too coarse: one cell per axis holds the wrong mass
             ({"points_per_axis": 1}, "grid mass .* too far from 1"),
+            # valid but too wide: the box's width overflows
+            ({"extent_sigmas": 1e308}, "cell sizes must be positive and finite"),
         ],
         ids=["points-0", "points-neg", "points-float", "points-bool", "sigmas-nan", "sigmas-inf",
-             "sigmas-0", "sigmas-neg", "coarse-lattice"],
+             "sigmas-0", "sigmas-neg", "coarse-lattice", "box-overflows"],
     )
     def test_argument_errors_name_the_argument(self, setting, message):
         with pytest.raises(ValueError, match=message):
             quadrature.discretize_gaussians([UNIT, SHIFTED], **setting)
 
+    CORRELATED = np.array([[1.0, 0.999], [0.999, 1.0]])
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([sf.GaussianDensity([1.7e308, 0.0], np.eye(2)), UNIT], "grid mass 0.0 too far from 1"),
+            ([sf.GaussianDensity([0.0, 0.0], 1e308 * np.eye(2)), UNIT], "grid mass .* too far from 1"),
+            ([sf.GaussianDensity([1e200, 0.0], np.eye(2)), UNIT], "grid mass 0.0 too far from 1"),
+            # cells of about 1e305 per axis: the cell volume overflows
+            ([sf.GaussianDensity([0.0, 0.0], CORRELATED), sf.GaussianDensity([1e307, -1e307], CORRELATED)],
+             "grid mass nan too far from 1"),
+            # at the lattice corner (1e155, 1e155) whitened coordinate 1 of the
+            # first input is -inf + inf; that point reads 0, not NaN
+            ([sf.GaussianDensity([0.0, 0.0], 1e-305 * CORRELATED),
+              sf.GaussianDensity([1e155, 1e155], 1e-305 * CORRELATED)], "grid mass 0.0 too far from 1"),
+            # means 3e308 apart: the cell size overflows
+            ([sf.GaussianDensity([-1.5e308], [[1.0]]), sf.GaussianDensity([1.5e308], [[1.0]])],
+             "cell sizes must be positive and finite"),
+        ],
+        ids=["mean-1.7e308", "variance-1e308", "mean-1e200", "volume-overflows", "whitened-inf-minus-inf",
+             "cell-overflows"],
+    )
+    def test_overflowing_lattices_are_rejected(self, pair, message):
+        """Lattices whose offsets, squares, cell size or cell volume
+        overflow: each grid is rejected by its lattice or its mass, with no
+        RuntimeWarning (which the test configuration turns into an error)."""
+        with pytest.raises(ValueError, match=message):
+            quadrature.discretize_gaussians(pair)
+
     def test_accepts_numpy_integer_sizes(self):
         gi, _ = quadrature.discretize_gaussians([UNIT, SHIFTED], np.int64(41), np.float64(6.0))
         assert gi.values.shape == (41, 41)
 
-    @pytest.mark.parametrize("points, dim", [(100, 2), (200, 2), (40, 3)])
+    @pytest.mark.parametrize("points, dim", [(100, 2), (200, 2), (40, 3), (401, 1)])
     def test_matches_solve_oracle_on_grid_stream_lattices(self, points, dim):
         """Pairs like the grid-stream benchmark's: condition numbers up to 40,
         major variances 0.5-2, means drawn in [-2, 2]^d."""

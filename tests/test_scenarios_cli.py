@@ -708,9 +708,11 @@ class TestCli:
         ([math.nan, 0.0], [0.1, 0.1], "origin must be finite"),
         ([math.inf, 0.0], [0.1, 0.1], "origin must be finite"),
         ([0.0, 0.0], [0.1, math.nan], "cell sizes must be positive and finite"),
+        ([0.0, 0.0], [1e200, 1e200], "grid mass inf too far from 1 to renormalize"),
     ])
     def test_non_finite_lattice_exits_2(self, tmp_path, capsys, origin, cell, reason):
-        """A grid file whose lattice is not finite is rejected by name, at load."""
+        """A grid file whose lattice or cell volume is not finite is rejected
+        by name, at load."""
         np.savez(tmp_path / "bad.npz", origin=np.array(origin), cell_size=np.array(cell), values=np.ones((10, 10)))
         grid = {"grid": "bad.npz"}
         path = write_scenario(tmp_path, {"version": 1, "family": "bernoulli",
