@@ -228,7 +228,7 @@ class GaussianDensity:
         chol = np.linalg.cholesky(self.cov)
         with np.errstate(over="ignore", invalid="ignore"):
             maha = squares(np.linalg.inv(chol))
-            maha[np.isnan(maha)] = np.inf
+            np.fmin(maha, np.inf, out=maha)  # NaN -> inf, in one pass
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         maha += self.dim * math.log(2 * math.pi) + logdet
         maha *= -0.5

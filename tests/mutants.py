@@ -333,7 +333,7 @@ MUTANTS = [
     # two whitened terms overflow with opposite signs reads NaN, not 0
     (
         "model.py",
-        "            maha[np.isnan(maha)] = np.inf\n",
+        "            np.fmin(maha, np.inf, out=maha)  # NaN -> inf, in one pass\n",
         "",
         ["tests/test_quadrature.py::TestDiscretization::test_overflowing_lattices_are_rejected"],
     ),
