@@ -35,9 +35,11 @@ class _Fused:
     ``curvature``, the mean and variance of q = log b - log a under the terms
     (the first two w-derivatives of log z_w), are formed together on the
     first read of either, from two dot products: slope = E[q] and
-    curvature = E[q^2] - slope^2, clipped at 0. The evaluator squares q on
-    the first read of any of its evaluations, so a fixed-weight rule, which
-    reads no moments, never pays for it. The curvature's rounding error is
+    curvature = E[q^2] - slope^2, clipped at 0. The evaluator squares q into
+    its block's last row on the first read of any of its evaluations, so a
+    fixed-weight rule, which reads no moments, never pays for it. The terms
+    and ``density()``'s values are arrays of their own, never views of the
+    block. The curvature's rounding error is
     about eps (1 + slope^2 / curvature) relative; at the optimum the slope
     is 0."""
 
@@ -53,7 +55,7 @@ class _Fused:
         if self._moments is None:
             pair = self.pair
             if pair[1] is None:
-                pair[1] = pair[0] * pair[0]
+                pair[1] = np.multiply(pair[0], pair[0], out=pair[2][2])
             slope = float(np.vdot(self.rel, pair[0])) / self.total
             square = float(np.vdot(self.rel, pair[1])) / self.total
             # max(nan, 0.0) keeps a NaN for the solver to reject
@@ -62,7 +64,7 @@ class _Fused:
 
     def density(self):
         """``build`` of the normalized terms: unit mass, exactly 0 off the joint support."""
-        volume, build = self.pair[2:]
+        volume, build = self.pair[3:]
         norm = self.total * volume
         if norm < 1e-300:  # z_w underflows, the terms over their sum do not
             return build(self.rel / self.total / volume)
@@ -82,6 +84,14 @@ def tilted_log_moments(
     over the entries where both arrays are positive.
 
     Both whole arrays are logged once, so each evaluation gathers nothing.
+    log a, log b - log a and, once a moment is read, their square are the
+    three rows of one block: besides the terms of each weight and the fused
+    density, it is the evaluator's one array-sized allocation, freed as one
+    chunk. glibc raises its mmap and heap trim thresholds to the largest
+    chunk a process has freed, so once a block has been freed the heap
+    keeps the evaluator's working set. With one array per row, repeated
+    fusions of 200^2 or 40^3 grids trimmed and regrew the heap, about 150
+    page faults per fusion; with the block they take none (glibc 2.36).
     When log b - log a sums to a finite value, both are positive everywhere
     and that is all; otherwise log a = -inf and log b - log a = 0 are stored
     off the joint support, so the terms there are exactly 0. Each
@@ -92,15 +102,18 @@ def tilted_log_moments(
     underflow and nothing overflows. Neither path warns on finite inputs.
     ``log_extra``, a scalar or an array shaped like ``a``, goes into log a
     alone, since (1-w)(a+e) + w(b+e) = (1-w)a + wb + e. The log ratio is
-    squared once, on the first moment read of any evaluation (see
-    ``_Fused``). With no ``log_extra`` the arrays are taken to hold at most
-    unit mass (volume times sum), so Hoelder's inequality bounds z_w by 1,
-    and ``log_z`` is clipped at 0 against rounding. ``points`` counts the
-    joint-support entries; with none, it raises ``IncompatibleInputs``.
+    squared once, into the block, on the first moment read of any
+    evaluation (see ``_Fused``). With no ``log_extra`` the arrays are taken
+    to hold at most unit mass (volume times sum), so Hoelder's inequality
+    bounds z_w by 1, and ``log_z`` is clipped at 0 against rounding.
+    ``points`` counts the joint-support entries; with none, it raises
+    ``IncompatibleInputs``.
     """
+    block = np.empty((3,) + a.shape)
+    log_a, log_ratio = block[0], block[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(a)
-        log_ratio = np.log(b)
+        np.log(a, out=log_a)
+        np.log(b, out=log_ratio)
         log_ratio -= log_a
         full = math.isfinite(log_ratio.sum())  # +inf and -inf sum to NaN
     points = a.size
@@ -116,8 +129,9 @@ def tilted_log_moments(
         log_a += log_extra
         log_cap = math.inf
     log_scale = math.log(volume)
-    # q, q^2 (squared on the first moment read), the cell volume and build
-    pair = [log_ratio, None, volume, build]
+    # q, q^2 (squared into the block's last row on the first moment read),
+    # the block, the cell volume and build
+    pair = [log_ratio, None, block, volume, build]
 
     def evaluate(omega: float) -> _Fused:
         logs = log_ratio * omega
@@ -185,11 +199,12 @@ def discretize_gaussians(
         cell = (hi - lo) / points_per_axis
         axes = [lo[k] + (np.arange(points_per_axis) + 0.5) * cell[k] for k in range(dim)]
     # One block for every input's values, freed as one chunk once the grids
-    # have copied theirs out. glibc raises its heap trim threshold to twice
-    # the largest chunk freed, so the grid fusions that follow keep their
-    # heap instead of trimming and regrowing it on each call: fusing the
-    # 200 pairs of a grid-stream pool once took 34k page faults with one
-    # chunk per grid and 3.9k with the block (glibc 2.36, 2-vCPU Linux).
+    # have copied theirs out. Beside the fusion evaluators' own blocks it
+    # still keeps the heap from being trimmed in the fusions that follow:
+    # over the 200 pairs of a grid-stream pool (seed 11, glibc 2.36, 2-vCPU
+    # Linux), each pass of joint and consistent fusions took 718 page
+    # faults with one array per grid and 0 with the block, though one array
+    # per grid built the pool faster (a median of 125 against 137 ms).
     values = np.empty((len(gaussians),) + (points_per_axis,) * dim)
     for g, out in zip(gaussians, values):
         np.exp(g._log_evaluate_lattice(axes), out=out)

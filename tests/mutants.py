@@ -362,6 +362,29 @@ MUTANTS = [
         "(sweep.det_sigma or sweep.sigma1_sq**2 * end)",
         ["tests/test_scenarios_cli.py"],
     ),
+    # the moments read the block's q^2 row before it is filled
+    (
+        "quadrature.py",
+        "pair[1] = np.multiply(pair[0], pair[0], out=pair[2][2])",
+        "pair[1] = pair[2][2]",
+        ["tests/test_quadrature.py::TestEvaluatorBlock"],
+    ),
+    # q^2 is written over the log-ratio row
+    ("quadrature.py", "out=pair[2][2])", "out=pair[2][1])", ["tests/test_quadrature.py::TestEvaluatorBlock"]),
+    # density() divides the terms in place, so its values are the terms
+    (
+        "quadrature.py",
+        "        return build(self.rel / norm)",
+        "        return build(np.divide(self.rel, norm, out=self.rel))",
+        ["tests/test_quadrature.py::TestEvaluatorBlock"],
+    ),
+    # three separate rows, freed one by one, bring back the heap regrowth
+    (
+        "quadrature.py",
+        "block = np.empty((3,) + a.shape)",
+        "block = [np.empty(a.shape) for _ in range(3)]",
+        ["tests/test_quadrature.py::test_repeated_grid_fusions_take_no_page_faults"],
+    ),
 ]
 
 # Mutants no test can kill, each with the reason; they run and are reported,

@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from functools import partial
 
 import numpy as np
@@ -440,6 +445,134 @@ class TestEvaluatorRegimes:
             assert fused.slope == pytest.approx(slope, rel=1e-10, abs=1e-10)
             assert fused.curvature == pytest.approx(curvature, rel=1e-10, abs=1e-10)
             np.testing.assert_allclose(_values(fused.density()), values, rtol=1e-12, atol=0)
+
+
+def two_log_reference(a, b, omega, volume, log_extra):
+    """The evaluator's log z_w, slope, curvature and fused values formed the
+    plain way: log a, log b - log a and q^2 as separate arrays, in the
+    evaluator's order of operations, so every result must match bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(a)
+        log_ratio = np.log(b) - log_a
+    off = (a <= 0) | (b <= 0)
+    log_a[off] = -np.inf
+    log_ratio[off] = 0.0
+    log_cap = 0.0
+    if isinstance(log_extra, np.ndarray) or log_extra:
+        log_a = log_a + log_extra
+        log_cap = math.inf
+    logs = log_ratio * omega + log_a
+    with np.errstate(over="ignore"):
+        terms = np.exp(logs)
+    total = float(terms.sum())
+    if 1e-100 <= total <= 1e100:
+        log_z = min(math.log(total) + math.log(volume), log_cap)
+    else:
+        peak = logs.max()
+        terms = np.exp(logs - peak)
+        total = float(terms.sum())
+        log_z = min(float(peak + math.log(total) + math.log(volume)), log_cap)
+    slope = float(np.vdot(terms, log_ratio)) / total
+    square = float(np.vdot(terms, log_ratio * log_ratio)) / total
+    norm = total * volume
+    values = terms / total / volume if norm < 1e-300 else terms / norm
+    return log_z, slope, max(square - slope * slope, 0.0), values
+
+
+def block_case(case: str):
+    """The evaluator and the reference's inputs for an evaluator or regime
+    case, or for a 33-count pmf pair with a zero count and a scalar extra
+    log term."""
+    if case in REGIME_CASES:
+        return regime_case(case)[:5]
+    if case == "pmfs with a scalar extra":
+        a, b = (binomial_pmf(32, p).probs.copy() for p in (0.3, 0.6))
+        a[5] = 0.0
+        return _pmf_pair(a, b, -2.5)
+    return evaluator_case(case, 0)
+
+
+BLOCK_CASES = PARTIAL_SUPPORT + FULL_SUPPORT + REGIME_CASES + ["pmfs with a scalar extra"]
+
+
+class TestEvaluatorBlock:
+    """log a, log b - log a and q^2 share one block per evaluator; the
+    results must be those of separate arrays, bit for bit, and no
+    evaluation or fused density may lean on a row another one rewrites."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_bit_equal_to_two_log_reference(self, case):
+        make, a, b, volume, log_extra = block_case(case)
+        evaluate = make()
+        for k, w in enumerate((0.07, 0.4, 0.5, 0.93)):
+            fused = evaluate(w)
+            log_z, slope, curvature, values = two_log_reference(a, b, w, volume, log_extra)
+            if k % 2:  # the density read before the moments, and after
+                np.testing.assert_array_equal(_values(fused.density()), values)
+            np.testing.assert_array_equal((fused.log_z, fused.slope, fused.curvature), (log_z, slope, curvature))
+            np.testing.assert_array_equal(_values(fused.density()), values)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_later_evaluations_leave_an_earlier_one(self, case):
+        make, a, b, volume, log_extra = block_case(case)
+        evaluate = make()
+        first = evaluate(0.3)
+        for w in (0.6, 0.8, 0.3):
+            later = evaluate(w)
+            later.slope, later.density()
+        log_z, slope, curvature, values = two_log_reference(a, b, 0.3, volume, log_extra)
+        np.testing.assert_array_equal((first.log_z, first.slope, first.curvature), (log_z, slope, curvature))
+        np.testing.assert_array_equal(_values(first.density()), values)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_density_owns_its_values(self, case):
+        fused = block_case(case)[0]()(0.4)
+        fused.slope
+        values = _values(fused.density())
+        assert not np.shares_memory(values, fused.pair[2])
+        assert not np.shares_memory(values, fused.rel)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts page faults under glibc's heap trim thresholds")
+def test_repeated_grid_fusions_take_no_page_faults():
+    """With one block per evaluator, glibc sizes its heap to the fusion's
+    working set once that block has been freed. With separate log arrays
+    each fusion of these grids trimmed and regrew the heap: about 150 minor
+    page faults per fusion."""
+    script = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        import setfuse as sf
+        from setfuse import quadrature
+
+        pairs = []
+        for dim, points in ((2, 200), (3, 40)):
+            near = sf.GaussianDensity(np.zeros(dim), np.eye(dim))
+            far = sf.GaussianDensity(np.eye(dim)[0], np.diag(np.linspace(0.5, 2.0, dim)))
+            g_i, g_j = quadrature.discretize_gaussians([near, far], points)
+            pairs.append((sf.BernoulliRfs(0.6, g_i), sf.BernoulliRfs(0.8, g_j)))
+        config = sf.NewtonConfig()
+
+        def fuse_all():
+            for f_i, f_j in pairs:
+                sf.bernoulli_fuse_p2(f_i, f_j, 0.4)
+                sf.consistent_fuse(f_i, f_j, config)
+
+        # the heap settles in the pass after the largest block is first freed
+        for _ in range(2):
+            fuse_all()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            fuse_all()
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (20 * 2 * len(pairs)))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 5.0, out.stdout
 
 
 class TestDerivativeIdentity:
