@@ -203,8 +203,8 @@ def discretize_gaussians(
     # still keeps the heap from being trimmed in the fusions that follow:
     # over the 200 pairs of a grid-stream pool (seed 11, glibc 2.36, 2-vCPU
     # Linux), each pass of joint and consistent fusions took 718 page
-    # faults with one array per grid and 0 with the block, though one array
-    # per grid built the pool faster (a median of 125 against 137 ms).
+    # faults with one array per grid and 0 with the block. The pool took as
+    # long to build either way, within the host's spread.
     values = np.empty((len(gaussians),) + (points_per_axis,) * dim)
     for g, out in zip(gaussians, values):
         np.exp(g._log_evaluate_lattice(axes), out=out)
