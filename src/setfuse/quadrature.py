@@ -90,8 +90,9 @@ def tilted_log_moments(
     chunk. glibc raises its mmap and heap trim thresholds to the largest
     chunk a process has freed, so once a block has been freed the heap
     keeps the evaluator's working set. With one array per row, repeated
-    fusions of 200^2 or 40^3 grids trimmed and regrew the heap, about 150
-    page faults per fusion; with the block they take none (glibc 2.36).
+    fusions of 200^2 or 40^3 grids trimmed and regrew the heap, about 180
+    or 300 page faults per fusion; with the block they take none (glibc
+    2.36).
     When log b - log a sums to a finite value, both are positive everywhere
     and that is all; otherwise log a = -inf and log b - log a = 0 are stored
     off the joint support, so the terms there are exactly 0. Each
