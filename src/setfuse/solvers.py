@@ -194,9 +194,13 @@ def _newton_weight(evaluate: Callable, config: NewtonConfig):
 
 
 def _same_localisation(a: LocalisationDensity, b: LocalisationDensity) -> bool:
-    """One representation, with every stored array equal."""
+    """One representation, with every stored array equal in shape and, as
+    floats, element by element (so 0.0 equals -0.0 and NaN nothing). A
+    memoryview comparison stops at the first unequal element and forms no
+    lattice-sized temporary, so two grids that differ early cost next to
+    nothing to tell apart."""
     return type(a) is type(b) and all(
-        x.shape == y.shape and (x == y).all() for x, y in zip(vars(a).values(), vars(b).values())
+        memoryview(x) == memoryview(y) for x, y in zip(vars(a).values(), vars(b).values())
     )
 
 

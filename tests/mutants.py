@@ -385,6 +385,20 @@ MUTANTS = [
         "block = [np.empty(a.shape) for _ in range(3)]",
         ["tests/test_quadrature.py::test_repeated_grid_fusions_take_no_page_faults"],
     ),
+    # the localisations are compared on their first elements only
+    (
+        "solvers.py",
+        "memoryview(x) == memoryview(y) for x, y",
+        "x.flat[0] == y.flat[0] for x, y",
+        ["tests/test_solvers.py::TestNewtonLocalisation"],
+    ),
+    # the localisations are compared bit for bit, so 0.0 and -0.0 differ
+    (
+        "solvers.py",
+        "memoryview(x) == memoryview(y) for x, y",
+        "x.tobytes() == y.tobytes() for x, y",
+        ["tests/test_solvers.py::TestNewtonLocalisation"],
+    ),
 ]
 
 # Mutants no test can kill, each with the reason; they run and are reported,

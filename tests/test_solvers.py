@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,6 +84,23 @@ class TestNewtonLocalisation:
         omega, fused, z, trace = sf.newton_localisation(UNIT, UNIT, sf.NewtonConfig())
         assert omega == 0.5 and z == 1.0 and fused is UNIT
         assert any(flag.startswith("degenerate") for flag in trace.flags)
+
+    def test_degenerate_flag_iff_localisations_equal(self):
+        base = sf.GridDensity([0.0, 0.0], [0.5, 0.5], np.linspace(0.0, 2.0, 12).reshape(3, 4) / 3.0)
+        grid = partial(sf.GridDensity._trusted, base)
+        signed, last = base.values.copy(), base.values.copy()
+        signed[0, 0] = -0.0
+        last[-1, -1] = np.nextafter(last[-1, -1], 1.0)
+        cases = [
+            (base, grid(base.values.copy()), True),
+            (base, grid(signed), True),  # 0.0 == -0.0
+            (base, grid(last), False),  # only the last cell differs, by one ulp
+            (UNIT, sf.GaussianDensity([0.0, 0.0], np.eye(2)), True),
+            (UNIT, sf.GaussianDensity([0.0, 0.0], np.diag([1.0, 1.5])), False),
+        ]
+        for rho_i, rho_j, same in cases:
+            trace = sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig())[3]
+            assert any(flag.startswith("degenerate") for flag in trace.flags) == same
 
     def test_trace_reproducible_for_fixed_seed(self):
         rho_i, rho_j = two_sensor_pair(10.0)
