@@ -101,6 +101,8 @@ class TestNewtonLocalisation:
         for rho_i, rho_j, same in cases:
             trace = sf.newton_localisation(rho_i, rho_j, sf.NewtonConfig())[3]
             assert any(flag.startswith("degenerate") for flag in trace.flags) == same
+        # the same cell values in another shape are another lattice
+        assert not solvers._same_localisation(base, sf.GridDensity([0.0, 0.0], [0.5, 0.5], base.values.reshape(4, 3)))
 
     def test_trace_reproducible_for_fixed_seed(self):
         rho_i, rho_j = two_sensor_pair(10.0)
