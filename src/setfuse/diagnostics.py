@@ -6,7 +6,9 @@ sufficient conditions on the localisation scale factor(s): whenever the
 scale falls below a bound, the inequality on the fused object is guaranteed.
 The converse does not hold in general.
 
-All functions are pure; callers attach the verdicts to fusion results.
+The IID bound and threshold read N_w from the IID joint rule's own
+evaluation, ``fusion._iid_pair``, or at z_w = 0 from its limit. All
+functions are pure; callers attach the verdicts to fusion results.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 
 import numpy as np
 
-from . import quadrature
-from .fusion import _check_omega, _common_probs, _joint_counts, cardinality_emd
+from .fusion import _check_omega, _iid_limit, _iid_pair, _scale_sequence, cardinality_emd
 from .model import CardinalityPmf
 
 
@@ -42,11 +43,7 @@ def cardinality_inconsistency_bound(
     _check_omega(omega)
     if p_i.prob(n) <= 0.0 or p_j.prob(n) <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
-    a, b = _common_probs(p_i, p_j)
-    z = np.asarray(z_seq, dtype=float)
-    if z.size < a.size:
-        raise ValueError("z_seq must cover every cardinality of the joint support")
-    z = z[: a.size]
+    a, b, z = _scale_sequence(p_i, p_j, z_seq)
     geo = a ** (1.0 - omega) * b**omega
     others = float(np.sum(np.delete(geo * z, n)))
     denom = geo[n] / min(a[n], b[n]) - geo[n]
@@ -83,23 +80,6 @@ def poisson_inconsistency(
     return bound, z_omega < bound
 
 
-def _log_iid_normalizer(ns: np.ndarray, a: np.ndarray, b: np.ndarray, omega: float, z_omega: float) -> float:
-    """log of sum_n a(n)^(1-w) b(n)^w z^n over the joint-support counts ns
-    (a and b hold the pmfs there), or -inf when no term survives. n log z
-    joins the logs summed by the kernel's shifted sum, so z^n never
-    underflows; at z = 0 only n = 0 survives."""
-    if z_omega == 0.0:
-        k = 1 if ns.size and ns[0] == 0 else 0
-        ns, a, b, scale = ns[:k], a[:k], b[:k], 0.0
-    else:
-        scale = ns * math.log(z_omega)
-    if ns.size == 0:
-        return -math.inf
-    log_a = np.log(a) + scale
-    log_b = np.log(b) + scale
-    return quadrature._shifted_sum(log_a + omega * (log_b - log_a))[0]
-
-
 def iid_inconsistency_bound(
     p_i: CardinalityPmf,
     p_j: CardinalityPmf,
@@ -111,7 +91,7 @@ def iid_inconsistency_bound(
 
     With the geometric scale sequence z_w^n, the fused pmf is inconsistent
     at n whenever z_omega falls below the returned value. The normalizer is
-    evaluated internally at the supplied z_omega.
+    the IID joint rule's own at the supplied z_omega in [0, 1].
     """
     _check_omega(omega)
     if n <= 0:
@@ -119,10 +99,14 @@ def iid_inconsistency_bound(
     a_n, b_n = p_i.prob(n), p_j.prob(n)
     if a_n <= 0.0 or b_n <= 0.0:
         raise ValueError("bound undefined: both pmfs must be positive at n")
-    if not z_omega >= 0.0:
-        raise ValueError("scale factor must be nonnegative")
+    if not 0.0 <= z_omega <= 1.0 + 1e-12:
+        raise ValueError("scale factor must be nonnegative and at most 1")
     ratio = min(a_n, b_n) / (a_n ** (1.0 - omega) * b_n**omega)
-    log_norm = _log_iid_normalizer(*_joint_counts(p_i, p_j), omega, z_omega)
+    if z_omega == 0.0:  # the joint rule's limit as z_w -> 0
+        norm = _iid_limit(p_i, p_j, omega)[1]
+        log_norm = math.log(norm) if norm else -math.inf
+    else:
+        log_norm = _iid_pair(p_i, p_j, math.log(z_omega))(omega).log_z
     return math.exp((log_norm + math.log(ratio)) / n)
 
 
@@ -132,20 +116,21 @@ def iid_inconsistency_threshold(
     """Count threshold eta: every supported n > eta is inconsistent.
 
     Finite only for z_omega in [0, 1); the guarantee follows from the
-    per-count bound approaching 1 as n grows. At z_omega = 0 (a scale
-    factor that flushed to zero) it is the limit as z_omega -> 0, the
-    smallest count of the joint support.
+    per-count bound approaching 1 as n grows. log gamma, the least log
+    min(p_i, p_j) / (p_i^(1-w) p_j^w) on the joint support, is the least
+    min(0, q) - w q there (q = log p_j - log p_i, stored as 0 elsewhere,
+    where it cannot lower it). At z_omega = 0 it is the least joint count.
     """
     _check_omega(omega)
     if not 0.0 <= z_omega < 1.0:
         raise ValueError("threshold requires z_omega = 0 or z_omega in (0, 1)")
-    ns, a, b = _joint_counts(p_i, p_j)
     if z_omega == 0.0:
-        return float(ns[0])
-    geo = a ** (1.0 - omega) * b**omega
-    gamma = float((np.minimum(a, b) / geo).min())
-    log_norm = _log_iid_normalizer(ns, a, b, omega, z_omega)
-    return (log_norm + math.log(gamma)) / math.log(z_omega)
+        return float(_iid_limit(p_i, p_j, omega)[0].map_estimate())
+    log_z = math.log(z_omega)
+    fused = _iid_pair(p_i, p_j, log_z)(omega)
+    q = fused.log_ratio
+    log_gamma = min(-omega * float(q.max()), (1.0 - omega) * float(q.min()))
+    return (fused.log_z + log_gamma) / log_z
 
 
 def pointwise_ratio(
@@ -168,7 +153,8 @@ def pointwise_ratio(
         raise ValueError("ratio undefined: z_seq[n] must be positive")
     fused, _ = cardinality_emd(p_i, p_j, omega)
     probs = fused.probs
-    if z.size < probs.size:
+    if z.size < max(p_i.probs.size, p_j.probs.size):
         raise ValueError("z_seq must cover the joint support")
+    _scale_sequence(p_i, p_j, z)
     expectation = float(probs @ z[: probs.size])
     return expectation / z[n]

@@ -55,16 +55,25 @@ def _common_probs(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray,
     return a, b
 
 
-def _joint_counts(p_i: CardinalityPmf, p_j: CardinalityPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The counts where both pmfs are positive, and each pmf there; with
-    none, raises ``IncompatibleInputs``. Only the common count range can
-    hold one."""
+def _iid_pair(p_i: CardinalityPmf, p_j: CardinalityPmf, log_z: float):
+    """The IID joint rule's evaluator at z_w = exp(log_z), with the extra
+    term n log z_w; the IID diagnostics read N_w from it too."""
+    a, b = _common_probs(p_i, p_j)
+    return quadrature.tilted_log_moments(a, b, CardinalityPmf._trusted, log_extra=np.arange(a.size) * log_z)
+
+
+def _iid_limit(p_i: CardinalityPmf, p_j: CardinalityPmf, omega: float) -> tuple[CardinalityPmf, float]:
+    """The IID joint rule's limit as z_w -> 0: all mass on the smallest count
+    where both pmfs are positive (``IncompatibleInputs`` if none), with
+    normalizer a(0)^(1-w) b(0)^w when that count is 0 and 0 otherwise."""
     a, b = p_i.probs, p_j.probs
     k = min(a.size, b.size)
     ns = ((a[:k] > 0) & (b[:k] > 0)).nonzero()[0]
     if ns.size == 0:
         raise IncompatibleInputs(DISJOINT_SUPPORT)
-    return ns, a[ns], b[ns]
+    probs = np.zeros(max(a.size, b.size))
+    probs[ns[0]] = 1.0
+    return CardinalityPmf._trusted(probs), (float(a[0] ** (1.0 - omega) * b[0] ** omega) if ns[0] == 0 else 0.0)
 
 
 def _geometric_pmf(
@@ -82,6 +91,22 @@ def _geometric_pmf(
     return fused.density(), math.exp(fused.log_z)
 
 
+def _scale_sequence(p_i: CardinalityPmf, p_j: CardinalityPmf, z_seq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both pmfs on their common count range and z_seq cut to it, which must
+    cover it, start at 1 and lie in (0, 1 + 1e-12] where both are positive."""
+    a, b = _common_probs(p_i, p_j)
+    z = np.asarray(z_seq, dtype=float)
+    if z.ndim != 1 or z.size < a.size:
+        raise ValueError("z_seq must cover every cardinality of the joint support")
+    z = z[: a.size]
+    if not abs(z[0] - 1.0) <= 1e-12:
+        raise ValueError("z_seq[0] must be 1 by convention")
+    outside = ~((z > 0) & (z <= 1.0 + 1e-12))
+    if outside.any() and ((a[outside] > 0) & (b[outside] > 0)).any():
+        raise ValueError("scale factors must lie in (0, 1] on the joint support")
+    return a, b, z
+
+
 def fused_cardinality_p2(
     p_i: CardinalityPmf,
     p_j: CardinalityPmf,
@@ -95,16 +120,7 @@ def fused_cardinality_p2(
     overlap at each cardinality. z_seq[0] must be 1 by convention.
     """
     _check_omega(omega)
-    a, b = _common_probs(p_i, p_j)
-    z = np.asarray(z_seq, dtype=float)
-    if z.ndim != 1 or z.size < a.size:
-        raise ValueError("z_seq must cover every cardinality of the joint support")
-    z = z[: a.size]
-    if not abs(z[0] - 1.0) <= 1e-12:
-        raise ValueError("z_seq[0] must be 1 by convention")
-    outside = ~((z > 0) & (z <= 1.0 + 1e-12))
-    if outside.any() and ((a[outside] > 0) & (b[outside] > 0)).any():
-        raise ValueError("scale factors must lie in (0, 1] on the joint support")
+    z = _scale_sequence(p_i, p_j, z_seq)[2]
     return _geometric_pmf(p_i, p_j, omega, np.log(np.where(z > 0, z, 1.0)))
 
 
@@ -117,23 +133,18 @@ def iid_cardinality_p2(
     z_w(n) = z_w^n. It enters as n log z_w, so neither large counts nor a
     z_w that flushes to 0 underflow the fused pmf. At an interior weight and
     a log z_w so far below 0 that n_max log z_w overflows (-inf included),
-    the rule is its limit as z_w -> 0, which it then equals in floats: all
-    mass on the smallest count of the joint support, with normalizer
-    a(0)^(1-w) b(0)^w when that count is 0 and 0 otherwise.
+    the rule equals in floats its limit as z_w -> 0, ``_iid_limit``.
     """
     _check_omega(omega)
     if not log_z <= 1e-12:
         raise ValueError("log scale factor must be <= 0")
     n_max = max(p_i.n_max, p_j.n_max)
-    if n_max * log_z > -math.inf:
-        return _geometric_pmf(p_i, p_j, omega, np.arange(n_max + 1) * log_z)
     if omega in (0.0, 1.0):
         return _geometric_pmf(p_i, p_j, omega)
-    ns, a, b = _joint_counts(p_i, p_j)
-    probs = np.zeros(n_max + 1)
-    probs[ns[0]] = 1.0
-    norm = float(a[0] ** (1.0 - omega) * b[0] ** omega) if ns[0] == 0 else 0.0
-    return CardinalityPmf._trusted(probs), norm
+    if n_max * log_z > -math.inf:
+        fused = _iid_pair(p_i, p_j, log_z)(omega)
+        return fused.density(), math.exp(fused.log_z)
+    return _iid_limit(p_i, p_j, omega)
 
 
 def cardinality_emd(

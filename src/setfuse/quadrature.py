@@ -50,6 +50,8 @@ class _Fused:
 
     slope = property(lambda self: self._read_moments()[0])
     curvature = property(lambda self: self._read_moments()[1])
+    # q itself, the block's row: 0 off the joint support; read it, never write it
+    log_ratio = property(lambda self: self.pair[0])
 
     def _read_moments(self) -> tuple[float, float]:
         if self._moments is None:

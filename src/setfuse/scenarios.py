@@ -69,11 +69,12 @@ class SweepSpec:
     def omega_grid(self) -> np.ndarray:
         return np.linspace(self.omega[0], self.omega[1], self.omega[2])
 
+    def determinant(self, kappa: float) -> float:
+        """det_sigma, or sigma1_sq^2 / kappa, which fixes the major axis at sigma1_sq."""
+        return self.det_sigma if self.det_sigma is not None else self.sigma1_sq**2 / kappa
+
     def covariances(self, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.det_sigma is not None:
-            det = self.det_sigma
-        else:
-            det = self.sigma1_sq**2 / kappa
+        det = self.determinant(kappa)
         return (
             gaussian.make_rotated_covariance(kappa, det, math.pi / 4),
             gaussian.make_rotated_covariance(kappa, det, -math.pi / 4),
@@ -192,19 +193,18 @@ def _parse_sweep(spec) -> SweepSpec:
     if len(given) == 2:
         raise ScenarioError("sweep sets both sigma1_sq and det_sigma; give one scale")
     sweep = SweepSpec(kappa, omega, **{key: _number(v, f"sweep.{key}", positive=True) for key, v in given.items()})
-    # both frame variances are monotone in kappa, so the two ends bound every row
+    # both frame variances, sqrt(det kappa) and sqrt(det / kappa), are monotone in kappa: the ends bound every row
     for end in kappa[:2]:
         if not 1.0 <= end <= COV_CONDITION_LIMIT:
             raise ScenarioError(f"sweep.kappa values must lie in [1, {COV_CONDITION_LIMIT:g}], got {end:g}")
         try:
-            for cov in sweep.covariances(end):
-                GaussianDensity(np.zeros(2), cov)
-        except OverflowError as exc:
-            raise ScenarioError(f"sweep covariance at kappa = {end:g} overflows") from exc
-        except ValueError as exc:
-            if not (sweep.det_sigma or sweep.sigma1_sq**2 / end) >= sys.float_info.min:
-                raise ScenarioError(f"sweep covariance at kappa = {end:g} underflows") from exc
-            raise ScenarioError(f"invalid sweep covariance at kappa = {end:g}: {exc}") from exc
+            det = sweep.determinant(end)
+        except OverflowError:  # sigma1_sq**2
+            det = math.inf
+        if not math.sqrt(det * end) < math.inf:
+            raise ScenarioError(f"sweep covariance at kappa = {end:g} overflows")
+        if not math.sqrt(det / end) > 0.0:
+            raise ScenarioError(f"sweep covariance at kappa = {end:g} underflows")
     return sweep
 
 
@@ -356,8 +356,8 @@ def fuse_scenario(scenario: Scenario, mode: str) -> tuple[FusionResult, Report]:
 def _sweep_pair(scenario: Scenario, kappa: float) -> tuple[GaussianDensity, GaussianDensity]:
     """The Gaussian pair of a sweep at one kappa: the input means with the
     sweep's covariances, symmetrised as the public constructor does but not
-    checked again. Both frame variances are monotone in kappa, so the
-    checks at the two kappa ends cover every row."""
+    checked by it. The checks at both kappa ends keep every row's kappa in
+    [1, 1e12] and both frame variances finite and positive."""
     covs = scenario.sweep.covariances(kappa)
     return tuple(
         GaussianDensity._trusted(f.loc.mean, 0.5 * c + 0.5 * c.T) for f, c in zip((scenario.f_i, scenario.f_j), covs)

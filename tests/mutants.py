@@ -79,12 +79,54 @@ MUTANTS = [
     ),
     # the z_w -> 0 limit of the IID joint rule puts its mass on count 0
     ("fusion.py", "    probs[ns[0]] = 1.0\n", "    probs[0] = 1.0\n", ["tests/test_fusion.py"]),
-    # pmfs with no common count reach the joint-count readers, which index an empty array
+    # pmfs with no common count reach the IID z_w -> 0 limit, which indexes an empty array
     (
         "fusion.py",
-        "    if ns.size == 0:\n        raise IncompatibleInputs(DISJOINT_SUPPORT)\n    return ns",
-        "    return ns",
+        "    if ns.size == 0:\n        raise IncompatibleInputs(DISJOINT_SUPPORT)\n    probs",
+        "    probs",
         ["tests/test_fusion.py", "tests/test_diagnostics.py"],
+    ),
+    # the IID threshold's log gamma takes the larger of its two candidates, not the smaller
+    (
+        "diagnostics.py",
+        "log_gamma = min(-omega * float(q.max()), (1.0 - omega) * float(q.min()))",
+        "log_gamma = max(-omega * float(q.max()), (1.0 - omega) * float(q.min()))",
+        ["tests/test_diagnostics.py::TestIidAgainstDecimalReference"],
+    ),
+    # the IID threshold's gamma loses the -w q term: min(0, q) alone
+    (
+        "diagnostics.py",
+        "log_gamma = min(-omega * float(q.max()), (1.0 - omega) * float(q.min()))",
+        "log_gamma = min(0.0, float(q.min()))",
+        ["tests/test_diagnostics.py::TestIidAgainstDecimalReference"],
+    ),
+    # the IID bound at z = 0 reads log N_w = -inf instead of the joint rule's limit
+    (
+        "diagnostics.py",
+        "        log_norm = math.log(norm) if norm else -math.inf\n",
+        "        log_norm = -math.inf\n",
+        ["tests/test_diagnostics.py"],
+    ),
+    # the IID bound takes a scale factor above 1
+    (
+        "diagnostics.py",
+        "if not 0.0 <= z_omega <= 1.0 + 1e-12:",
+        "if not 0.0 <= z_omega:",
+        ["tests/test_diagnostics.py::TestIidBound"],
+    ),
+    # pointwise_ratio checks z_seq's length against the fused pmf, so at w = 0 or 1 it may cover one input only
+    (
+        "diagnostics.py",
+        "if z.size < max(p_i.probs.size, p_j.probs.size):",
+        "if z.size < probs.size:",
+        ["tests/test_diagnostics.py::TestScaleSequenceCheck"],
+    ),
+    # pointwise_ratio skips the scale-sequence value check
+    (
+        "diagnostics.py",
+        "    _scale_sequence(p_i, p_j, z)\n    expectation",
+        "    expectation",
+        ["tests/test_diagnostics.py::TestScaleSequenceCheck"],
     ),
     # the joint path returns the first input at w = 1 too
     (
@@ -354,14 +396,16 @@ MUTANTS = [
     # grid z_w is not clipped at 1, so identical grids read 1 + 4 eps
     ("quadrature.py", "    log_cap = 0.0\n", "    log_cap = math.inf\n", ["tests/test_quadrature.py::TestGridZ"]),
     # the sweep determinant is sigma1_sq^3 / kappa
-    ("scenarios.py", "det = self.sigma1_sq**2 / kappa", "det = self.sigma1_sq**3 / kappa", ["tests/test_scenarios_cli.py"]),
+    ("scenarios.py", "else self.sigma1_sq**2 / kappa", "else self.sigma1_sq**3 / kappa", ["tests/test_scenarios_cli.py"]),
     # the underflow test multiplies by the kappa end instead of dividing
     (
         "scenarios.py",
-        "(sweep.det_sigma or sweep.sigma1_sq**2 / end)",
-        "(sweep.det_sigma or sweep.sigma1_sq**2 * end)",
+        "if not math.sqrt(det / end) > 0.0:",
+        "if not math.sqrt(det * end) > 0.0:",
         ["tests/test_scenarios_cli.py"],
     ),
+    # a sweep whose major-axis variance overflows loads
+    ("scenarios.py", "if not math.sqrt(det * end) < math.inf:", "if False:", ["tests/test_scenarios_cli.py"]),
     # the moments read the block's q^2 row before it is filled
     (
         "quadrature.py",

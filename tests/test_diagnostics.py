@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -171,6 +172,13 @@ class TestIidBound:
             with pytest.raises(ValueError, match="nonnegative"):
                 diagnostics.iid_inconsistency_bound(TWO_POINT, TWO_POINT, 0.5, 1, z)
 
+    def test_scale_above_one_rejected(self):
+        # Hoelder bounds z_w by 1; the slack is the joint rule's on log z_w
+        for z in (math.inf, 1e308, 2.0, 1.0 + 1e-9):
+            with pytest.raises(ValueError, match="at most 1"):
+                diagnostics.iid_inconsistency_bound(TWO_POINT, THREE_POINT, 0.5, 1, z)
+        assert diagnostics.iid_inconsistency_bound(TWO_POINT, THREE_POINT, 0.5, 1, 1.0) > 0.0
+
     def test_bound_rises_with_count_for_binomial_pair(self):
         p_i, p_j = binomial_pmf(5, 0.95), binomial_pmf(5, 0.92)
         bounds = [
@@ -262,6 +270,124 @@ class TestPointwiseRatio:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError, match="ratio undefined"):
             diagnostics.pointwise_ratio(TWO_POINT, TWO_POINT, [1.0, 0.0], 0.5, 1)
+
+
+def _decimal_reference(p_i, p_j, omega, z, n):
+    """The IID bound at count n and the threshold, from the gather formula
+    over the joint support in 50-digit decimal arithmetic: N_w = sum of
+    p_i(m)^(1-w) p_j(m)^w z^m, gamma = the least min(p_i, p_j) / (p_i^(1-w)
+    p_j^w), bound = (N_w min(p_i(n), p_j(n)) / (p_i(n)^(1-w) p_j(n)^w))^(1/n)
+    and threshold = log(N_w gamma) / log z, or the smallest joint count at
+    z = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w, z = Decimal(omega), Decimal(z)
+        joint = [(m, Decimal(a), Decimal(b)) for m, (a, b) in enumerate(zip(p_i.probs, p_j.probs)) if a > 0 and b > 0]
+        geo = {m: a ** (1 - w) * b**w for m, a, b in joint}
+        norm = sum(geo[m] * (z**m if m else 1) for m, _, _ in joint)
+        gamma = min(min(a, b) / geo[m] for m, a, b in joint)
+        bound = None
+        if n is not None:
+            ratio = Decimal(min(p_i.prob(n), p_j.prob(n))) / geo[n]
+            bound = float(((norm * ratio).ln() / n).exp()) if norm else 0.0
+        if z == 0:
+            return bound, float(joint[0][0])
+        threshold = float((norm * gamma).ln() / z.ln()) if z < 1 else None
+        return bound, threshold
+
+
+def _iid_pairs(rng):
+    """Seeded pmf pairs: of unequal lengths with zero cells inside the
+    common range, then pairs whose log ratio q = log p_j - log p_i is
+    negative at every joint count, each also swapped, so q is positive."""
+    pairs = []
+    for _ in range(16):
+        probs = [rng.dirichlet(np.ones(size)) for size in rng.integers(3, 14, 2)]
+        for p in probs:
+            p[rng.random(p.size) < 0.3] = 0.0
+        joint = rng.integers(0, min(p.size for p in probs))
+        for p in probs:
+            p[joint] = rng.uniform(0.05, 0.5)
+        pairs.append(tuple(sf.CardinalityPmf(p / p.sum()) for p in probs))
+    for _ in range(6):
+        a = rng.dirichlet(np.ones(rng.integers(2, 10)))
+        b = a * rng.uniform(0.2, 0.9, a.size)
+        # the rest of b's mass lies past a's last count, off the joint support
+        b = np.concatenate((b, [1.0 - b.sum()]))
+        pairs += [(sf.CardinalityPmf(a), sf.CardinalityPmf(b)), (sf.CardinalityPmf(b), sf.CardinalityPmf(a))]
+    return pairs
+
+
+class TestIidAgainstDecimalReference:
+    """Both IID diagnostics against a 50-digit gather over the joint
+    support, a reference that shares no code with the joint rule's
+    evaluator."""
+
+    def test_bound_and_threshold_match_reference(self):
+        rng = np.random.default_rng(20261022)
+        checked = 0
+        for p_i, p_j in _iid_pairs(rng):
+            positive = [m for m in range(1, min(p_i.n_max, p_j.n_max) + 1) if p_i.prob(m) > 0 and p_j.prob(m) > 0]
+            for omega in (0.01, 0.3, 0.5, 0.99):
+                for z in (0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-12, 1.0):
+                    n = int(rng.choice(positive)) if positive else None
+                    bound, threshold = _decimal_reference(p_i, p_j, omega, z, n)
+                    if n is not None:
+                        got = diagnostics.iid_inconsistency_bound(p_i, p_j, omega, n, z)
+                        assert got == pytest.approx(bound, rel=1e-12, abs=0.0)
+                    if z < 1.0:
+                        got = diagnostics.iid_inconsistency_threshold(p_i, p_j, omega, z)
+                        assert got == pytest.approx(threshold, rel=1e-12, abs=0.0)
+                    checked += 1
+        assert checked == 28 * 4 * 6
+
+    def test_sign_of_the_log_ratio_on_the_joint_support(self):
+        # the pairs past the first 16 have q < 0, then q > 0, at every joint count
+        pairs = _iid_pairs(np.random.default_rng(20261022))[16:]
+        for k, (p_i, p_j) in enumerate(pairs):
+            a, b = fusion._common_probs(p_i, p_j)
+            joint = (a > 0) & (b > 0)
+            q = np.log(b[joint]) - np.log(a[joint])
+            assert (q < 0).all() if k % 2 == 0 else (q > 0).all()
+            assert not joint.all()
+
+
+# the three general-sequence functions, each with z_seq as its third argument
+GENERAL_SEQUENCE_CALLS = {
+    "joint rule": lambda p_i, p_j, z: fusion.fused_cardinality_p2(p_i, p_j, z, 0.5),
+    "bound": lambda p_i, p_j, z: diagnostics.cardinality_inconsistency_bound(p_i, p_j, z, 0.5, 1),
+    "ratio": lambda p_i, p_j, z: diagnostics.pointwise_ratio(p_i, p_j, z, 0.5, 1),
+}
+
+
+class TestScaleSequenceCheck:
+    P_I, P_J = sf.CardinalityPmf([0.2, 0.5, 0.3]), sf.CardinalityPmf([0.1, 0.3, 0.6])
+
+    @pytest.mark.parametrize("name", GENERAL_SEQUENCE_CALLS)
+    @pytest.mark.parametrize("z_seq", [[1.0, 0.5, math.nan], [1.0, 0.5, -5.0], [1.0, 0.5, math.inf]],
+                             ids=["nan", "negative", "inf"])
+    def test_value_outside_unit_interval_rejected(self, name, z_seq):
+        with pytest.raises(ValueError, match=r"scale factors must lie in \(0, 1\] on the joint support"):
+            GENERAL_SEQUENCE_CALLS[name](self.P_I, self.P_J, z_seq)
+
+    @pytest.mark.parametrize("name", GENERAL_SEQUENCE_CALLS)
+    def test_first_scale_must_be_one(self, name):
+        with pytest.raises(ValueError, match=r"z_seq\[0\] must be 1"):
+            GENERAL_SEQUENCE_CALLS[name](self.P_I, self.P_J, [0.9, 0.5, 0.25])
+
+    def test_ratio_needs_the_common_range_at_every_weight(self):
+        # at w = 0 the fused pmf is the two-count input, yet z_seq must still
+        # cover the three counts of the pair
+        p_i, p_j = sf.CardinalityPmf([0.5, 0.5]), sf.CardinalityPmf([0.2, 0.3, 0.5])
+        for omega in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="z_seq must cover the joint support"):
+                diagnostics.pointwise_ratio(p_i, p_j, [1.0, 0.5], omega, 1)
+
+    @pytest.mark.parametrize("name", GENERAL_SEQUENCE_CALLS)
+    def test_values_off_the_joint_support_are_free(self, name):
+        # count 2 is joint for neither pair below, so its scale is never read
+        p_i, p_j = sf.CardinalityPmf([0.5, 0.5]), sf.CardinalityPmf([0.2, 0.3, 0.5])
+        GENERAL_SEQUENCE_CALLS[name](p_i, p_j, [1.0, 0.5, -5.0])
 
 
 class TestArgumentRanges:

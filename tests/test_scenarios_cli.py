@@ -174,6 +174,23 @@ class TestRunSweep:
         with pytest.raises(scenarios.ScenarioError, match=r"^sweep covariance at kappa = 1e\+12 underflows$"):
             scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload(sweep=sweep)))
 
+    def test_determinant_overflowing_at_the_top_kappa_is_named(self, tmp_path):
+        # det kappa = 1e312 overflows at kappa = 1e12, and only there
+        sweep = {"kappa": [1.0, 1e12, 3], "omega": [0.0, 1.0, 3], "det_sigma": 1e300}
+        with pytest.raises(scenarios.ScenarioError, match=r"^sweep covariance at kappa = 1e\+12 overflows$"):
+            scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload(sweep=sweep)))
+
+    def test_every_documented_kappa_is_accepted(self, tmp_path):
+        # at kappa = 1e12 the rotated covariance's rounded condition number
+        # reads above 1e12, which the constructor would reject
+        sweep = {"kappa": [1.0, 1e12, 2], "omega": [0.0, 1.0, 3], "det_sigma": 1e-10}
+        scenario = scenarios.load_scenario(write_scenario(tmp_path, bernoulli_payload(sweep=sweep)))
+        with pytest.raises(ValueError, match="condition number"):
+            sf.GaussianDensity(np.zeros(2), scenario.sweep.covariances(1e12)[0])
+        (_, _, rows), = scenarios.sweep_report(scenario).tables
+        assert [row[:2] for row in rows] == [(k, w) for k in (1.0, 1e12) for w in (0.0, 0.5, 1.0)]
+        assert all(0.0 <= row[2] <= 1.0 for row in rows)
+
     def test_bytes_identical_across_runs_and_workers(self, tmp_path):
         payload = bernoulli_payload(
             sweep={"kappa": [1.0, 8.0, 6], "omega": [0.0, 1.0, 9], "sigma1_sq": 1.0}
